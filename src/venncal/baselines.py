@@ -19,17 +19,9 @@ import numpy as np
 
 from venncal.exceptions import DegenerateModelError
 from venncal.isotonic import dedup_weighted, fit_isotonic
+from venncal.scorers import _sigmoid
 
 __all__ = ["PlattCalibrator", "DirectIsotonic"]
-
-
-def _sigmoid(z: np.ndarray) -> np.ndarray:
-    out = np.empty_like(z)
-    pos = z >= 0
-    out[pos] = 1.0 / (1.0 + np.exp(-z[pos]))
-    ez = np.exp(z[~pos])
-    out[~pos] = ez / (1.0 + ez)
-    return out
 
 
 @dataclass

@@ -17,6 +17,7 @@ import argparse
 import csv
 import json
 import sys
+from dataclasses import replace
 
 import numpy as np
 
@@ -36,7 +37,7 @@ from venncal.data import (
 )
 from venncal.exceptions import DataError, DegenerateModelError
 from venncal.ivap import IvapCalibrator
-from venncal.merging import merge_brier, merge_log
+from venncal.merging import merge_brier, merge_log, merged_interval
 from venncal.metrics import evaluate
 from venncal.scorers import ScorerSpec, train_scorer
 
@@ -121,21 +122,25 @@ def _scorer_spec(args) -> ScorerSpec:
                       max_iter=args.max_iter, ridge=args.ridge)
 
 
+def _n_folds(args) -> int:
+    """Fold count for cvap and --tune: --folds, else the --ratio parts summed, else 5."""
+    return args.folds or (sum(_parse_ratio(args.ratio)) if args.ratio else 5)
+
+
 def _tuned_ridge(train_ds: Dataset, n_folds: int, spec: ScorerSpec,
                  seed: int | None) -> float:
     """Pick the ridge coefficient minimizing cumulative Brier loss over folds."""
     folds = assign_folds(len(train_ds), n_folds, "contiguous", seed)
     best = None
     for ridge in TUNE_RIDGE_GRID:
-        candidate = ScorerSpec(kind=spec.kind, learning_rate=spec.learning_rate,
-                               max_iter=spec.max_iter, ridge=ridge)
+        candidate = replace(spec, ridge=ridge)
         total = 0.0
         try:
             for k in range(n_folds):
                 rest = folds.complement(k)
                 fold = folds.indices(k)
                 scorer = train_scorer(candidate, train_ds.X[rest], train_ds.y[rest])
-                p = np.clip(scorer.probability_many(train_ds.X[fold]), 0.0, 1.0)
+                p = scorer.probability_many(train_ds.X[fold])
                 total += float(np.sum(4.0 * (train_ds.y[fold] - p) ** 2))
         except DegenerateModelError:
             continue
@@ -144,6 +149,14 @@ def _tuned_ridge(train_ds: Dataset, n_folds: int, spec: ScorerSpec,
     if best is None:
         raise DegenerateModelError("ridge tuning failed on every fold")
     return best[1]
+
+
+def _tuned_spec(args, train_ds: Dataset) -> ScorerSpec:
+    """The scorer spec from the flags, with the ridge grid-searched under --tune."""
+    spec = _scorer_spec(args)
+    if args.tune and args.scorer == "logistic":
+        spec = replace(spec, ridge=_tuned_ridge(train_ds, _n_folds(args), spec, args.seed))
+    return spec
 
 
 def _load_feature_data(args) -> tuple[Dataset, Dataset]:
@@ -155,58 +168,65 @@ def _load_feature_data(args) -> tuple[Dataset, Dataset]:
     return apply_imputation(train_ds, stats), apply_imputation(test_ds, stats)
 
 
-def _predict_with_method(method: str, args, train_ds: Dataset, test_ds: Dataset,
-                         spec: ScorerSpec):
-    """Run one calibration method; returns (p, intervals-or-None)."""
-    merge_loss = args.merge
-    if method == "cvap":
-        n_folds = args.folds if args.folds else (sum(_parse_ratio(args.ratio))
-                                                 if args.ratio else 5)
-        mode = "randomized" if args.randomize_folds else "contiguous"
-        model = CvapCalibrator.fit(train_ds, n_folds, spec, mode=mode,
-                                   seed=_sub_seed(args.seed, 1), merge_loss=merge_loss)
-        lo, hi = model.predict_intervals_many(test_ds.X)
-        p = model.predict_many(test_ds.X)
-        # merged interval endpoints: geometric means of the K fold intervals
-        merged_lo = 1.0 - np.exp(np.mean(np.log(np.maximum(1.0 - lo, 1e-300)), axis=0))
-        merged_hi = np.exp(np.mean(np.log(np.maximum(hi, 1e-300)), axis=0))
-        return p, (merged_lo, merged_hi)
+def _merge(args):
+    return merge_log if args.merge == "log" else merge_brier
 
-    if args.all_mode:
-        proper, calibration = train_ds, train_ds
-    else:
-        if not args.ratio:
-            raise UsageError(f"method {method!r} needs --ratio (or --all-mode)")
-        split = SplitSpec(ratio=_parse_ratio(args.ratio),
-                          permute=args.randomize_split, seed=_sub_seed(args.seed, 0))
-        proper, calibration = split_proper_calibration(train_ds, split)
-    scorer = train_scorer(spec, proper.X, proper.y)
-    if args.sigmoid_scores:
-        calib_scores = scorer.probability_many(calibration.X)
-        test_scores = scorer.probability_many(test_ds.X)
-    else:
-        calib_scores = scorer.score_many(calibration.X)
-        test_scores = scorer.score_many(test_ds.X)
 
-    if method == "underlying":
-        return scorer.probability_many(test_ds.X), None
-    if method == "platt":
-        model = PlattCalibrator.fit(calib_scores, calibration.y)
-        return model.predict_many(test_scores), None
-    if method == "isotonic":
-        model = DirectIsotonic.fit(calib_scores, calibration.y,
-                                   dummy_endpoints=args.dummy_endpoints)
-        return model.predict_many(test_scores), None
-    if method == "ivap":
-        rule = IvapCalibrator.fit(calib_scores, calibration.y)
-        lo, hi = rule.predict_intervals(test_scores)
-        merge = merge_log if merge_loss == "log" else merge_brier
-        return merge(lo[None, :], hi[None, :]), (lo, hi)
-    raise UsageError(f"unknown method {method!r}")
+def _platt(scores, labels, test_scores, args):
+    return PlattCalibrator.fit(scores, labels).predict_many(test_scores), None
+
+
+def _isotonic(scores, labels, test_scores, args):
+    model = DirectIsotonic.fit(scores, labels, dummy_endpoints=args.dummy_endpoints)
+    return model.predict_many(test_scores), None
+
+
+def _ivap(scores, labels, test_scores, args):
+    lo, hi = IvapCalibrator.fit(scores, labels).predict_intervals(test_scores)
+    return _merge(args)(lo[None, :], hi[None, :]), (lo, hi)
+
+
+# method -> fit on (calibration scores, labels), then predict test scores as
+# (p, intervals-or-None); the feature and the score-file routes both use it
+CALIBRATORS = {"platt": _platt, "isotonic": _isotonic, "ivap": _ivap}
+
+
+def _predict_with_methods(methods, args, train_ds: Dataset, test_ds: Dataset,
+                          spec: ScorerSpec):
+    """Yield (method, p, intervals-or-None) for each method, in order.
+
+    The split methods share one split, one proper-set scorer fit and one
+    scoring pass, made when the first of them is reached; cvap trains its
+    own K fold scorers.
+    """
+    scored = None
+    for method in methods:
+        if method == "cvap":
+            mode = "randomized" if args.randomize_folds else "contiguous"
+            model = CvapCalibrator.fit(train_ds, _n_folds(args), spec, mode=mode,
+                                       seed=_sub_seed(args.seed, 1), merge_loss=args.merge)
+            lo, hi = model.predict_intervals_many(test_ds.X)
+            yield method, _merge(args)(lo, hi), merged_interval(lo, hi)
+            continue
+        if scored is None:
+            if args.all_mode:
+                proper, calibration = train_ds, train_ds
+            else:
+                if not args.ratio:
+                    raise UsageError(f"method {method!r} needs --ratio (or --all-mode)")
+                split = SplitSpec(ratio=_parse_ratio(args.ratio),
+                                  permute=args.randomize_split, seed=_sub_seed(args.seed, 0))
+                proper, calibration = split_proper_calibration(train_ds, split)
+            scorer = train_scorer(spec, proper.X, proper.y)
+            score = scorer.probability_many if args.sigmoid_scores else scorer.score_many
+            scored = score(calibration.X), calibration.y, score(test_ds.X)
+        if method == "underlying":
+            yield method, scorer.probability_many(test_ds.X), None
+        else:
+            yield method, *CALIBRATORS[method](*scored, args)
 
 
 def _predict_from_score_files(method: str, args):
-    merge = merge_log if args.merge == "log" else merge_brier
     if method == "cvap":
         if not args.calib_scores or len(args.calib_scores) < 2:
             raise UsageError("cvap on score files needs one --calib-scores file per fold")
@@ -227,11 +247,8 @@ def _predict_from_score_files(method: str, args):
             lo, hi = rule.predict_intervals(test_scores)
             lows.append(lo)
             highs.append(hi)
-        lo = np.stack(lows)
-        hi = np.stack(highs)
-        merged_lo = 1.0 - np.exp(np.mean(np.log(np.maximum(1.0 - lo, 1e-300)), axis=0))
-        merged_hi = np.exp(np.mean(np.log(np.maximum(hi, 1e-300)), axis=0))
-        return merge(lo, hi), (merged_lo, merged_hi)
+        lo, hi = np.stack(lows), np.stack(highs)
+        return _merge(args)(lo, hi), merged_interval(lo, hi)
 
     if not args.scores_in or len(args.scores_in) != 1:
         raise UsageError("expected exactly one --scores-in file")
@@ -243,16 +260,7 @@ def _predict_from_score_files(method: str, args):
     if not args.calib_scores or len(args.calib_scores) != 1:
         raise UsageError(f"method {method!r} expects exactly one --calib-scores file")
     scores, labels = read_calibration_scores(args.calib_scores[0])
-    if method == "platt":
-        return PlattCalibrator.fit(scores, labels).predict_many(test_scores), None
-    if method == "isotonic":
-        model = DirectIsotonic.fit(scores, labels, dummy_endpoints=args.dummy_endpoints)
-        return model.predict_many(test_scores), None
-    if method == "ivap":
-        rule = IvapCalibrator.fit(scores, labels)
-        lo, hi = rule.predict_intervals(test_scores)
-        return merge(lo[None, :], hi[None, :]), (lo, hi)
-    raise UsageError(f"unknown method {method!r}")
+    return CALIBRATORS[method](scores, labels, test_scores, args)
 
 
 def _calibrate_settings(args) -> dict:
@@ -290,14 +298,9 @@ def cmd_calibrate(args) -> int:
         if not args.train or not args.test:
             raise UsageError("calibrate needs --train and --test (or score files)")
         train_ds, test_ds = _load_feature_data(args)
-        spec = _scorer_spec(args)
-        if args.tune and args.scorer == "logistic":
-            n_folds = args.folds if args.folds else (sum(_parse_ratio(args.ratio))
-                                                     if args.ratio else 5)
-            ridge = _tuned_ridge(train_ds, n_folds, spec, args.seed)
-            spec = ScorerSpec(kind=spec.kind, learning_rate=spec.learning_rate,
-                              max_iter=spec.max_iter, ridge=ridge)
-        p, intervals = _predict_with_method(args.method, args, train_ds, test_ds, spec)
+        spec = _tuned_spec(args, train_ds)
+        _, p, intervals = next(_predict_with_methods([args.method], args, train_ds,
+                                                     test_ds, spec))
     _write_predictions(args.out, np.asarray(p), intervals if args.intervals else None)
     _write_manifest(args.out, "calibrate", _calibrate_settings(args))
     return 0
@@ -351,17 +354,9 @@ def cmd_compare(args) -> int:
     if args.all_mode and not args.folds:
         raise UsageError("compare with --all-mode needs --folds for the cross method")
     train_ds, test_ds = _load_feature_data(args)
-    spec = _scorer_spec(args)
-    if args.tune and args.scorer == "logistic":
-        n_folds = args.folds if args.folds else sum(_parse_ratio(args.ratio))
-        ridge = _tuned_ridge(train_ds, n_folds, spec, args.seed)
-        spec = ScorerSpec(kind=spec.kind, learning_rate=spec.learning_rate,
-                          max_iter=spec.max_iter, ridge=ridge)
-    rows = []
-    for method in METHODS:
-        p, _ = _predict_with_method(method, args, train_ds, test_ds, spec)
-        report = evaluate(np.clip(np.asarray(p), 0.0, 1.0), test_ds.y)
-        rows.append((method, report))
+    spec = _tuned_spec(args, train_ds)
+    rows = [(method, evaluate(p, test_ds.y))
+            for method, p, _ in _predict_with_methods(METHODS, args, train_ds, test_ds, spec)]
 
     with open(args.out, "w", encoding="utf-8", newline="") as fh:
         fh.write("method,mll,mbl,n,n_infinite\n")

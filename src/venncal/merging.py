@@ -11,7 +11,7 @@ from __future__ import annotations
 
 import numpy as np
 
-__all__ = ["merge_log", "merge_brier"]
+__all__ = ["merge_log", "merge_brier", "merged_interval"]
 
 # floor for quantities entering the log-space geometric mean; interval
 # calibrator outputs can never reach it, but user-supplied batches might
@@ -44,10 +44,21 @@ def merge_log(p0, p1):
         bot = p0 if p0.ndim == 0 else p0[0]
         out = top / ((1.0 - bot) + top)
         return float(out) if np.ndim(out) == 0 else out
-    gm_p1 = np.exp(np.mean(np.log(np.maximum(p1, _EPS)), axis=0))
-    gm_q0 = np.exp(np.mean(np.log(np.maximum(1.0 - p0, _EPS)), axis=0))
+    gm_q0, gm_p1 = _geometric_means(p0, p1)
     out = gm_p1 / (gm_q0 + gm_p1)
     return float(out) if out.ndim == 0 else out
+
+
+def _geometric_means(p0, p1) -> tuple[np.ndarray, np.ndarray]:
+    """GM(1 - p0) and GM(p1) over the K axis 0."""
+    return (np.exp(np.mean(np.log(np.maximum(1.0 - p0, _EPS)), axis=0)),
+            np.exp(np.mean(np.log(np.maximum(p1, _EPS)), axis=0)))
+
+
+def merged_interval(p0: np.ndarray, p1: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Merged-interval endpoints (1 - GM(1 - p0), GM(p1)) of K stacked intervals."""
+    gm_q0, gm_p1 = _geometric_means(p0, p1)
+    return 1.0 - gm_q0, gm_p1
 
 
 def merge_brier(p0, p1):

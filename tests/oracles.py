@@ -1,8 +1,9 @@
 """Independent reference implementations used to check the fast paths.
 
 Everything here is deliberately naive: exhaustive enumeration, insert-and-
-refit, and grid search.  None of it shares code with the algorithms under
-test beyond `dedup_weighted` for input normalization.
+refit, grid search, and a masked two-branch sigmoid.  None of it shares code
+with the algorithms under test beyond `dedup_weighted` for input
+normalization.
 """
 
 import itertools
@@ -93,3 +94,13 @@ def grid_platt(scores, labels) -> tuple[float, float, float]:
         lo_a, hi_a = best[0] - 2 * step, min(best[0] + 2 * step, -1e-3)
         lo_b, hi_b = best[1] - 2 * step, best[1] + 2 * step
     return best
+
+
+def masked_sigmoid(z: np.ndarray) -> np.ndarray:
+    """Logistic function by two masked branches, exp only of non-positive arguments."""
+    out = np.empty_like(z)
+    pos = z >= 0
+    out[pos] = 1.0 / (1.0 + np.exp(-z[pos]))
+    ez = np.exp(z[~pos])
+    out[~pos] = ez / (1.0 + ez)
+    return out

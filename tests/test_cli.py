@@ -214,6 +214,48 @@ class TestCompare:
         m2 = json.loads((tmp_path / "b.csv.manifest.json").read_text())
         assert m1 == m2
 
+    def test_split_methods_share_one_scorer_fit(self, tmp_path, monkeypatch):
+        import venncal.cli
+        import venncal.cvap
+
+        fits = []
+
+        def counting(module):
+            train = module.train_scorer
+
+            def wrapped(*args, **kwargs):
+                fits.append(module.__name__)
+                return train(*args, **kwargs)
+            monkeypatch.setattr(module, "train_scorer", wrapped)
+
+        counting(venncal.cli)
+        counting(venncal.cvap)
+        train, test = self.make_files(tmp_path, 300, 100)
+        assert run_cli("compare", "--train", train, "--test", test, "--ratio", "2:1",
+                       "--out", tmp_path / "t.csv") == 0
+        # one proper-set fit for underlying/platt/isotonic/ivap, then one per cvap fold
+        assert fits == ["venncal.cli"] + ["venncal.cvap"] * 3
+
+    @pytest.mark.parametrize("flags", [
+        ["--ratio", "2:1", "--seed", "4"],
+        ["--ratio", "2:1", "--seed", "4", "--sigmoid-scores"],
+        ["--all-mode", "--folds", "3", "--seed", "4"],
+    ])
+    def test_each_row_matches_calibrate_then_evaluate(self, tmp_path, flags):
+        train, test = self.make_files(tmp_path, 300, 120)
+        data = ["--train", train, "--test", test, *flags]
+        table = tmp_path / "table.csv"
+        assert run_cli("compare", *data, "--out", table) == 0
+        rows = [line.split(",") for line in table.read_text().splitlines()[1:]]
+        for method, mll, mbl, n, n_inf in rows:
+            pred = tmp_path / f"{method}.csv"
+            report = tmp_path / f"{method}.json"
+            assert run_cli("calibrate", "--method", method, *data, "--out", pred) == 0
+            assert run_cli("evaluate", "--pred", pred, "--truth", test, "--out", report) == 0
+            got = json.loads(report.read_text())
+            assert (float(mll), float(mbl), int(n), int(n_inf)) == (
+                got["mll"], got["mbl"], got["n"], got["n_infinite"]), method
+
     def test_degenerate_model_exit_code(self, tmp_path):
         train = tmp_path / "train.csv"
         test = tmp_path / "test.csv"

@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from venncal.merging import merge_brier, merge_log
+from venncal.merging import merge_brier, merge_log, merged_interval
 
 
 class TestMergeLog:
@@ -104,5 +104,6 @@ def test_geometric_interval_narrower_than_arithmetic():
         p1 = p0 + rng.uniform(0.01, 1.0 - p0)
         gm_hi = np.exp(np.mean(np.log(p1)))
         gm_lo = 1.0 - np.exp(np.mean(np.log(1.0 - p0)))
+        assert merged_interval(p0, p1) == (gm_lo, gm_hi)
         assert gm_hi <= np.mean(p1) + 1e-12
         assert gm_lo >= np.mean(p0) - 1e-12

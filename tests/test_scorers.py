@@ -111,6 +111,17 @@ class TestLogistic:
         with pytest.raises(DegenerateModelError):
             train_scorer(ScorerSpec("logistic"), np.arange(4.0)[:, None], [1, 1, 1, 1])
 
+    def test_sigmoid_bit_identical_to_masked_reference(self):
+        from oracles import masked_sigmoid
+        from venncal.scorers import _sigmoid
+
+        nan = np.float64(np.nan)
+        special = np.array([0.0, -0.0, np.inf, -np.inf, 800.0, -800.0, nan, -nan])
+        z = np.concatenate([special, np.random.default_rng(21).normal(size=100_000) * 30])
+        with np.errstate(under="ignore"):
+            got, want = _sigmoid(z), masked_sigmoid(z)
+        assert got.tobytes() == want.tobytes()
+
     def test_dimension_mismatch_rejected(self):
         ds = generate_synthetic(50, seed=1)
         scorer = train_scorer(ScorerSpec("logistic"), ds.X, ds.y)
