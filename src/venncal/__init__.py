@@ -18,15 +18,7 @@ from venncal.data import (
     split_proper_calibration,
 )
 from venncal.exceptions import DataError, DegenerateModelError
-from venncal.isotonic import (
-    WeightedPoints,
-    build_csd,
-    dedup_weighted,
-    fit_isotonic,
-    gcm_corners,
-    lower_prob_curve,
-    upper_prob_curve,
-)
+from venncal.isotonic import WeightedPoints, dedup_weighted, fit_isotonic
 from venncal.ivap import IvapCalibrator, ProbInterval
 from venncal.merging import merge_brier, merge_log
 from venncal.metrics import EvalReport, brier_loss, evaluate, log_loss
@@ -50,19 +42,15 @@ __all__ = [
     "WeightedPoints",
     "assign_folds",
     "brier_loss",
-    "build_csd",
     "dedup_weighted",
     "evaluate",
     "fit_isotonic",
-    "gcm_corners",
     "generate_synthetic",
     "load_csv",
     "log_loss",
-    "lower_prob_curve",
     "merge_brier",
     "merge_log",
     "split_proper_calibration",
     "train_scorer",
-    "upper_prob_curve",
     "__version__",
 ]

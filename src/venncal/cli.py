@@ -37,7 +37,7 @@ from venncal.data import (
 )
 from venncal.exceptions import DataError, DegenerateModelError
 from venncal.ivap import IvapCalibrator
-from venncal.merging import merge_brier, merge_log, merged_interval
+from venncal.merging import merge, merged_interval
 from venncal.metrics import evaluate
 from venncal.scorers import ScorerSpec, train_scorer
 
@@ -168,10 +168,6 @@ def _load_feature_data(args) -> tuple[Dataset, Dataset]:
     return apply_imputation(train_ds, stats), apply_imputation(test_ds, stats)
 
 
-def _merge(args):
-    return merge_log if args.merge == "log" else merge_brier
-
-
 def _platt(scores, labels, test_scores, args):
     return PlattCalibrator.fit(scores, labels).predict_many(test_scores), None
 
@@ -183,7 +179,7 @@ def _isotonic(scores, labels, test_scores, args):
 
 def _ivap(scores, labels, test_scores, args):
     lo, hi = IvapCalibrator.fit(scores, labels).predict_intervals(test_scores)
-    return _merge(args)(lo[None, :], hi[None, :]), (lo, hi)
+    return merge(lo[None, :], hi[None, :], args.merge), (lo, hi)
 
 
 # method -> fit on (calibration scores, labels), then predict test scores as
@@ -206,7 +202,7 @@ def _predict_with_methods(methods, args, train_ds: Dataset, test_ds: Dataset,
             model = CvapCalibrator.fit(train_ds, _n_folds(args), spec, mode=mode,
                                        seed=_sub_seed(args.seed, 1), merge_loss=args.merge)
             lo, hi = model.predict_intervals_many(test_ds.X)
-            yield method, _merge(args)(lo, hi), merged_interval(lo, hi)
+            yield method, merge(lo, hi, args.merge), merged_interval(lo, hi)
             continue
         if scored is None:
             if args.all_mode:
@@ -248,7 +244,7 @@ def _predict_from_score_files(method: str, args):
             lows.append(lo)
             highs.append(hi)
         lo, hi = np.stack(lows), np.stack(highs)
-        return _merge(args)(lo, hi), merged_interval(lo, hi)
+        return merge(lo, hi, args.merge), merged_interval(lo, hi)
 
     if not args.scores_in or len(args.scores_in) != 1:
         raise UsageError("expected exactly one --scores-in file")

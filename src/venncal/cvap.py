@@ -18,7 +18,7 @@ import numpy as np
 from venncal.data import Dataset
 from venncal.exceptions import DegenerateModelError
 from venncal.ivap import IvapCalibrator
-from venncal.merging import merge_brier, merge_log
+from venncal.merging import merge
 from venncal.scorers import ScorerSpec, scorer_from_dict, train_scorer
 
 __all__ = ["FoldAssignment", "assign_folds", "CvapCalibrator"]
@@ -140,11 +140,7 @@ class CvapCalibrator:
     def predict_many(self, X, loss: str | None = None) -> np.ndarray:
         loss = loss or self.merge_loss
         lo, hi = self.predict_intervals_many(X)
-        if loss == "log":
-            return np.atleast_1d(merge_log(lo, hi))
-        if loss == "brier":
-            return np.atleast_1d(merge_brier(lo, hi))
-        raise ValueError(f"unknown loss {loss!r}")
+        return np.atleast_1d(merge(lo, hi, loss))
 
     def predict(self, x, loss: str | None = None) -> float:
         return float(self.predict_many(np.asarray(x, dtype=float)[None, :], loss)[0])

@@ -10,11 +10,13 @@ never angles or divisions, and collinear corners are popped.
 
 Beyond the plain fit, this module tabulates two per-score probability curves:
 for each distinct score, the fitted value after inserting one unit-weight
-test observation labelled 1 immediately to its left (`upper_prob_curve`) or
-labelled 0 immediately to its right (`lower_prob_curve`).  A naive version
+test observation labelled 1 immediately to its left (`upper_prob_scan`) or
+labelled 0 immediately to its right (`lower_prob_scan`).  A naive version
 would refit once per score; here a single sweep moves the test interval
 through the diagram, reflecting one CSD vertex per step and repairing the
-corner stack, so each curve costs O(k') after sorting.
+corner stack, so each curve costs O(k') after sorting.  There is one sweep:
+the lower curve is the upper sweep run on the mirrored points (scores
+negated, labels flipped), read backwards.
 """
 
 from __future__ import annotations
@@ -30,8 +32,6 @@ __all__ = [
     "build_csd",
     "gcm_corners",
     "fit_isotonic",
-    "lower_prob_curve",
-    "upper_prob_curve",
     "lower_prob_scan",
     "upper_prob_scan",
 ]
@@ -113,17 +113,13 @@ def build_csd(points: WeightedPoints) -> np.ndarray:
     return csd
 
 
-def gcm_corners(csd: np.ndarray) -> tuple[np.ndarray, int]:
-    """Corners of the greatest convex minorant of a CSD polyline.
+def _graham_scan(xs: list, ys: list) -> tuple[list, list, int]:
+    """Lower-hull corners of a polyline given as coordinate lists, left to right.
 
-    Graham-scan over the vertices left to right; a vertex is popped when the
-    turn through it is nonleft (cross product <= 0), so collinear interior
-    points are dropped and slopes between consecutive corners strictly
-    increase.  Returns the corners (both CSD endpoints always included) and
-    the number of stack pushes.
+    A vertex is popped when the turn through it is nonleft (cross product
+    <= 0), so collinear interior points are dropped.  Returns the corner
+    coordinates (both endpoints always included) and the number of pushes.
     """
-    xs = csd[:, 0].tolist()
-    ys = csd[:, 1].tolist()
     n = len(xs)
     sx = [0.0] * n
     sy = [0.0] * n
@@ -142,9 +138,22 @@ def gcm_corners(csd: np.ndarray) -> tuple[np.ndarray, int]:
         top += 1
         sx[top], sy[top] = px, py
         pushes += 1
-    corners = np.empty((top + 1, 2))
-    corners[:, 0] = sx[: top + 1]
-    corners[:, 1] = sy[: top + 1]
+    del sx[top + 1:], sy[top + 1:]
+    return sx, sy, pushes
+
+
+def gcm_corners(csd: np.ndarray) -> tuple[np.ndarray, int]:
+    """Corners of the greatest convex minorant of a CSD polyline.
+
+    Graham-scan over the vertices left to right; collinear interior points
+    are dropped, so slopes between consecutive corners strictly increase.
+    Returns the corners (both CSD endpoints always included) and the number
+    of stack pushes.
+    """
+    sx, sy, pushes = _graham_scan(csd[:, 0].tolist(), csd[:, 1].tolist())
+    corners = np.empty((len(sx), 2))
+    corners[:, 0] = sx
+    corners[:, 1] = sy
     return corners, pushes
 
 
@@ -185,35 +194,13 @@ def upper_prob_scan(points: WeightedPoints) -> CurveScan:
     ex += np.cumsum(points.weights).astype(float).tolist()
     ey += np.cumsum(points.label_sums).tolist()
 
-    # corner initialization, left to right, popping nonleft turns
-    sx = [0.0] * (k + 2)
-    sy = [0.0] * (k + 2)
-    sx[0], sy[0] = ex[0], ey[0]
-    sx[1], sy[1] = ex[1], ey[1]
-    top = 1
-    corner_pushes = 2
-    for i in range(2, k + 2):
-        px, py = ex[i], ey[i]
-        while top > 0:
-            bx, by = sx[top], sy[top]
-            ax, ay = sx[top - 1], sy[top - 1]
-            if (bx - ax) * (py - by) - (px - bx) * (by - ay) <= 0.0:
-                top -= 1
-            else:
-                break
-        top += 1
-        sx[top], sy[top] = px, py
-        corner_pushes += 1
-
-    # sweep stack holds the corners reversed: leftmost (active) corner on top
-    m = top + 1
-    tx = [0.0] * (m + k)
-    ty = [0.0] * (m + k)
-    for j in range(m):
-        tx[j] = sx[m - 1 - j]
-        ty[j] = sy[m - 1 - j]
-    t = m - 1
-    sweep_pushes = m
+    # sweep stack holds the GCM corners reversed: leftmost (active) corner on
+    # top; a push always follows a pop, so the stack never outgrows them
+    tx, ty, corner_pushes = _graham_scan(ex, ey)
+    tx.reverse()
+    ty.reverse()
+    t = len(tx) - 1
+    sweep_pushes = len(tx)
 
     values = np.empty(k)
     num = np.empty(k)
@@ -250,85 +237,15 @@ def upper_prob_scan(points: WeightedPoints) -> CurveScan:
 def lower_prob_scan(points: WeightedPoints) -> CurveScan:
     """Fit at each distinct score with a unit label-0 test point just right of it.
 
-    Mirror image of `upper_prob_scan`: the CSD is extended one unit to the
-    right with no label mass (the label-0 test observation placed after all
-    scores), corners are initialized right to left popping nonright turns,
-    and the sweep moves the test interval leftward.
+    Mirror image of `upper_prob_scan`: negating the scores and flipping the
+    labels turns the label-0 point just right of score i into a label-1
+    point just left of its mirror, so the lower curve is one minus the upper
+    curve of the mirrored points, read backwards.  The slope components stay
+    exact: num = den' - num' and den = den', reversed.
     """
-    k = len(points)
-    ex = [0.0]
-    ey = [0.0]
-    ex += np.cumsum(points.weights).astype(float).tolist()
-    ey += np.cumsum(points.label_sums).tolist()
-    ex.append(ex[k] + 1.0)
-    ey.append(ey[k])
-
-    # corner initialization, right to left, popping nonright turns
-    sx = [0.0] * (k + 2)
-    sy = [0.0] * (k + 2)
-    sx[0], sy[0] = ex[k + 1], ey[k + 1]
-    sx[1], sy[1] = ex[k], ey[k]
-    top = 1
-    corner_pushes = 2
-    for i in range(k - 1, -1, -1):
-        px, py = ex[i], ey[i]
-        while top > 0:
-            bx, by = sx[top], sy[top]
-            ax, ay = sx[top - 1], sy[top - 1]
-            if (bx - ax) * (py - by) - (px - bx) * (by - ay) >= 0.0:
-                top -= 1
-            else:
-                break
-        top += 1
-        sx[top], sy[top] = px, py
-        corner_pushes += 1
-
-    # sweep stack holds the corners reversed: rightmost (active) corner on top
-    m = top + 1
-    tx = [0.0] * (m + k)
-    ty = [0.0] * (m + k)
-    for j in range(m):
-        tx[j] = sx[m - 1 - j]
-        ty[j] = sy[m - 1 - j]
-    t = m - 1
-    sweep_pushes = m
-
-    values = np.empty(k)
-    num = np.empty(k)
-    den = np.empty(k)
-    for i in range(k, 0, -1):
-        rx, ry = tx[t], ty[t]          # active corner, right end of the segment
-        lx, ly = tx[t - 1], ty[t - 1]  # first corner to its left
-        dy = ry - ly
-        dx = rx - lx
-        values[i - 1] = dy / dx
-        num[i - 1] = dy
-        den[i - 1] = dx
-        qx = ex[i - 1] + ex[i + 1] - ex[i]
-        qy = ey[i - 1] + ey[i + 1] - ey[i]
-        ex[i] = qx
-        ey[i] = qy
-        if (rx - lx) * (qy - ly) - (qx - lx) * (ry - ly) >= 0.0:
-            continue
-        t -= 1
-        while t > 0:
-            bx, by = tx[t], ty[t]
-            cx, cy = tx[t - 1], ty[t - 1]
-            if (bx - qx) * (cy - by) - (cx - bx) * (by - qy) >= 0.0:
-                t -= 1
-            else:
-                break
-        t += 1
-        tx[t], ty[t] = qx, qy
-        sweep_pushes += 1
-    return CurveScan(values, num, den, corner_pushes, sweep_pushes)
-
-
-def upper_prob_curve(points: WeightedPoints) -> np.ndarray:
-    """Upper probability at each distinct score; nondecreasing, in (0, 1]."""
-    return upper_prob_scan(points).values
-
-
-def lower_prob_curve(points: WeightedPoints) -> np.ndarray:
-    """Lower probability at each distinct score; nondecreasing, in [0, 1)."""
-    return lower_prob_scan(points).values
+    w = points.weights
+    up = upper_prob_scan(WeightedPoints(-points.scores[::-1], w[::-1],
+                                        (w - points.label_sums)[::-1]))
+    num = (up.den - up.num)[::-1]
+    den = up.den[::-1]
+    return CurveScan(num / den, num, den, up.corner_pushes, up.sweep_pushes)

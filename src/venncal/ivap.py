@@ -8,11 +8,7 @@ returns the lower value of its left neighbour and the upper value of its
 right neighbour; outside the score range the missing side falls back to the
 boundary conventions 0 and 1.  This reproduces, for every s, the isotonic
 fit at s of the calibration set with (s, 0) respectively (s, 1) appended.
-
-Queries go through `numpy.searchsorted` on the key array; `search_tree`
-materializes the equivalent midpoint-balanced binary search tree (internal
-nodes keyed by distinct scores, leaves holding interval payloads) for
-inspection and cross-checking.
+Queries go through `numpy.searchsorted` on the key array.
 """
 
 from __future__ import annotations
@@ -28,9 +24,9 @@ from venncal.isotonic import (
     lower_prob_scan,
     upper_prob_scan,
 )
-from venncal.merging import merge_brier, merge_log
+from venncal.merging import merge, merge_interval
 
-__all__ = ["ProbInterval", "IvapCalibrator", "TreeNode", "tree_size", "tree_depth"]
+__all__ = ["ProbInterval", "IvapCalibrator", "merge_interval"]
 
 
 @dataclass(frozen=True)
@@ -39,34 +35,6 @@ class ProbInterval:
 
     p0: float
     p1: float
-
-
-@dataclass
-class TreeNode:
-    """Node of the lookup tree; leaves carry interval payloads and no key."""
-
-    p0: float
-    p1: float
-    key: float | None = None
-    left: "TreeNode | None" = None
-    right: "TreeNode | None" = None
-
-    @property
-    def is_leaf(self) -> bool:
-        return self.key is None
-
-
-def tree_size(node: TreeNode | None) -> int:
-    if node is None:
-        return 0
-    return 1 + tree_size(node.left) + tree_size(node.right)
-
-
-def tree_depth(node: TreeNode | None) -> int:
-    """Maximum number of nodes on a root-to-leaf path."""
-    if node is None:
-        return 0
-    return 1 + max(tree_depth(node.left), tree_depth(node.right))
 
 
 class IvapCalibrator:
@@ -85,7 +53,6 @@ class IvapCalibrator:
         self.p1 = p1
         # (lower corner, lower sweep, upper corner, upper sweep) stack pushes
         self.push_counts = push_counts
-        self._tree: TreeNode | None = None
 
     @classmethod
     def fit(cls, scores, labels) -> "IvapCalibrator":
@@ -144,62 +111,7 @@ class IvapCalibrator:
 
     def predict_many(self, scores, loss: str = "log") -> np.ndarray:
         lo, hi = self.predict_intervals(scores)
-        if loss == "log":
-            return merge_log(lo[None, :], hi[None, :])
-        if loss == "brier":
-            return merge_brier(lo[None, :], hi[None, :])
-        raise ValueError(f"unknown loss {loss!r}")
-
-    # ---- explicit search tree ------------------------------------------
-
-    def search_tree(self) -> TreeNode:
-        """Midpoint-balanced lookup tree over the distinct scores (cached).
-
-        The tree has one internal node per distinct score and k'+1 leaves,
-        2k'+1 nodes in total; querying it is equivalent to the array path.
-        """
-        if self._tree is None:
-            self._tree = self._build_tree(1, len(self.points))
-        return self._tree
-
-    def _payload(self, lower_idx: int, upper_idx: int) -> tuple[float, float]:
-        # 1-based indices with the boundary conventions lower[0]=0, upper[k'+1]=1
-        k = len(self.points)
-        lo = 0.0 if lower_idx == 0 else float(self.p0[lower_idx - 1])
-        hi = 1.0 if upper_idx == k + 1 else float(self.p1[upper_idx - 1])
-        return lo, hi
-
-    def _build_tree(self, a: int, b: int) -> TreeNode:
-        keys = self.points.scores
-        if b == a:
-            lo, hi = self._payload(a, a)
-            return TreeNode(lo, hi, key=float(keys[a - 1]),
-                            left=TreeNode(*self._payload(a - 1, a)),
-                            right=TreeNode(*self._payload(a, a + 1)))
-        if b == a + 1:
-            lo, hi = self._payload(a, a)
-            return TreeNode(lo, hi, key=float(keys[a - 1]),
-                            left=TreeNode(*self._payload(a - 1, a)),
-                            right=self._build_tree(b, b))
-        c = (a + b) // 2
-        lo, hi = self._payload(c, c)
-        return TreeNode(lo, hi, key=float(keys[c - 1]),
-                        left=self._build_tree(a, c - 1),
-                        right=self._build_tree(c + 1, b))
-
-    def query_tree(self, score: float) -> ProbInterval:
-        """Answer one query by walking the explicit tree."""
-        if not np.isfinite(score):
-            raise ValueError("test scores must be finite")
-        node = self.search_tree()
-        while not node.is_leaf:
-            if score < node.key:
-                node = node.left
-            elif score > node.key:
-                node = node.right
-            else:
-                return ProbInterval(node.p0, node.p1)
-        return ProbInterval(node.p0, node.p1)
+        return merge(lo[None, :], hi[None, :], loss)
 
     # ---- serialization --------------------------------------------------
 
@@ -236,11 +148,3 @@ class IvapCalibrator:
         with open(path, encoding="utf-8") as fh:
             return cls.from_dict(json.load(fh))
 
-
-def merge_interval(p0: float, p1: float, loss: str = "log") -> float:
-    """Collapse one interval to a point probability under the given loss."""
-    if loss == "log":
-        return float(p1 / ((1.0 - p0) + p1))
-    if loss == "brier":
-        return float(p1 + 0.5 * p0 * p0 - 0.5 * p1 * p1)
-    raise ValueError(f"unknown loss {loss!r}")

@@ -105,13 +105,7 @@ class StumpScorer(_Scorer):
     feature: int
     threshold: float
     high_is_one: bool
-
-    @property
-    def n_features(self) -> int:
-        return self._n_features
-
-    def __post_init__(self):
-        self._n_features = self.feature + 1  # patched by train_scorer
+    n_features: int
 
     def score_many(self, X) -> np.ndarray:
         X = _as_matrix(X)
@@ -123,17 +117,13 @@ class StumpScorer(_Scorer):
 
     def to_dict(self) -> dict:
         return {"kind": "stump", "feature": self.feature, "threshold": self.threshold,
-                "high_is_one": self.high_is_one, "n_features": self._n_features}
+                "high_is_one": self.high_is_one, "n_features": self.n_features}
 
 
 @dataclass
 class ConstantScorer(_Scorer):
     value: float
-    _n_features: int = 1
-
-    @property
-    def n_features(self) -> int:
-        return self._n_features
+    n_features: int
 
     def score_many(self, X) -> np.ndarray:
         X = _as_matrix(X)
@@ -143,7 +133,7 @@ class ConstantScorer(_Scorer):
     probability_many = score_many
 
     def to_dict(self) -> dict:
-        return {"kind": "constant", "value": self.value, "n_features": self._n_features}
+        return {"kind": "constant", "value": self.value, "n_features": self.n_features}
 
 
 def _train_logistic(spec: ScorerSpec, X: np.ndarray, y: np.ndarray) -> LogisticScorer:
@@ -212,9 +202,7 @@ def _train_stump(X: np.ndarray, y: np.ndarray) -> StumpScorer:
     if best is None:
         raise DegenerateModelError("stump scorer found no usable split (all features constant)")
     _, feature, threshold, _ = best
-    stump = StumpScorer(feature, threshold, best_high)
-    stump._n_features = d
-    return stump
+    return StumpScorer(feature, threshold, best_high, d)
 
 
 def train_scorer(spec: ScorerSpec, X, y):
@@ -229,9 +217,7 @@ def train_scorer(spec: ScorerSpec, X, y):
         return _train_logistic(spec, X, y)
     if spec.kind == "stump":
         return _train_stump(X, y)
-    scorer = ConstantScorer(float(np.mean(y)))
-    scorer._n_features = X.shape[1]
-    return scorer
+    return ConstantScorer(float(np.mean(y)), X.shape[1])
 
 
 def scorer_from_dict(d: dict):
@@ -241,11 +227,8 @@ def scorer_from_dict(d: dict):
         return LogisticScorer(np.asarray(d["weights"], dtype=float),
                               float(d["intercept"]), [])
     if kind == "stump":
-        stump = StumpScorer(int(d["feature"]), float(d["threshold"]), bool(d["high_is_one"]))
-        stump._n_features = int(d["n_features"])
-        return stump
+        return StumpScorer(int(d["feature"]), float(d["threshold"]), bool(d["high_is_one"]),
+                           int(d["n_features"]))
     if kind == "constant":
-        scorer = ConstantScorer(float(d["value"]))
-        scorer._n_features = int(d["n_features"])
-        return scorer
+        return ConstantScorer(float(d["value"]), int(d["n_features"]))
     raise ValueError(f"unknown scorer kind {kind!r}")

@@ -1,12 +1,13 @@
 """Independent reference implementations used to check the fast paths.
 
 Everything here is deliberately naive: exhaustive enumeration, insert-and-
-refit, grid search, and a masked two-branch sigmoid.  None of it shares code
-with the algorithms under test beyond `dedup_weighted` for input
-normalization.
+refit, grid search, a masked two-branch sigmoid, and an explicit search tree
+over an interval calibrator's tables.  None of it shares code with the
+algorithms under test beyond `dedup_weighted` for input normalization.
 """
 
 import itertools
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -104,3 +105,83 @@ def masked_sigmoid(z: np.ndarray) -> np.ndarray:
     ez = np.exp(z[~pos])
     out[~pos] = ez / (1.0 + ez)
     return out
+
+
+# ---- explicit search tree over an interval calibrator's tables ----------
+
+
+@dataclass
+class TreeNode:
+    """Node of the lookup tree; leaves carry interval payloads and no key."""
+
+    p0: float
+    p1: float
+    key: float | None = None
+    left: "TreeNode | None" = None
+    right: "TreeNode | None" = None
+
+    @property
+    def is_leaf(self) -> bool:
+        return self.key is None
+
+
+def tree_size(node: TreeNode | None) -> int:
+    if node is None:
+        return 0
+    return 1 + tree_size(node.left) + tree_size(node.right)
+
+
+def tree_depth(node: TreeNode | None) -> int:
+    """Maximum number of nodes on a root-to-leaf path."""
+    if node is None:
+        return 0
+    return 1 + max(tree_depth(node.left), tree_depth(node.right))
+
+
+def search_tree(rule) -> TreeNode:
+    """Midpoint-balanced lookup tree over a rule's distinct scores.
+
+    The tree has one internal node per distinct score and k'+1 leaves,
+    2k'+1 nodes in total; walking it must answer like `predict_intervals`.
+    """
+    return _build_tree(rule, 1, len(rule.points))
+
+
+def _payload(rule, lower_idx: int, upper_idx: int) -> tuple[float, float]:
+    # 1-based indices with the boundary conventions lower[0]=0, upper[k'+1]=1
+    k = len(rule.points)
+    lo = 0.0 if lower_idx == 0 else float(rule.p0[lower_idx - 1])
+    hi = 1.0 if upper_idx == k + 1 else float(rule.p1[upper_idx - 1])
+    return lo, hi
+
+
+def _build_tree(rule, a: int, b: int) -> TreeNode:
+    keys = rule.points.scores
+    if b == a:
+        lo, hi = _payload(rule, a, a)
+        return TreeNode(lo, hi, key=float(keys[a - 1]),
+                        left=TreeNode(*_payload(rule, a - 1, a)),
+                        right=TreeNode(*_payload(rule, a, a + 1)))
+    if b == a + 1:
+        lo, hi = _payload(rule, a, a)
+        return TreeNode(lo, hi, key=float(keys[a - 1]),
+                        left=TreeNode(*_payload(rule, a - 1, a)),
+                        right=_build_tree(rule, b, b))
+    c = (a + b) // 2
+    lo, hi = _payload(rule, c, c)
+    return TreeNode(lo, hi, key=float(keys[c - 1]),
+                    left=_build_tree(rule, a, c - 1),
+                    right=_build_tree(rule, c + 1, b))
+
+
+def query_tree(tree: TreeNode, score: float) -> tuple[float, float]:
+    """Answer one query by walking the explicit tree; returns (p0, p1)."""
+    node = tree
+    while not node.is_leaf:
+        if score < node.key:
+            node = node.left
+        elif score > node.key:
+            node = node.right
+        else:
+            break
+    return node.p0, node.p1

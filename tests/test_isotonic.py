@@ -8,9 +8,7 @@ from venncal.isotonic import (
     dedup_weighted,
     fit_isotonic,
     gcm_corners,
-    lower_prob_curve,
     lower_prob_scan,
-    upper_prob_curve,
     upper_prob_scan,
 )
 
@@ -126,19 +124,19 @@ class TestFitIsotonic:
 
 class TestProbCurves:
     def test_table_rows_upper(self):
-        up = upper_prob_curve(dedup_weighted([1, 2, 3], [0, 0, 1]))
+        up = upper_prob_scan(dedup_weighted([1, 2, 3], [0, 0, 1])).values
         assert np.allclose(up, [1 / 3, 1 / 2, 1], atol=1e-15)
-        up = upper_prob_curve(dedup_weighted([1, 2, 3], [1, 1, 1]))
+        up = upper_prob_scan(dedup_weighted([1, 2, 3], [1, 1, 1])).values
         assert up.tolist() == [1, 1, 1]
-        up = upper_prob_curve(dedup_weighted([1, 2, 3, 4], [1, 0, 1, 0]))
+        up = upper_prob_scan(dedup_weighted([1, 2, 3, 4], [1, 0, 1, 0])).values
         assert np.allclose(up, [3 / 5, 3 / 5, 2 / 3, 2 / 3], atol=1e-15)
 
     def test_table_rows_lower(self):
-        lo = lower_prob_curve(dedup_weighted([1, 2, 3], [0, 0, 1]))
+        lo = lower_prob_scan(dedup_weighted([1, 2, 3], [0, 0, 1])).values
         assert np.allclose(lo, [0, 0, 1 / 2], atol=1e-15)
-        lo = lower_prob_curve(dedup_weighted([1, 2, 3], [0, 0, 0]))
+        lo = lower_prob_scan(dedup_weighted([1, 2, 3], [0, 0, 0])).values
         assert lo.tolist() == [0, 0, 0]
-        lo = lower_prob_curve(dedup_weighted([1, 2, 3, 4], [1, 1, 0, 1]))
+        lo = lower_prob_scan(dedup_weighted([1, 2, 3, 4], [1, 1, 0, 1])).values
         assert np.allclose(lo, [1 / 2, 1 / 2, 1 / 2, 3 / 5], atol=1e-15)
 
     def test_constant_label_extremes(self):
@@ -146,15 +144,17 @@ class TestProbCurves:
         for _ in range(50):
             k = int(rng.integers(1, 10))
             scores = rng.normal(size=k)
-            assert lower_prob_curve(dedup_weighted(scores, np.zeros(k))).tolist() == [0.0] * k
-            assert upper_prob_curve(dedup_weighted(scores, np.ones(k))).tolist() == [1.0] * k
+            lo = lower_prob_scan(dedup_weighted(scores, np.zeros(k))).values
+            up = upper_prob_scan(dedup_weighted(scores, np.ones(k))).values
+            assert lo.tolist() == [0.0] * k
+            assert up.tolist() == [1.0] * k
 
     def test_monotone_and_separated(self):
         rng = np.random.default_rng(21)
         for _ in range(300):
             pts = random_points(rng, max_k=12)
-            lo = lower_prob_curve(pts)
-            up = upper_prob_curve(pts)
+            lo = lower_prob_scan(pts).values
+            up = upper_prob_scan(pts).values
             assert np.all(np.diff(lo) >= -1e-15)
             assert np.all(np.diff(up) >= -1e-15)
             assert np.all(lo < up)
@@ -202,8 +202,8 @@ class TestProbCurves:
                 scores = rng.integers(0, 40, size=k).astype(float)
             labels = rng.integers(0, 2, size=k)
             pts = dedup_weighted(scores, labels)
-            up = upper_prob_curve(pts)
-            lo = lower_prob_curve(pts)
+            up = upper_prob_scan(pts).values
+            lo = lower_prob_scan(pts).values
             gaps = np.diff(np.concatenate([[pts.scores[0] - 2], pts.scores,
                                            [pts.scores[-1] + 2]]))
             for i, s in enumerate(pts.scores):

@@ -3,7 +3,9 @@ import math
 import numpy as np
 import pytest
 
-from venncal.ivap import IvapCalibrator, tree_depth, tree_size
+from oracles import query_tree, search_tree, tree_depth, tree_size
+from venncal.ivap import IvapCalibrator
+from venncal.merging import merge_interval
 
 
 def random_calibration(rng, max_k=20):
@@ -16,13 +18,13 @@ def random_calibration(rng, max_k=20):
 class TestBuild:
     def test_tree_seven_nodes_for_three_keys(self):
         rule = IvapCalibrator.fit([1, 2, 3], [0, 0, 1])
-        tree = rule.search_tree()
+        tree = search_tree(rule)
         assert tree_size(tree) == 7
         assert tree.key == 2  # midpoint of three keys
 
     def test_tree_three_nodes_for_one_key(self):
         rule = IvapCalibrator.fit([5], [1])
-        tree = rule.search_tree()
+        tree = search_tree(rule)
         assert tree_size(tree) == 3
         assert tree.key == 5
 
@@ -30,7 +32,7 @@ class TestBuild:
         rule = IvapCalibrator.fit([1, 2, 3, 4], [0, 1, 0, 1])
         assert np.allclose(rule.p0, [0, 1 / 3, 1 / 3, 1 / 2], atol=1e-15)
         assert np.allclose(rule.p1, [1 / 2, 2 / 3, 2 / 3, 1], atol=1e-15)
-        tree = rule.search_tree()
+        tree = search_tree(rule)
         assert tree_size(tree) == 9
         # root keyed on the second distinct score with its table entries
         assert tree.key == 2
@@ -42,8 +44,8 @@ class TestBuild:
             scores, labels = random_calibration(rng)
             rule = IvapCalibrator.fit(scores, labels)
             k = len(rule)
-            assert tree_size(rule.search_tree()) == 2 * k + 1
-            assert tree_depth(rule.search_tree()) <= math.ceil(math.log2(k + 1)) + 1
+            assert tree_size(search_tree(rule)) == 2 * k + 1
+            assert tree_depth(search_tree(rule)) <= math.ceil(math.log2(k + 1)) + 1
 
     def test_empty_rejected(self):
         with pytest.raises(ValueError, match="empty calibration set"):
@@ -107,9 +109,9 @@ class TestQueries:
                 rule.points.scores[:2],  # exact hits
             ])
             lo, hi = rule.predict_intervals(queries)
+            tree = search_tree(rule)
             for q, l, h in zip(queries, lo, hi):
-                iv = rule.query_tree(float(q))
-                assert iv.p0 == l and iv.p1 == h
+                assert query_tree(tree, float(q)) == (l, h)
 
     def test_matches_insert_and_refit_oracle(self):
         from oracles import refit_interval
@@ -152,20 +154,14 @@ class TestQueries:
 
 class TestPointPredictions:
     def test_identity_when_interval_degenerate(self):
-        from venncal.ivap import merge_interval
-
         for q in (0.2, 0.5, 0.9):
             assert merge_interval(q, q, "log") == pytest.approx(q, abs=1e-15)
             assert merge_interval(q, q, "brier") == pytest.approx(q, abs=1e-15)
 
     def test_log_formula(self):
-        from venncal.ivap import merge_interval
-
         assert merge_interval(0.2, 0.4, "log") == pytest.approx(1 / 3, abs=1e-15)
 
     def test_brier_formula(self):
-        from venncal.ivap import merge_interval
-
         assert merge_interval(0.2, 0.4, "brier") == pytest.approx(0.34, abs=1e-15)
 
     def test_batch_prediction_matches_scalar_path(self):
@@ -176,7 +172,7 @@ class TestPointPredictions:
         for loss in ("log", "brier"):
             batch = rule.predict_many(qs, loss=loss)
             singles = np.array([rule.predict(float(q), loss=loss) for q in qs])
-            assert np.allclose(batch, singles, rtol=0, atol=1e-12)
+            assert batch.tobytes() == singles.tobytes()
 
     def test_log_prediction_within_count_bounds(self):
         rng = np.random.default_rng(23)

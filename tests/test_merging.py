@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from venncal.merging import merge_brier, merge_log, merged_interval
+from venncal.merging import merge, merge_brier, merge_interval, merge_log, merged_interval
 
 
 class TestMergeLog:
@@ -92,6 +92,38 @@ class TestMergeBrier:
         p1 = np.array([0.4, 0.9, 0.3])
         order = [1, 2, 0]
         assert merge_brier(p0, p1) == pytest.approx(merge_brier(p0[order], p1[order]), abs=1e-12)
+
+    def test_scalar_interval(self):
+        # a 0-d pair is one interval, as for merge_log
+        p = merge_brier(0.2, 0.4)
+        assert type(p) is float
+        assert p == merge_brier([0.2], [0.4]) == 0.34
+
+
+class TestMergeDispatch:
+    def test_selects_rule_by_loss(self):
+        rng = np.random.default_rng(9)
+        p0 = rng.uniform(0.0, 0.5, size=(3, 20))
+        p1 = p0 + rng.uniform(0.01, 0.5, size=(3, 20))
+        assert np.array_equal(merge(p0, p1, "log"), merge_log(p0, p1))
+        assert np.array_equal(merge(p0, p1, "brier"), merge_brier(p0, p1))
+        assert merge(0.2, 0.4) == merge_log(0.2, 0.4)
+
+    def test_unknown_loss_rejected(self):
+        with pytest.raises(ValueError, match="unknown loss 'hinge'"):
+            merge([0.2], [0.4], "hinge")
+        with pytest.raises(ValueError, match="unknown loss 'hinge'"):
+            merge_interval(0.2, 0.4, "hinge")
+
+    def test_single_interval_form_matches_batch_bit_for_bit(self):
+        rng = np.random.default_rng(10)
+        p0 = rng.uniform(0.0, 0.5, size=200)
+        p1 = p0 + rng.uniform(0.0, 0.5, size=200)
+        for loss in ("log", "brier"):
+            batch = merge(p0[None, :], p1[None, :], loss)
+            singles = np.array([merge_interval(float(a), float(b), loss)
+                                for a, b in zip(p0, p1)])
+            assert batch.tobytes() == singles.tobytes()
 
 
 def test_geometric_interval_narrower_than_arithmetic():

@@ -1,0 +1,42 @@
+import importlib
+
+import venncal
+
+# names the benchmark under perfbench/ imports from the package, or wraps
+# where the package looks them up
+BENCHMARK_NAMES = (
+    ("venncal", "CvapCalibrator"),
+    ("venncal", "Dataset"),
+    ("venncal", "IvapCalibrator"),
+    ("venncal", "ProbInterval"),
+    ("venncal", "ScorerSpec"),
+    ("venncal", "WeightedPoints"),
+    ("venncal", "dedup_weighted"),
+    ("venncal", "fit_isotonic"),
+    ("venncal.data", "Column"),
+    ("venncal.ivap", "dedup_weighted"),
+    ("venncal.ivap", "lower_prob_scan"),
+    ("venncal.ivap", "upper_prob_scan"),
+    ("venncal.ivap", "merge_interval"),
+)
+
+
+def test_every_exported_name_resolves():
+    assert len(set(venncal.__all__)) == len(venncal.__all__)
+    for name in venncal.__all__:
+        assert hasattr(venncal, name), name
+
+
+def test_benchmark_names_exist():
+    for module, name in BENCHMARK_NAMES:
+        assert hasattr(importlib.import_module(module), name), f"{module}.{name}"
+    scan = venncal.ivap.upper_prob_scan(venncal.dedup_weighted([1.0, 2.0], [0, 1]))
+    assert isinstance(scan.corner_pushes, int) and isinstance(scan.sweep_pushes, int)
+
+
+def test_module_exports_resolve():
+    for module in ("baselines", "cli", "cvap", "data", "isotonic", "ivap", "merging",
+                   "metrics", "scorers"):
+        mod = importlib.import_module(f"venncal.{module}")
+        for name in getattr(mod, "__all__", ()):
+            assert hasattr(mod, name), f"venncal.{module}.{name}"

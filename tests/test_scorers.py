@@ -3,7 +3,13 @@ import pytest
 
 from venncal.data import generate_synthetic
 from venncal.exceptions import DegenerateModelError
-from venncal.scorers import ScorerSpec, scorer_from_dict, train_scorer
+from venncal.scorers import (
+    ConstantScorer,
+    ScorerSpec,
+    StumpScorer,
+    scorer_from_dict,
+    train_scorer,
+)
 
 
 class TestSpec:
@@ -138,3 +144,18 @@ class TestSerialization:
             scorer = train_scorer(ScorerSpec(kind), X, y)
             clone = scorer_from_dict(scorer.to_dict())
             assert np.array_equal(clone.score_many(X), scorer.score_many(X))
+            assert clone.n_features == scorer.n_features == 2
+
+    def test_width_is_a_constructor_field(self):
+        # a stump on feature 0 of 3 and a constant of width 3 reject 2-column
+        # input, before and after a serialization round trip
+        X = np.zeros((4, 3))
+        for scorer in (StumpScorer(0, 0.5, True, 3), ConstantScorer(0.25, 3)):
+            clone = scorer_from_dict(scorer.to_dict())
+            assert clone == scorer
+            assert clone.to_dict() == scorer.to_dict()
+            for s in (scorer, clone):
+                assert s.score_many(X).shape == (4,)
+                with pytest.raises(ValueError, match="dimension"):
+                    s.score_many(np.zeros((4, 2)))
+
