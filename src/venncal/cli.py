@@ -14,7 +14,6 @@ Exit codes: 0 success, 2 usage error, 3 data error, 4 degenerate model.
 from __future__ import annotations
 
 import argparse
-import csv
 import json
 import sys
 from dataclasses import replace
@@ -32,12 +31,14 @@ from venncal.data import (
     generate_synthetic,
     load_csv,
     read_calibration_scores,
+    read_prediction_column,
     read_test_scores,
     split_proper_calibration,
+    write_csv,
 )
 from venncal.exceptions import DataError, DegenerateModelError
 from venncal.ivap import IvapCalibrator
-from venncal.merging import merge, merged_interval
+from venncal.merging import LOSSES, merge, merged_interval
 from venncal.metrics import evaluate
 from venncal.scorers import ScorerSpec, train_scorer
 
@@ -87,16 +88,10 @@ def _write_manifest(out_path: str, command: str, settings: dict) -> None:
 
 def _write_predictions(path: str, p: np.ndarray,
                        intervals: tuple[np.ndarray, np.ndarray] | None) -> None:
-    with open(path, "w", encoding="utf-8", newline="") as fh:
-        if intervals is None:
-            fh.write("p\n")
-            for v in p:
-                fh.write(f"{_fmt(v)}\n")
-        else:
-            lo, hi = intervals
-            fh.write("p0,p1,p\n")
-            for l, h, v in zip(lo, hi, p):
-                fh.write(f"{_fmt(l)},{_fmt(h)},{_fmt(v)}\n")
+    if intervals is None:
+        write_csv(path, "p", [p])
+    else:
+        write_csv(path, "p0,p1,p", [*intervals, p])
 
 
 # ---- synth ----------------------------------------------------------------
@@ -106,10 +101,7 @@ def cmd_synth(args) -> int:
     if args.n < 1:
         raise UsageError("--n must be at least 1")
     ds = generate_synthetic(args.n, args.seed)
-    with open(args.out, "w", encoding="utf-8", newline="") as fh:
-        fh.write("x,label\n")
-        for x, y in zip(ds.X[:, 0], ds.y):
-            fh.write(f"{_fmt(x)},{int(y)}\n")
+    write_csv(args.out, "x,label", [ds.X[:, 0]], ds.y)
     _write_manifest(args.out, "synth", {"n": args.n, "seed": args.seed})
     return 0
 
@@ -305,26 +297,8 @@ def cmd_calibrate(args) -> int:
 # ---- evaluate -------------------------------------------------------------
 
 
-def _read_prediction_column(path: str, column: str) -> np.ndarray:
-    with open(path, newline="", encoding="utf-8") as fh:
-        rows = list(csv.reader(fh))
-    if not rows:
-        raise DataError(f"{path}: empty file")
-    header = [c.strip() for c in rows[0]]
-    if column not in header:
-        raise DataError(f"{path}: no column {column!r} in header {header!r}")
-    j = header.index(column)
-    out = np.empty(len(rows) - 1)
-    for i, row in enumerate(rows[1:]):
-        try:
-            out[i] = float(row[j])
-        except (ValueError, IndexError):
-            raise DataError(f"{path}: line {i + 2}: bad value in column {column!r}") from None
-    return out
-
-
 def cmd_evaluate(args) -> int:
-    p = _read_prediction_column(args.pred, args.pred_column)
+    p = read_prediction_column(args.pred, args.pred_column)
     truth = load_csv(args.truth, args.label_column, header=not args.no_header,
                      positive_label=args.positive_label)
     if len(p) != len(truth):
@@ -383,7 +357,7 @@ def _add_common_model_flags(sub) -> None:
                      help="raw label value to map to 1 (default: lexicographically larger)")
     sub.add_argument("--ratio", default=None, help="proper:calibration split, e.g. 2:1")
     sub.add_argument("--folds", type=int, default=None, help="fold count for the cross method")
-    sub.add_argument("--merge", choices=("log", "brier"), default="log")
+    sub.add_argument("--merge", choices=LOSSES, default="log")
     sub.add_argument("--scorer", choices=("logistic", "stump", "constant"), default="logistic")
     sub.add_argument("--learning-rate", type=float, default=1.0)
     sub.add_argument("--max-iter", type=int, default=1000)

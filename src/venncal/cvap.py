@@ -18,7 +18,7 @@ import numpy as np
 from venncal.data import Dataset
 from venncal.exceptions import DegenerateModelError
 from venncal.ivap import IvapCalibrator
-from venncal.merging import merge
+from venncal.merging import LOSSES, merge
 from venncal.scorers import ScorerSpec, scorer_from_dict, train_scorer
 
 __all__ = ["FoldAssignment", "assign_folds", "CvapCalibrator"]
@@ -69,6 +69,11 @@ def assign_folds(n: int, n_folds: int, mode: str = "contiguous",
     return FoldAssignment(n, n_folds, fold_of, mode, seed)
 
 
+def _check_merge_loss(loss: str) -> None:
+    if loss not in LOSSES:
+        raise ValueError(f"unknown merge loss {loss!r}")
+
+
 class CvapCalibrator:
     """K fold-wise scorers and interval calibrators plus the merge rule.
 
@@ -98,8 +103,7 @@ class CvapCalibrator:
         Raises DegenerateModelError when any fold or fold complement contains
         a single class; a silent fallback would corrupt comparisons.
         """
-        if merge_loss not in ("log", "brier"):
-            raise ValueError(f"unknown merge loss {merge_loss!r}")
+        _check_merge_loss(merge_loss)
         spec = spec or ScorerSpec()
         folds = assign_folds(len(dataset), n_folds, mode, seed)
         scorers = []
@@ -166,11 +170,22 @@ class CvapCalibrator:
             raise ValueError(f"not a cross-calibrator record: {d.get('format')!r}")
         if d.get("version") != cls.VERSION:
             raise ValueError(f"unsupported version {d.get('version')!r}")
+        _check_merge_loss(d["merge_loss"])
+        n_folds = d["n_folds"]
+        if not (isinstance(n_folds, int) and n_folds >= 2
+                and len(d["scorers"]) == len(d["rules"]) == n_folds):
+            raise ValueError(f"{n_folds!r} folds with {len(d['scorers'])} scorers "
+                             f"and {len(d['rules'])} rules")
         fold_of = np.asarray(d["fold_of"], dtype=np.int64)
-        folds = FoldAssignment(len(fold_of), int(d["n_folds"]), fold_of,
-                               d["fold_mode"], d["fold_seed"])
+        if fold_of.ndim != 1 or not ((fold_of >= 0) & (fold_of < n_folds)).all():
+            raise ValueError(f"fold_of must assign every row to one of {n_folds} folds")
+        folds = FoldAssignment(len(fold_of), n_folds, fold_of, d["fold_mode"], d["fold_seed"])
         scorers = [scorer_from_dict(s) for s in d["scorers"]]
         rules = [IvapCalibrator.from_dict(r) for r in d["rules"]]
+        calibrated = [int(rule.points.weights.sum()) for rule in rules]
+        if calibrated != folds.sizes().tolist():
+            raise ValueError(f"rules calibrated on {calibrated} rows for folds of "
+                             f"{folds.sizes().tolist()} rows")
         return cls(folds, scorers, rules, d["merge_loss"])
 
     def save(self, path) -> None:

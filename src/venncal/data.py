@@ -1,7 +1,10 @@
 """Dataset ingestion, preprocessing, deterministic splits, synthetic data.
 
-CSV files are comma-separated with an optional header and quoted fields;
-missing cells are empty strings or "?".  Feature columns are numeric when
+CSV files are comma-separated with an optional header and quoted fields.
+Every reader tokenizes as `csv.reader` does and then parses a column at a
+time; a field longer than `csv.field_size_limit()` is a DataError.  Data,
+score and prediction files are written by `write_csv`, one column at a time.
+Missing cells are empty strings or "?".  Feature columns are numeric when
 every non-missing cell parses as a float, nominal otherwise; nominal columns
 are one-hot encoded with lexicographically sorted categories, and a missing
 nominal cell is NaN across the whole indicator block.  Labels must take
@@ -14,8 +17,10 @@ test rows can never contribute.
 from __future__ import annotations
 
 import csv
+import io
 import math
 from dataclasses import dataclass
+from itertools import accumulate, chain, repeat
 
 import numpy as np
 
@@ -32,9 +37,11 @@ __all__ = [
     "subset",
     "split_proper_calibration",
     "generate_synthetic",
+    "write_csv",
     "write_score_file",
     "read_calibration_scores",
     "read_test_scores",
+    "read_prediction_column",
 ]
 
 MISSING_TOKENS = ("", "?")
@@ -89,15 +96,55 @@ class Dataset:
         return out
 
 
-def _is_missing(cell: str) -> bool:
-    return cell.strip() in MISSING_TOKENS
+# ---- CSV tables: a record's line number in messages is its 1-based index
 
 
-def _parse_float(cell: str) -> float | None:
+def _read_table(path) -> tuple[list[str], list[int]]:
+    """The records of a CSV file as csv.reader yields them: every field in
+    order, and the field count of each record."""
+    with open(path, newline="", encoding="utf-8") as fh:
+        text = fh.read()
+    lines = text.removesuffix("\n").split("\n")
+    # for text without quotes, carriage returns, NUL bytes (an error before
+    # Python 3.11), blank lines (or no lines) and over-long fields, splitting
+    # at newlines and commas gives csv.reader's rows
+    if ('"' not in text and "\r" not in text and "\0" not in text and "" not in lines
+            and max(map(len, lines)) <= csv.field_size_limit()):
+        if "," not in text:
+            return lines, [1] * len(lines)
+        widths = [commas + 1 for commas in map(str.count, lines, repeat(","))]
+        return ",".join(lines).split(","), widths
+    reader = csv.reader(io.StringIO(text, newline=""))
     try:
-        return float(cell)
+        rows = list(reader)
+    except csv.Error as exc:
+        raise DataError(f"{path}: line {reader.line_num}: {exc}") from None
+    return list(chain.from_iterable(rows)), list(map(len, rows))
+
+
+def _first_not_of_width(widths: list[int], first: int, width: int) -> int:
+    """Index of the first record from `first` on without `width` fields, else the record count."""
+    rest = widths[first:]
+    if rest.count(width) == len(rest):
+        return len(widths)
+    return first + next(i for i, w in enumerate(rest) if w != width)
+
+
+def _floats(cells, missing=()) -> tuple[np.ndarray, int | None]:
+    """float() of every cell, NaN for a cell whose stripped text is in `missing`,
+    and the index of the first cell that is neither (None if none; the values
+    from there on are unset)."""
+    try:
+        return np.fromiter(map(float, cells), float, len(cells)), None
     except ValueError:
-        return None
+        pass
+    out = np.empty(len(cells))
+    for i, cell in enumerate(cells):
+        try:
+            out[i] = math.nan if cell.strip() in missing else float(cell)
+        except ValueError:
+            return out, i
+    return out, None
 
 
 def load_csv(path, label_column, *, header: bool = True,
@@ -108,19 +155,16 @@ def load_csv(path, label_column, *, header: bool = True,
     `like` to reuse another dataset's column schema and label mapping, e.g.
     to encode a test file consistently with its training file.
     """
-    with open(path, newline="", encoding="utf-8") as fh:
-        rows = list(csv.reader(fh))
-    if not rows:
+    fields, widths = _read_table(path)
+    if not widths:
         raise DataError(f"{path}: empty file")
     if header:
-        names = [c.strip() for c in rows[0]]
-        data_rows = rows[1:]
-        first_line = 2
+        names = [c.strip() for c in fields[:widths[0]]]
+        first = 1
     else:
-        names = [f"col{i}" for i in range(len(rows[0]))]
-        data_rows = rows
-        first_line = 1
-    if not data_rows:
+        names = [f"col{i}" for i in range(widths[0])]
+        first = 0
+    if len(widths) == first:
         raise DataError(f"{path}: no data rows")
 
     if isinstance(label_column, int):
@@ -133,18 +177,19 @@ def load_csv(path, label_column, *, header: bool = True,
         label_idx = names.index(label_column)
 
     width = len(names)
-    cells: list[list[str]] = []
-    for offset, row in enumerate(data_rows):
-        if len(row) != width:
-            raise DataError(
-                f"{path}: line {first_line + offset}: expected {width} fields, got {len(row)}")
-        cells.append([c.strip() for c in row])
+    bad = _first_not_of_width(widths, first, width)
+    if bad < len(widths):
+        raise DataError(f"{path}: line {bad + 1}: expected {width} fields, got {widths[bad]}")
+    # every record has `width` fields, so column j is a stride of the fields
+    cells = [list(map(str.strip, fields[first * width + j::width])) for j in range(width)]
 
-    raw_labels = [row[label_idx] for row in cells]
-    if any(_is_missing(v) for v in raw_labels):
+    raw_labels = cells[label_idx]
+    label_set = set(raw_labels)
+    if not label_set.isdisjoint(MISSING_TOKENS):
         raise DataError(f"{path}: missing label values are not allowed")
     feature_idx = [j for j in range(width) if j != label_idx]
 
+    parsed = {j: _floats(cells[j], MISSING_TOKENS) for j in feature_idx}
     if like is not None:
         columns = like.columns
         if len(columns) != len(feature_idx):
@@ -153,16 +198,14 @@ def load_csv(path, label_column, *, header: bool = True,
     else:
         columns = []
         for j in feature_idx:
-            col_cells = [row[j] for row in cells]
-            observed = [c for c in col_cells if not _is_missing(c)]
             # an all-missing column defaults to numeric (imputed later)
-            if all(_parse_float(c) is not None for c in observed):
+            if parsed[j][1] is None:
                 columns.append(Column(names[j], "numeric"))
             else:
-                cats = tuple(sorted(set(observed)))
+                cats = tuple(sorted(set(cells[j]).difference(MISSING_TOKENS)))
                 columns.append(Column(names[j], "nominal", cats))
         columns = tuple(columns)
-        distinct = sorted(set(raw_labels))
+        distinct = sorted(label_set)
         if len(distinct) > 2:
             raise DataError(
                 f"{path}: labels must take at most two values, got {distinct[:5]!r}")
@@ -180,43 +223,37 @@ def load_csv(path, label_column, *, header: bool = True,
             negative = distinct[0] if distinct[1] == positive_label else distinct[1]
             label_values = (negative, positive_label)
 
-    label_map = {label_values[0]: 0, label_values[1]: 1}
-    y = np.empty(len(cells), dtype=np.int64)
-    for i, v in enumerate(raw_labels):
-        if v not in label_map:
-            raise DataError(f"{path}: line {first_line + i}: unknown label {v!r}")
-        y[i] = label_map[v]
+    codes = list(map({label_values[0]: 0, label_values[1]: 1}.get, raw_labels))
+    if None in codes:
+        i = codes.index(None)
+        raise DataError(f"{path}: line {first + i + 1}: unknown label {raw_labels[i]!r}")
+    y = np.array(codes, dtype=np.int64)
 
-    total_width = sum(col.width for col in columns)
-    X = np.zeros((len(cells), total_width))
+    X = np.zeros((len(y), sum(col.width for col in columns)))
     offset = 0
     for col, j in zip(columns, feature_idx):
         if col.kind == "numeric":
-            for i, row in enumerate(cells):
-                cell = row[j]
-                if _is_missing(cell):
-                    X[i, offset] = math.nan
-                else:
-                    value = _parse_float(cell)
-                    if value is None:
-                        raise DataError(
-                            f"{path}: line {first_line + i}: column {col.name!r}: "
-                            f"expected a number, got {cell!r}")
-                    X[i, offset] = value
-            offset += 1
+            values, bad = parsed[j]
+            if bad is not None:
+                raise DataError(
+                    f"{path}: line {first + bad + 1}: column {col.name!r}: "
+                    f"expected a number, got {cells[j][bad]!r}")
+            X[:, offset] = values
         else:
-            cat_pos = {c: p for p, c in enumerate(col.categories)}
-            for i, row in enumerate(cells):
-                cell = row[j]
-                if _is_missing(cell):
-                    X[i, offset:offset + col.width] = math.nan
-                elif cell in cat_pos:
-                    X[i, offset + cat_pos[cell]] = 1.0
-                else:
-                    raise DataError(
-                        f"{path}: line {first_line + i}: column {col.name!r}: "
-                        f"unknown category {cell!r}")
-            offset += col.width
+            # position of each cell's category; -1 for a missing cell
+            lookup = dict.fromkeys(MISSING_TOKENS, -1)
+            lookup.update((c, p) for p, c in enumerate(col.categories))
+            pos = list(map(lookup.get, cells[j]))
+            if None in pos:
+                bad = pos.index(None)
+                raise DataError(
+                    f"{path}: line {first + bad + 1}: column {col.name!r}: "
+                    f"unknown category {cells[j][bad]!r}")
+            pos = np.array(pos, dtype=np.int64)
+            rows = np.nonzero(pos >= 0)[0]
+            X[rows, offset + pos[rows]] = 1.0
+            X[pos < 0, offset:offset + col.width] = math.nan
+        offset += col.width
     return Dataset(X, y, columns, label_values)
 
 
@@ -322,60 +359,107 @@ def generate_synthetic(n: int, seed: int | None = None) -> Dataset:
                    (Column("x", "numeric"),))
 
 
-# ---- score files ---------------------------------------------------------
+# ---- score and prediction files ------------------------------------------
 # Calibration files have the header "score,label"; test files have "score".
 # Floats are written with repr, so reading a file recovers the exact values.
 
+_WRITE_CHUNK_ROWS = 1 << 16
+
+
+def _texts(values: np.ndarray, fmt) -> list[str]:
+    """fmt(v) for each v of a float64 or int64 array.  With ties common, fmt
+    runs once per distinct bit pattern (-0.0 and 0.0 stay apart) and the texts
+    are gathered into row order; otherwise gathering costs more than fmt."""
+    bits, inverse = np.unique(values.view(np.int64), return_inverse=True)
+    if 2 * len(bits) > len(values):
+        return list(map(fmt, values.tolist()))
+    texts = np.array(list(map(fmt, bits.view(values.dtype).tolist())), dtype=object)
+    return texts[inverse].tolist()
+
+
+def write_csv(path, header: str, columns, labels=None) -> None:
+    """Write equal-length float columns, then an optional label column, under `header`.
+
+    Floats are written with repr and labels as int(label), one row per
+    line.  Rows go out in bounded chunks, so the file's text is never held
+    whole in memory.
+    """
+    texts = [_texts(np.asarray(c, dtype=float), repr) for c in columns]
+    if labels is not None:
+        texts.append(_texts(np.array([int(v) for v in labels], dtype=np.int64), str))
+    if len({len(t) for t in texts}) != 1:
+        raise ValueError("columns must have the same length")
+    width = len(texts)
+    with open(path, "w", encoding="utf-8", newline="") as fh:
+        fh.write(header + "\n")
+        for start in range(0, len(texts[0]), _WRITE_CHUNK_ROWS):
+            # the chunk's cells interleaved with separators: a,b,...,z\n per row
+            n = min(_WRITE_CHUNK_ROWS, len(texts[0]) - start)
+            pieces = [","] * (2 * width * n)
+            for j, t in enumerate(texts):
+                pieces[2 * j::2 * width] = t[start:start + n]
+            pieces[2 * width - 1::2 * width] = ["\n"] * n
+            fh.write("".join(pieces))
+
 
 def write_score_file(path, scores, labels=None) -> None:
-    scores = np.asarray(scores, dtype=float)
-    with open(path, "w", encoding="utf-8", newline="") as fh:
-        if labels is None:
-            fh.write("score\n")
-            for s in scores:
-                fh.write(f"{float(s)!r}\n")
-        else:
-            labels = np.asarray(labels)
-            if len(labels) != len(scores):
-                raise DataError("scores and labels must have the same length")
-            fh.write("score,label\n")
-            for s, y in zip(scores, labels):
-                fh.write(f"{float(s)!r},{int(y)}\n")
+    if labels is not None and len(labels) != len(scores):
+        raise DataError("scores and labels must have the same length")
+    write_csv(path, "score" if labels is None else "score,label", [scores], labels)
 
 
-def _read_score_rows(path, expected_header: str) -> list[list[str]]:
-    with open(path, newline="", encoding="utf-8") as fh:
-        rows = list(csv.reader(fh))
-    if not rows or [c.strip() for c in rows[0]] != expected_header.split(","):
+def _read_score_table(path, expected_header: str) -> tuple[list[str], list[int]]:
+    fields, widths = _read_table(path)
+    if not widths or [c.strip() for c in fields[:widths[0]]] != expected_header.split(","):
         raise DataError(f"{path}: expected header {expected_header!r}")
-    if len(rows) < 2:
+    if len(widths) < 2:
         raise DataError(f"{path}: no data rows")
-    return rows[1:]
+    return fields, widths
 
 
 def read_calibration_scores(path) -> tuple[np.ndarray, np.ndarray]:
-    rows = _read_score_rows(path, "score,label")
-    scores = np.empty(len(rows))
-    labels = np.empty(len(rows), dtype=np.int64)
-    for i, row in enumerate(rows):
-        if len(row) != 2:
-            raise DataError(f"{path}: line {i + 2}: expected two fields")
-        value = _parse_float(row[0])
-        if value is None:
-            raise DataError(f"{path}: line {i + 2}: bad score {row[0]!r}")
-        if row[1].strip() not in ("0", "1"):
-            raise DataError(f"{path}: line {i + 2}: bad label {row[1]!r}")
-        scores[i] = value
-        labels[i] = int(row[1])
+    fields, widths = _read_score_table(path, "score,label")
+    # the first bad row is reported; within a row the field count is checked
+    # first, then the score, then the label
+    stop = _first_not_of_width(widths, 1, 2)
+    score_cells, label_cells = fields[2:2 * stop:2], fields[3:2 * stop:2]
+    scores, bad_score = _floats(score_cells)
+    valid = list(map(("0", "1").__contains__, map(str.strip, label_cells)))
+    bad_label = valid.index(False) if False in valid else len(valid)
+    bad_score = len(valid) if bad_score is None else bad_score
+    labels = np.array(list(map(int, label_cells[:min(bad_score, bad_label)])), dtype=np.int64)
+    if bad_score < len(valid) and bad_score <= bad_label:
+        raise DataError(f"{path}: line {bad_score + 2}: bad score {score_cells[bad_score]!r}")
+    if bad_label < len(valid):
+        raise DataError(f"{path}: line {bad_label + 2}: bad label {label_cells[bad_label]!r}")
+    if stop < len(widths):
+        raise DataError(f"{path}: line {stop + 1}: expected two fields")
     return scores, labels
 
 
 def read_test_scores(path) -> np.ndarray:
-    rows = _read_score_rows(path, "score")
-    scores = np.empty(len(rows))
-    for i, row in enumerate(rows):
-        value = _parse_float(row[0]) if len(row) == 1 else None
-        if value is None:
-            raise DataError(f"{path}: line {i + 2}: bad score row {row!r}")
-        scores[i] = value
+    fields, widths = _read_score_table(path, "score")
+    stop = _first_not_of_width(widths, 1, 1)  # records before it hold one field each
+    scores, bad = _floats(fields[1:stop])
+    if bad is not None or stop < len(widths):
+        i = stop if bad is None else bad + 1
+        raise DataError(f"{path}: line {i + 1}: bad score row {fields[i:i + widths[i]]!r}")
     return scores
+
+
+def read_prediction_column(path, column: str) -> np.ndarray:
+    """The named float column of a prediction file such as `calibrate` writes."""
+    fields, widths = _read_table(path)
+    if not widths:
+        raise DataError(f"{path}: empty file")
+    header = [c.strip() for c in fields[:widths[0]]]
+    if column not in header:
+        raise DataError(f"{path}: no column {column!r} in header {header!r}")
+    j = header.index(column)
+    stop = next((i for i, w in enumerate(widths[1:], 1) if w <= j), len(widths))
+    # records 1..stop-1 each have a field j; rows may differ in width
+    values, bad = _floats([fields[s + j] for s in accumulate(widths[:stop - 1])])
+    if bad is not None or stop < len(widths):
+        raise DataError(f"{path}: line {stop + 1 if bad is None else bad + 2}: "
+                        f"bad value in column {column!r}")
+    return values

@@ -132,12 +132,12 @@ class IvapCalibrator:
             raise ValueError(f"not an interval-calibrator record: {d.get('format')!r}")
         if d.get("version") != cls.VERSION:
             raise ValueError(f"unsupported version {d.get('version')!r}")
-        points = WeightedPoints(
-            np.asarray(d["scores"], dtype=float),
-            np.asarray(d["weights"], dtype=np.int64),
-            np.asarray(d["label_sums"], dtype=float),
-        )
-        return cls(points, np.asarray(d["p0"], dtype=float), np.asarray(d["p1"], dtype=float))
+        scores, weights, label_sums, p0, p1 = (
+            np.asarray(d[key], dtype=float)
+            for key in ("scores", "weights", "label_sums", "p0", "p1"))
+        _check_tables(scores, weights, label_sums, p0, p1)
+        points = WeightedPoints(scores, weights.astype(np.int64), label_sums)
+        return cls(points, p0, p1)
 
     def save(self, path) -> None:
         with open(path, "w", encoding="utf-8") as fh:
@@ -148,3 +148,20 @@ class IvapCalibrator:
         with open(path, encoding="utf-8") as fh:
             return cls.from_dict(json.load(fh))
 
+
+def _check_tables(scores, weights, label_sums, p0, p1) -> None:
+    """Raise ValueError unless the arrays can be the tables of a fitted rule."""
+    n = len(scores)
+    if n == 0 or any(a.ndim != 1 or len(a) != n for a in (scores, weights, label_sums, p0, p1)):
+        raise ValueError("scores, weights, label_sums, p0 and p1 need one equal, non-zero length")
+    if not (np.isfinite(scores).all() and (np.diff(scores) > 0).all()):
+        raise ValueError("scores must be finite and strictly increasing")
+    if not (np.isfinite(weights).all() and (weights >= 1).all()
+            and (weights == np.floor(weights)).all()):
+        raise ValueError("weights must be positive integers")
+    if not ((label_sums >= 0) & (label_sums <= weights)).all():
+        raise ValueError("label sums must lie between 0 and the weight")
+    if not ((p0 >= 0) & (p0 < p1) & (p1 <= 1)).all():
+        raise ValueError("the curves need 0 <= p0 < p1 <= 1 at every score")
+    if not ((np.diff(p0) >= 0).all() and (np.diff(p1) >= 0).all()):
+        raise ValueError("p0 and p1 must be non-decreasing in the score")

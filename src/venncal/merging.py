@@ -15,7 +15,7 @@ from __future__ import annotations
 
 import numpy as np
 
-__all__ = ["merge", "merge_log", "merge_brier", "merge_interval", "merged_interval"]
+__all__ = ["LOSSES", "merge", "merge_log", "merge_brier", "merge_interval", "merged_interval"]
 
 # floor for quantities entering the log-space geometric mean; interval
 # calibrator outputs can never reach it, but user-supplied batches might
@@ -74,6 +74,7 @@ def merge_brier(p0, p1):
 
 # loss name -> (merge of K stacked intervals, unchecked single-interval form)
 _RULES = {"log": (merge_log, _log_one), "brier": (merge_brier, _brier_one)}
+LOSSES = tuple(_RULES)
 
 
 def _rule(loss: str):

@@ -1,16 +1,22 @@
 """Independent reference implementations used to check the fast paths.
 
 Everything here is deliberately naive: exhaustive enumeration, insert-and-
-refit, grid search, a masked two-branch sigmoid, and an explicit search tree
-over an interval calibrator's tables.  None of it shares code with the
-algorithms under test beyond `dedup_weighted` for input normalization.
+refit, grid search, a masked two-branch sigmoid, an explicit search tree
+over an interval calibrator's tables, and CSV readers and writers that go
+one cell and one row at a time through `csv.reader` and f-strings.  None of
+it shares code with the algorithms under test beyond `dedup_weighted` for
+input normalization and the `Dataset`/`Column` records the readers return.
 """
 
+import csv
 import itertools
+import math
 from dataclasses import dataclass
 
 import numpy as np
 
+from venncal.data import Column, Dataset
+from venncal.exceptions import DataError
 from venncal.isotonic import WeightedPoints, dedup_weighted
 
 
@@ -185,3 +191,230 @@ def query_tree(tree: TreeNode, score: float) -> tuple[float, float]:
         else:
             break
     return node.p0, node.p1
+
+
+# ---- per-cell CSV readers and per-row writers ----------------------------
+
+MISSING_TOKENS = ("", "?")
+
+
+def _is_missing(cell: str) -> bool:
+    return cell.strip() in MISSING_TOKENS
+
+
+def _parse_float(cell: str) -> float | None:
+    try:
+        return float(cell)
+    except ValueError:
+        return None
+
+
+def load_csv(path, label_column, *, header: bool = True,
+             positive_label: str | None = None, like: Dataset | None = None) -> Dataset:
+    """`venncal.data.load_csv` parsing every cell in its own Python call."""
+    with open(path, newline="", encoding="utf-8") as fh:
+        rows = list(csv.reader(fh))
+    if not rows:
+        raise DataError(f"{path}: empty file")
+    if header:
+        names = [c.strip() for c in rows[0]]
+        data_rows = rows[1:]
+        first_line = 2
+    else:
+        names = [f"col{i}" for i in range(len(rows[0]))]
+        data_rows = rows
+        first_line = 1
+    if not data_rows:
+        raise DataError(f"{path}: no data rows")
+
+    if isinstance(label_column, int):
+        label_idx = label_column
+        if not 0 <= label_idx < len(names):
+            raise DataError(f"{path}: label column index {label_column} out of range")
+    else:
+        if label_column not in names:
+            raise DataError(f"{path}: label column {label_column!r} not found")
+        label_idx = names.index(label_column)
+
+    width = len(names)
+    cells: list[list[str]] = []
+    for offset, row in enumerate(data_rows):
+        if len(row) != width:
+            raise DataError(
+                f"{path}: line {first_line + offset}: expected {width} fields, got {len(row)}")
+        cells.append([c.strip() for c in row])
+
+    raw_labels = [row[label_idx] for row in cells]
+    if any(_is_missing(v) for v in raw_labels):
+        raise DataError(f"{path}: missing label values are not allowed")
+    feature_idx = [j for j in range(width) if j != label_idx]
+
+    if like is not None:
+        columns = like.columns
+        if len(columns) != len(feature_idx):
+            raise DataError(f"{path}: expected {len(columns)} feature columns, got {len(feature_idx)}")
+        label_values = like.label_values
+    else:
+        columns = []
+        for j in feature_idx:
+            col_cells = [row[j] for row in cells]
+            observed = [c for c in col_cells if not _is_missing(c)]
+            if all(_parse_float(c) is not None for c in observed):
+                columns.append(Column(names[j], "numeric"))
+            else:
+                cats = tuple(sorted(set(observed)))
+                columns.append(Column(names[j], "nominal", cats))
+        columns = tuple(columns)
+        distinct = sorted(set(raw_labels))
+        if len(distinct) > 2:
+            raise DataError(
+                f"{path}: labels must take at most two values, got {distinct[:5]!r}")
+        if len(distinct) == 1:
+            if distinct[0] not in ("0", "1"):
+                raise DataError(
+                    f"{path}: single label value {distinct[0]!r}; cannot infer its class")
+            label_values = ("0", "1")
+        else:
+            label_values = (distinct[0], distinct[1])
+        if positive_label is not None:
+            if positive_label not in distinct:
+                raise DataError(f"{path}: positive label {positive_label!r} not among {distinct!r}")
+            negative = distinct[0] if distinct[1] == positive_label else distinct[1]
+            label_values = (negative, positive_label)
+
+    label_map = {label_values[0]: 0, label_values[1]: 1}
+    y = np.empty(len(cells), dtype=np.int64)
+    for i, v in enumerate(raw_labels):
+        if v not in label_map:
+            raise DataError(f"{path}: line {first_line + i}: unknown label {v!r}")
+        y[i] = label_map[v]
+
+    total_width = sum(col.width for col in columns)
+    X = np.zeros((len(cells), total_width))
+    offset = 0
+    for col, j in zip(columns, feature_idx):
+        if col.kind == "numeric":
+            for i, row in enumerate(cells):
+                cell = row[j]
+                if _is_missing(cell):
+                    X[i, offset] = math.nan
+                else:
+                    value = _parse_float(cell)
+                    if value is None:
+                        raise DataError(
+                            f"{path}: line {first_line + i}: column {col.name!r}: "
+                            f"expected a number, got {cell!r}")
+                    X[i, offset] = value
+            offset += 1
+        else:
+            cat_pos = {c: p for p, c in enumerate(col.categories)}
+            for i, row in enumerate(cells):
+                cell = row[j]
+                if _is_missing(cell):
+                    X[i, offset:offset + col.width] = math.nan
+                elif cell in cat_pos:
+                    X[i, offset + cat_pos[cell]] = 1.0
+                else:
+                    raise DataError(
+                        f"{path}: line {first_line + i}: column {col.name!r}: "
+                        f"unknown category {cell!r}")
+            offset += col.width
+    return Dataset(X, y, columns, label_values)
+
+
+def _read_score_rows(path, expected_header: str) -> list[list[str]]:
+    with open(path, newline="", encoding="utf-8") as fh:
+        rows = list(csv.reader(fh))
+    if not rows or [c.strip() for c in rows[0]] != expected_header.split(","):
+        raise DataError(f"{path}: expected header {expected_header!r}")
+    if len(rows) < 2:
+        raise DataError(f"{path}: no data rows")
+    return rows[1:]
+
+
+def read_calibration_scores(path) -> tuple[np.ndarray, np.ndarray]:
+    """`venncal.data.read_calibration_scores` one row at a time."""
+    rows = _read_score_rows(path, "score,label")
+    scores = np.empty(len(rows))
+    labels = np.empty(len(rows), dtype=np.int64)
+    for i, row in enumerate(rows):
+        if len(row) != 2:
+            raise DataError(f"{path}: line {i + 2}: expected two fields")
+        value = _parse_float(row[0])
+        if value is None:
+            raise DataError(f"{path}: line {i + 2}: bad score {row[0]!r}")
+        if row[1].strip() not in ("0", "1"):
+            raise DataError(f"{path}: line {i + 2}: bad label {row[1]!r}")
+        scores[i] = value
+        labels[i] = int(row[1])
+    return scores, labels
+
+
+def read_test_scores(path) -> np.ndarray:
+    """`venncal.data.read_test_scores` one row at a time."""
+    rows = _read_score_rows(path, "score")
+    scores = np.empty(len(rows))
+    for i, row in enumerate(rows):
+        value = _parse_float(row[0]) if len(row) == 1 else None
+        if value is None:
+            raise DataError(f"{path}: line {i + 2}: bad score row {row!r}")
+        scores[i] = value
+    return scores
+
+
+def read_prediction_column(path, column: str) -> np.ndarray:
+    """`venncal.data.read_prediction_column` one row at a time."""
+    with open(path, newline="", encoding="utf-8") as fh:
+        rows = list(csv.reader(fh))
+    if not rows:
+        raise DataError(f"{path}: empty file")
+    header = [c.strip() for c in rows[0]]
+    if column not in header:
+        raise DataError(f"{path}: no column {column!r} in header {header!r}")
+    j = header.index(column)
+    out = np.empty(len(rows) - 1)
+    for i, row in enumerate(rows[1:]):
+        try:
+            out[i] = float(row[j])
+        except (ValueError, IndexError):
+            raise DataError(f"{path}: line {i + 2}: bad value in column {column!r}") from None
+    return out
+
+
+def write_score_file(path, scores, labels=None) -> None:
+    """`venncal.data.write_score_file` one row at a time."""
+    scores = np.asarray(scores, dtype=float)
+    with open(path, "w", encoding="utf-8", newline="") as fh:
+        if labels is None:
+            fh.write("score\n")
+            for s in scores:
+                fh.write(f"{float(s)!r}\n")
+        else:
+            labels = np.asarray(labels)
+            if len(labels) != len(scores):
+                raise DataError("scores and labels must have the same length")
+            fh.write("score,label\n")
+            for s, y in zip(scores, labels):
+                fh.write(f"{float(s)!r},{int(y)}\n")
+
+
+def write_predictions(path, p, intervals) -> None:
+    """The prediction file of `venncal calibrate`, one row at a time."""
+    with open(path, "w", encoding="utf-8", newline="") as fh:
+        if intervals is None:
+            fh.write("p\n")
+            for v in p:
+                fh.write(f"{float(v)!r}\n")
+        else:
+            lo, hi = intervals
+            fh.write("p0,p1,p\n")
+            for l, h, v in zip(lo, hi, p):
+                fh.write(f"{float(l)!r},{float(h)!r},{float(v)!r}\n")
+
+
+def write_synth(path, dataset: Dataset) -> None:
+    """The dataset file of `venncal synth`, one row at a time."""
+    with open(path, "w", encoding="utf-8", newline="") as fh:
+        fh.write("x,label\n")
+        for x, y in zip(dataset.X[:, 0], dataset.y):
+            fh.write(f"{float(x)!r},{int(y)}\n")

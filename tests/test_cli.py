@@ -1,3 +1,4 @@
+import csv
 import json
 import subprocess
 import sys
@@ -144,6 +145,16 @@ class TestCalibrate:
 
     def test_missing_inputs_is_usage_error(self, tmp_path):
         assert run_cli("calibrate", "--method", "ivap", "--out", tmp_path / "p.csv") == 2
+
+    def test_oversized_field_is_data_error(self, tmp_path, capsys):
+        write_score_file(tmp_path / "cal.csv", [1.0, 2.0, 3.0, 4.0], [0, 0, 1, 1])
+        test = tmp_path / "test.csv"
+        test.write_text("score\n" + "1" * 200_000 + "\n")
+        assert run_cli("calibrate", "--method", "ivap", "--calib-scores", tmp_path / "cal.csv",
+                       "--scores-in", test, "--out", tmp_path / "p.csv") == 3
+        limit = csv.field_size_limit()
+        assert capsys.readouterr().err == (
+            f"data error: {test}: line 2: field larger than field limit ({limit})\n")
 
     def test_intervals_flag_restricted(self, tmp_path):
         assert run_cli("calibrate", "--method", "platt", "--intervals",

@@ -160,3 +160,26 @@ class TestSerialization:
         X = np.linspace(-3, 3, 25)[:, None]
         assert np.array_equal(loaded.predict_many(X), model.predict_many(X))
         assert np.array_equal(loaded.folds.fold_of, model.folds.fold_of)
+
+    @pytest.mark.parametrize("corrupt, message", [
+        (lambda d: d.update(n_folds=4), "4 folds with 3 scorers and 3 rules"),
+        (lambda d: d.update(scorers=d["scorers"][:2]), "3 folds with 2 scorers and 3 rules"),
+        (lambda d: d.update(rules=d["rules"] + d["rules"][:1]), "3 folds with 3 scorers and 4"),
+        (lambda d: d["fold_of"].__setitem__(0, 3), "one of 3 folds"),
+        (lambda d: d["fold_of"].__setitem__(0, 1),
+         r"rules calibrated on \[54, 53, 53\] rows for folds of \[53, 54, 53\]"),
+        (lambda d: d.update(merge_loss="hinge"), "unknown merge loss 'hinge'"),
+        (lambda d: d["rules"][1]["scores"].reverse(), "strictly increasing"),
+    ], ids=["n_folds", "scorers", "rules", "fold_of_range", "fold_sizes", "merge_loss",
+            "nested_rule"])
+    def test_corrupt_record_rejected(self, corrupt, message):
+        model = CvapCalibrator.fit(small_dataset(160, seed=8), 3, ScorerSpec("logistic"))
+        record = model.to_dict()
+        CvapCalibrator.from_dict(record)
+        corrupt(record)
+        with pytest.raises(ValueError, match=message):
+            CvapCalibrator.from_dict(record)
+
+    def test_unknown_merge_loss_rejected_at_fit(self):
+        with pytest.raises(ValueError, match="unknown merge loss 'hinge'"):
+            CvapCalibrator.fit(small_dataset(60, seed=1), 3, merge_loss="hinge")

@@ -204,6 +204,31 @@ class TestSerialization:
         assert np.array_equal(np.stack(loaded.predict_intervals(qs)),
                               np.stack(rule.predict_intervals(qs)))
 
+    @pytest.mark.parametrize("field, corrupt, message", [
+        ("p1", lambda v: v[:-1], "equal, non-zero length"),
+        ("scores", lambda v: [], "equal, non-zero length"),
+        ("scores", lambda v: [v[1], v[0]] + v[2:], "strictly increasing"),
+        ("scores", lambda v: v[:-1] + [math.inf], "finite"),
+        ("weights", lambda v: [0] + v[1:], "positive integers"),
+        ("weights", lambda v: [v[0] + 0.5] + v[1:], "positive integers"),
+        ("label_sums", lambda v: [-1.0] + v[1:], "between 0 and the weight"),
+        ("label_sums", lambda v: [1e9] + v[1:], "between 0 and the weight"),
+        ("p0", lambda v: [-0.1] + v[1:], "0 <= p0 < p1 <= 1"),
+        ("p0", lambda v: v[:2] + [1.0] + v[3:], "0 <= p0 < p1 <= 1"),
+        ("p1", lambda v: v[:-1] + [1.5], "0 <= p0 < p1 <= 1"),
+        ("p1", lambda v: v[:-1] + [math.nan], "0 <= p0 < p1 <= 1"),
+        ("p0", lambda v: v[:-1] + [0.0], "non-decreasing"),
+    ], ids=["lengths", "empty", "score_order", "score_finite", "weight_zero",
+            "weight_fraction", "label_sum_negative", "label_sum_above_weight", "p0_negative",
+            "p0_not_below_p1", "p1_above_one", "p1_nan", "monotone"])
+    def test_corrupt_record_rejected(self, field, corrupt, message):
+        rng = np.random.default_rng(2)
+        record = IvapCalibrator.fit(rng.normal(size=40), rng.integers(0, 2, size=40)).to_dict()
+        IvapCalibrator.from_dict(record)
+        record[field] = corrupt(record[field])
+        with pytest.raises(ValueError, match=message):
+            IvapCalibrator.from_dict(record)
+
     def test_format_guard(self, tmp_path):
         with pytest.raises(ValueError, match="record"):
             IvapCalibrator.from_dict({"format": "something-else", "version": 1})
