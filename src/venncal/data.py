@@ -111,6 +111,8 @@ def _read_table(path) -> tuple[list[str], list[int]]:
     if ('"' not in text and "\r" not in text and "\0" not in text and "" not in lines
             and max(map(len, lines)) <= csv.field_size_limit()):
         if "," not in text:
+            # the lines are the fields; splitting them again would hold a
+            # second copy of every field of a score file while it is parsed
             return lines, [1] * len(lines)
         widths = [commas + 1 for commas in map(str.count, lines, repeat(","))]
         return ",".join(lines).split(","), widths
@@ -124,10 +126,7 @@ def _read_table(path) -> tuple[list[str], list[int]]:
 
 def _first_not_of_width(widths: list[int], first: int, width: int) -> int:
     """Index of the first record from `first` on without `width` fields, else the record count."""
-    rest = widths[first:]
-    if rest.count(width) == len(rest):
-        return len(widths)
-    return first + next(i for i, w in enumerate(rest) if w != width)
+    return next((i for i, w in enumerate(widths[first:], first) if w != width), len(widths))
 
 
 def _floats(cells, missing=()) -> tuple[np.ndarray, int | None]:
@@ -367,12 +366,10 @@ _WRITE_CHUNK_ROWS = 1 << 16
 
 
 def _texts(values: np.ndarray, fmt) -> list[str]:
-    """fmt(v) for each v of a float64 or int64 array.  With ties common, fmt
-    runs once per distinct bit pattern (-0.0 and 0.0 stay apart) and the texts
-    are gathered into row order; otherwise gathering costs more than fmt."""
+    """fmt(v) for each v of a float64 or int64 array.  fmt runs once per
+    distinct bit pattern (-0.0 and 0.0 stay apart), and the texts are
+    gathered back into row order."""
     bits, inverse = np.unique(values.view(np.int64), return_inverse=True)
-    if 2 * len(bits) > len(values):
-        return list(map(fmt, values.tolist()))
     texts = np.array(list(map(fmt, bits.view(values.dtype).tolist())), dtype=object)
     return texts[inverse].tolist()
 

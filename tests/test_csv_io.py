@@ -7,6 +7,7 @@ type with the same message.  Every writer case requires the same bytes.
 
 import csv
 import itertools
+import re
 import tempfile
 from pathlib import Path
 
@@ -42,7 +43,13 @@ def assert_same(tmp_path, text, reader, *args, **kwargs):
         fh.write(text)
     new = outcome(getattr(data, reader), path, *args, **kwargs)
     old = outcome(getattr(oracles, reader), path, *args, **kwargs)
-    assert new == old
+    if old[:1] == ("Error",):
+        # csv.Error escaped the per-cell readers (before Python 3.11 a NUL
+        # byte raises it); the new readers report it as a DataError on its line
+        assert new[0] == "DataError"
+        assert re.fullmatch(rf"{re.escape(str(path))}: line \d+: {re.escape(old[1])}", new[1])
+    else:
+        assert new == old
     return new
 
 
@@ -224,9 +231,14 @@ def test_tokenizer_matches_csv_reader(text):
         path = Path(tmp) / "t.csv"
         with open(path, "w", encoding="utf-8", newline="") as fh:
             fh.write(text)
+        try:
+            with open(path, newline="", encoding="utf-8") as fh:
+                rows = list(csv.reader(fh))
+        except csv.Error as exc:  # a NUL byte before Python 3.11
+            with pytest.raises(DataError, match=re.escape(str(exc))):
+                data._read_table(path)
+            return
         fields, widths = data._read_table(path)
-        with open(path, newline="", encoding="utf-8") as fh:
-            rows = list(csv.reader(fh))
     assert fields == list(itertools.chain.from_iterable(rows))
     assert widths == [len(r) for r in rows]
 
