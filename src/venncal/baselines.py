@@ -23,6 +23,10 @@ from venncal.scorers import _sigmoid
 
 __all__ = ["PlattCalibrator", "DirectIsotonic"]
 
+# Platt's Newton iteration stops at this gradient norm or iteration count
+_GRAD_TOL = 1e-8
+_MAX_ITER = 10_000
+
 
 @dataclass
 class PlattCalibrator:
@@ -34,18 +38,19 @@ class PlattCalibrator:
     k_neg: int
 
     @classmethod
-    def fit(cls, scores, labels, *, grad_tol: float = 1e-8,
-            max_iter: int = 10_000) -> "PlattCalibrator":
+    def fit(cls, scores, labels) -> "PlattCalibrator":
         """Fit (a, b) by damped Newton with backtracking line search.
 
-        Convergence when the gradient norm drops below `grad_tol` or after
-        `max_iter` iterations.  Starts from a = 0 and the prior-matching
-        intercept b = log((k- + 1) / (k+ + 1)).
+        Scores must be finite; labels must be 0 or 1.  Convergence when the
+        gradient norm drops below 1e-8 or after 10,000 iterations.  Starts
+        from a = 0 and the prior-matching intercept b = log((k- + 1) / (k+ + 1)).
         """
         s = np.asarray(scores, dtype=float)
         y = np.asarray(labels, dtype=float)
         if len(s) != len(y) or len(s) == 0:
             raise ValueError("scores and labels must be nonempty and equal length")
+        if not np.isfinite(s).all():
+            raise ValueError("calibration scores must be finite")
         k_pos = int(np.sum(y == 1.0))
         k_neg = int(np.sum(y == 0.0))
         if k_pos + k_neg != len(y):
@@ -65,13 +70,13 @@ class PlattCalibrator:
         a = 0.0
         b = float(np.log((k_neg + 1.0) / (k_pos + 1.0)))
         value = objective(a, b)
-        for _ in range(max_iter):
+        for _ in range(_MAX_ITER):
             z = a * s + b
             p = _sigmoid(-z)
             resid = t - p
             g_a = float(np.dot(resid, s))
             g_b = float(np.sum(resid))
-            if g_a * g_a + g_b * g_b < grad_tol * grad_tol:
+            if g_a * g_a + g_b * g_b < _GRAD_TOL * _GRAD_TOL:
                 break
             w = p * (1.0 - p)
             h_aa = float(np.dot(w, s * s)) + 1e-12
@@ -99,21 +104,13 @@ class PlattCalibrator:
         return cls(a, b, k_pos, k_neg)
 
     def predict_many(self, scores) -> np.ndarray:
-        z = self.a * np.asarray(scores, dtype=float) + self.b
-        return _sigmoid(-z)
+        s = np.asarray(scores, dtype=float)
+        if np.isnan(s).any():
+            raise ValueError("test scores must not be NaN")
+        return _sigmoid(-(self.a * s + self.b))
 
     def predict(self, score: float) -> float:
         return float(self.predict_many(np.asarray([score]))[0])
-
-    def objective_at(self, a: float, b: float, scores, labels) -> float:
-        """Cross-entropy objective with this model's regularized targets."""
-        s = np.asarray(scores, dtype=float)
-        y = np.asarray(labels, dtype=float)
-        t_pos = (self.k_pos + 1.0) / (self.k_pos + 2.0)
-        t_neg = 1.0 / (self.k_neg + 2.0)
-        t = np.where(y == 1.0, t_pos, t_neg)
-        z = a * s + b
-        return float(np.sum(np.logaddexp(0.0, -z) + t * z))
 
 
 @dataclass
@@ -142,6 +139,8 @@ class DirectIsotonic:
 
     def predict_many(self, scores) -> np.ndarray:
         s = np.asarray(scores, dtype=float)
+        if np.isnan(s).any():
+            raise ValueError("test scores must not be NaN")
         idx = np.searchsorted(self.scores, s, side="right") - 1
         return self.fitted[np.maximum(idx, 0)]
 

@@ -40,7 +40,7 @@ from venncal.exceptions import DataError, DegenerateModelError
 from venncal.ivap import IvapCalibrator
 from venncal.merging import LOSSES, merge, merged_interval
 from venncal.metrics import evaluate
-from venncal.scorers import ScorerSpec, train_scorer
+from venncal.scorers import KINDS, ScorerSpec, train_scorer
 
 METHODS = ("underlying", "platt", "isotonic", "ivap", "cvap")
 TUNE_RIDGE_GRID = (1e-6, 1e-4, 1e-2, 1.0)
@@ -242,7 +242,7 @@ def _predict_from_score_files(method: str, args):
         raise UsageError("expected exactly one --scores-in file")
     test_scores = read_test_scores(args.scores_in[0])
     if method == "underlying":
-        if test_scores.min() < 0.0 or test_scores.max() > 1.0:
+        if not ((test_scores >= 0.0) & (test_scores <= 1.0)).all():
             raise DataError("underlying scores must already be probabilities in [0, 1]")
         return test_scores, None
     if not args.calib_scores or len(args.calib_scores) != 1:
@@ -358,7 +358,7 @@ def _add_common_model_flags(sub) -> None:
     sub.add_argument("--ratio", default=None, help="proper:calibration split, e.g. 2:1")
     sub.add_argument("--folds", type=int, default=None, help="fold count for the cross method")
     sub.add_argument("--merge", choices=LOSSES, default="log")
-    sub.add_argument("--scorer", choices=("logistic", "stump", "constant"), default="logistic")
+    sub.add_argument("--scorer", choices=KINDS, default="logistic")
     sub.add_argument("--learning-rate", type=float, default=1.0)
     sub.add_argument("--max-iter", type=int, default=1000)
     sub.add_argument("--ridge", type=float, default=1e-4)

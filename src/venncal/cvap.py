@@ -86,13 +86,11 @@ class CvapCalibrator:
     VERSION = 1
 
     def __init__(self, folds: FoldAssignment, scorers: list, rules: list[IvapCalibrator],
-                 merge_loss: str = "log", train_indices: list[np.ndarray] | None = None):
+                 merge_loss: str = "log"):
         self.folds = folds
         self.scorers = scorers
         self.rules = rules
         self.merge_loss = merge_loss
-        # per-fold proper-training rows, kept for leakage audits
-        self.train_indices = train_indices
 
     @classmethod
     def fit(cls, dataset: Dataset, n_folds: int = 5, spec: ScorerSpec | None = None,
@@ -108,7 +106,6 @@ class CvapCalibrator:
         folds = assign_folds(len(dataset), n_folds, mode, seed)
         scorers = []
         rules = []
-        train_indices = []
         for k in range(n_folds):
             fold_idx = folds.indices(k)
             rest_idx = folds.complement(k)
@@ -124,8 +121,7 @@ class CvapCalibrator:
             rule = IvapCalibrator.fit(scorer.score_many(dataset.X[fold_idx]), y_fold)
             scorers.append(scorer)
             rules.append(rule)
-            train_indices.append(rest_idx)
-        return cls(folds, scorers, rules, merge_loss, train_indices)
+        return cls(folds, scorers, rules, merge_loss)
 
     @property
     def n_folds(self) -> int:
@@ -141,13 +137,12 @@ class CvapCalibrator:
             highs.append(hi)
         return np.stack(lows), np.stack(highs)
 
-    def predict_many(self, X, loss: str | None = None) -> np.ndarray:
-        loss = loss or self.merge_loss
+    def predict_many(self, X) -> np.ndarray:
         lo, hi = self.predict_intervals_many(X)
-        return np.atleast_1d(merge(lo, hi, loss))
+        return merge(lo, hi, self.merge_loss)
 
-    def predict(self, x, loss: str | None = None) -> float:
-        return float(self.predict_many(np.asarray(x, dtype=float)[None, :], loss)[0])
+    def predict(self, x) -> float:
+        return float(self.predict_many(np.asarray(x, dtype=float)[None, :])[0])
 
     # ---- serialization --------------------------------------------------
 

@@ -105,10 +105,10 @@ def _read_table(path) -> tuple[list[str], list[int]]:
     with open(path, newline="", encoding="utf-8") as fh:
         text = fh.read()
     lines = text.removesuffix("\n").split("\n")
-    # for text without quotes, carriage returns, NUL bytes (an error before
-    # Python 3.11), blank lines (or no lines) and over-long fields, splitting
-    # at newlines and commas gives csv.reader's rows
-    if ('"' not in text and "\r" not in text and "\0" not in text and "" not in lines
+    # for text without quotes, carriage returns, blank lines (or no lines)
+    # and over-long fields, splitting at newlines and commas gives
+    # csv.reader's rows
+    if ('"' not in text and "\r" not in text and "" not in lines
             and max(map(len, lines)) <= csv.field_size_limit()):
         if "," not in text:
             # the lines are the fields; splitting them again would hold a
@@ -305,7 +305,7 @@ def subset(dataset: Dataset, rows) -> Dataset:
 
 @dataclass(frozen=True)
 class SplitSpec:
-    """Proper-training / calibration split: a ratio or explicit sizes.
+    """Proper-training / calibration split by a ratio.
 
     With ratio (a, b) the proper part gets ceil(a / (a + b) * n) rows.  The
     split is contiguous (prefix/suffix) unless `permute` is set, in which
@@ -313,25 +313,19 @@ class SplitSpec:
     """
 
     ratio: tuple[int, int] | None = None
-    sizes: tuple[int, int] | None = None
     permute: bool = False
     seed: int | None = None
 
 
 def split_proper_calibration(dataset: Dataset, spec: SplitSpec) -> tuple[Dataset, Dataset]:
+    if spec.ratio is None:
+        raise DataError("split needs a ratio")
     n = len(dataset)
-    if spec.sizes is not None:
-        m, k = spec.sizes
-        if m + k != n:
-            raise DataError(f"split sizes {m}+{k} do not cover {n} rows")
-    elif spec.ratio is not None:
-        a, b = spec.ratio
-        if a < 1 or b < 1:
-            raise DataError(f"invalid split ratio {a}:{b}")
-        m = (a * n + (a + b) - 1) // (a + b)
-        k = n - m
-    else:
-        raise DataError("split needs a ratio or explicit sizes")
+    a, b = spec.ratio
+    if a < 1 or b < 1:
+        raise DataError(f"invalid split ratio {a}:{b}")
+    m = (a * n + (a + b) - 1) // (a + b)
+    k = n - m
     if m < 1 or k < 1:
         raise DataError(f"degenerate split: proper={m}, calibration={k}")
     order = np.arange(n)

@@ -64,7 +64,7 @@ def evaluate(predictions, labels) -> EvalReport:
         raise ValueError(f"shape mismatch: {p.shape} predictions vs {y.shape} labels")
     if p.size == 0:
         raise ValueError("empty evaluation set")
-    if p.min() < 0.0 or p.max() > 1.0:
+    if not ((p >= 0.0) & (p <= 1.0)).all():
         raise ValueError("probabilities out of range")
     if not np.isin(y, (0.0, 1.0)).all():
         raise ValueError("labels must be 0 or 1")

@@ -78,6 +78,21 @@ class TestPlatt:
         with pytest.raises(DegenerateModelError):
             PlattCalibrator.fit([1, 2, 3], [1, 1, 1])
 
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    def test_non_finite_calibration_score_rejected(self, bad):
+        # a non-finite score makes the objective NaN, which would stop the fit
+        # at the prior-only model (a = 0)
+        with pytest.raises(ValueError, match="calibration scores must be finite"):
+            PlattCalibrator.fit([0.1, bad, 0.9, 0.2], [1, 1, 0, 0])
+
+    def test_nan_test_score_rejected_infinite_ones_valid(self):
+        m = PlattCalibrator.fit([0.1, 0.5, 0.9, 0.2], [0, 1, 1, 0])
+        with pytest.raises(ValueError, match="test scores must not be NaN"):
+            m.predict_many([0.5, np.nan])
+        with pytest.raises(ValueError, match="test scores must not be NaN"):
+            m.predict(np.nan)
+        assert m.predict_many([-np.inf, np.inf]).tolist() == [0.0, 1.0]
+
 
 class TestDirectIsotonic:
     def test_step_lookup_between_scores(self):
@@ -110,6 +125,14 @@ class TestDirectIsotonic:
             p = m.predict_many(qs)
             assert np.all(np.diff(p) >= -1e-15)
             assert np.all((p >= 0.0) & (p <= 1.0))
+
+    def test_nan_test_score_rejected_infinite_ones_valid(self):
+        m = DirectIsotonic.fit([1, 2, 3], [0, 1, 1])
+        with pytest.raises(ValueError, match="test scores must not be NaN"):
+            m.predict_many([2.0, np.nan])
+        with pytest.raises(ValueError, match="test scores must not be NaN"):
+            m.predict(np.nan)
+        assert m.predict_many([-np.inf, np.inf]).tolist() == [0.0, 1.0]
 
     def test_dummy_endpoints_keep_predictions_interior(self):
         m = DirectIsotonic.fit([1, 2, 3, 4], [0, 0, 1, 1], dummy_endpoints=True)

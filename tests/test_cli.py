@@ -156,6 +156,25 @@ class TestCalibrate:
         assert capsys.readouterr().err == (
             f"data error: {test}: line 2: field larger than field limit ({limit})\n")
 
+    @pytest.mark.parametrize("method, cal, test, message", [
+        ("platt", [0.1, float("nan"), 0.9, 0.2], [0.5], "calibration scores must be finite"),
+        ("platt", [0.1, float("inf"), 0.9, 0.2], [0.5], "calibration scores must be finite"),
+        ("platt", [0.1, 0.5, 0.9, 0.2], [0.5, float("nan")], "test scores must not be NaN"),
+        ("isotonic", [0.1, 0.5, 0.9, 0.2], [0.5, float("nan")], "test scores must not be NaN"),
+        ("underlying", None, [0.5, float("nan")],
+         "underlying scores must already be probabilities in [0, 1]"),
+    ])
+    def test_non_finite_score_is_data_error(self, tmp_path, capsys, method, cal, test, message):
+        args = ["calibrate", "--method", method, "--scores-in", tmp_path / "test.csv",
+                "--out", tmp_path / "p.csv"]
+        write_score_file(tmp_path / "test.csv", test)
+        if cal is not None:
+            write_score_file(tmp_path / "cal.csv", cal, [0, 1, 1, 0])
+            args += ["--calib-scores", tmp_path / "cal.csv"]
+        assert run_cli(*args) == 3
+        assert capsys.readouterr().err == f"data error: {message}\n"
+        assert not (tmp_path / "p.csv").exists()
+
     def test_intervals_flag_restricted(self, tmp_path):
         assert run_cli("calibrate", "--method", "platt", "--intervals",
                        "--out", tmp_path / "p.csv") == 2
@@ -178,6 +197,16 @@ class TestEvaluate:
         truth = tmp_path / "t.csv"
         truth.write_text("x,label\n1,0\n2,1\n")
         assert run_cli("evaluate", "--pred", pred, "--truth", truth) == 3
+
+    def test_nan_prediction_is_data_error(self, tmp_path, capsys):
+        pred = tmp_path / "p.csv"
+        pred.write_text("p\nnan\n0.5\n")
+        truth = tmp_path / "t.csv"
+        truth.write_text("x,label\n1,0\n2,1\n")
+        assert run_cli("evaluate", "--pred", pred, "--truth", truth) == 3
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == "data error: probabilities out of range\n"
 
     def test_json_report(self, tmp_path):
         pred = tmp_path / "p.csv"

@@ -1,10 +1,11 @@
 import numpy as np
 import pytest
 
+import venncal.cvap
 from venncal.cvap import CvapCalibrator, assign_folds
 from venncal.data import Dataset, generate_synthetic
 from venncal.exceptions import DegenerateModelError
-from venncal.scorers import ScorerSpec
+from venncal.scorers import ScorerSpec, train_scorer
 
 
 class TestAssignFolds:
@@ -50,6 +51,27 @@ def small_dataset(n=200, seed=0):
     return generate_synthetic(n, seed)
 
 
+def spy_on_train_scorer(monkeypatch) -> list:
+    """Record the (X, y) that each scorer `CvapCalibrator.fit` trains receives."""
+    seen = []
+
+    def spy(spec, X, y):
+        seen.append((X.copy(), y.copy()))
+        return train_scorer(spec, X, y)
+
+    monkeypatch.setattr(venncal.cvap, "train_scorer", spy)
+    return seen
+
+
+def assert_trained_on_complements(seen, ds, folds):
+    """Fold k's scorer saw exactly the rows outside fold k, row for row."""
+    assert len(seen) == folds.n_folds
+    for k, (X, y) in enumerate(seen):
+        rest = folds.complement(k)
+        assert np.array_equal(X, ds.X[rest])
+        assert np.array_equal(y, ds.y[rest])
+
+
 class TestBuild:
     def test_two_folds_structure(self):
         model = CvapCalibrator.fit(small_dataset(200), 2, ScorerSpec("constant"))
@@ -57,12 +79,14 @@ class TestBuild:
         sizes = [int(np.sum(r.points.weights)) for r in model.rules]
         assert sizes == [100, 100]
 
-    def test_scorers_never_see_their_fold(self):
+    def test_scorers_never_see_their_fold(self, monkeypatch):
         ds = small_dataset(90, seed=4)
+        seen = spy_on_train_scorer(monkeypatch)
         model = CvapCalibrator.fit(ds, 3, ScorerSpec("constant"))
+        assert_trained_on_complements(seen, ds, model.folds)
         for k in range(3):
             fold = set(model.folds.indices(k).tolist())
-            train = set(model.train_indices[k].tolist())
+            train = set(model.folds.complement(k).tolist())
             assert fold.isdisjoint(train)
             assert fold | train == set(range(len(ds)))
             # the constant scorer exposes exactly what it was trained on
@@ -126,24 +150,24 @@ class TestPredict:
         with pytest.raises(ValueError, match="dimension"):
             model.predict_many(np.zeros((3, 2)))
 
-    def test_matches_first_principles_oracle(self):
+    def test_matches_first_principles_oracle(self, monkeypatch):
         # recompute one prediction from scratch: per fold, refit isotonic with
         # the test point appended under both labels, then merge by hand
         from oracles import refit_interval
 
         ds = small_dataset(90, seed=17)
+        seen = spy_on_train_scorer(monkeypatch)
         model = CvapCalibrator.fit(ds, 3, ScorerSpec("logistic"))
+        assert_trained_on_complements(seen, ds, model.folds)
         for x in (np.array([-1.2]), np.array([0.4]), np.array([2.0])):
             lows, highs = [], []
             for k in range(3):
                 fold = model.folds.indices(k)
-                rest = model.folds.complement(k)
                 scorer = model.scorers[k]
                 cal = scorer.score_many(ds.X[fold])
                 p0, p1 = refit_interval(cal, ds.y[fold], scorer.score(x))
                 lows.append(p0)
                 highs.append(p1)
-                assert np.array_equal(model.train_indices[k], rest)
             gm_hi = np.exp(np.mean(np.log(highs)))
             gm_lo = np.exp(np.mean(np.log(1.0 - np.asarray(lows))))
             expected = gm_hi / (gm_lo + gm_hi)

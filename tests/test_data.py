@@ -160,8 +160,9 @@ class TestSplit:
 
     def test_degenerate_rejected(self):
         ds = generate_synthetic(5, seed=0)
-        with pytest.raises(DataError):
-            split_proper_calibration(ds, SplitSpec(sizes=(5, 0)))
+        # 1:1 of one row gives the proper part the row and calibration none
+        with pytest.raises(DataError, match="degenerate split: proper=1, calibration=0"):
+            split_proper_calibration(generate_synthetic(1, seed=0), SplitSpec(ratio=(1, 1)))
         with pytest.raises(DataError):
             split_proper_calibration(ds, SplitSpec())
 

@@ -77,6 +77,11 @@ class TestEvaluate:
         with pytest.raises(ValueError):
             evaluate([0.5], [0, 1])
 
+    @pytest.mark.parametrize("bad", [math.nan, -0.1, 1.5])
+    def test_probability_outside_unit_interval_rejected(self, bad):
+        with pytest.raises(ValueError, match="probabilities out of range"):
+            evaluate([bad, 0.5], [0, 1])
+
 
 def test_both_losses_are_proper():
     # expected loss under true probability q is minimized at p = q
