@@ -2,7 +2,7 @@
 
 A scorer maps feature vectors to real scores, higher meaning more likely to
 be labelled 1.  Three kinds are provided: a ridge-regularized logistic model
-trained by gradient descent (its score is the raw linear predictor, not the
+trained by damped Newton steps (its score is the raw linear predictor, not the
 squashed probability; calibration is invariant to monotone transforms and
 raw scores avoid saturation), a one-feature decision stump, and a constant
 scorer emitting the empirical positive rate.  All training is deterministic
@@ -82,6 +82,7 @@ class LogisticScorer(_Scorer):
     weights: np.ndarray
     intercept: float
     loss_history: list[float]
+    converged: bool = True  # False if training stopped at max_iter or without a descent step
 
     @property
     def n_features(self) -> int:
@@ -149,30 +150,31 @@ def _train_logistic(spec: ScorerSpec, X: np.ndarray, y: np.ndarray) -> LogisticS
         return float(np.mean(np.logaddexp(0.0, z) - y * z) + 0.5 * ridge * np.dot(w, w))
 
     history = [loss(w, b)]
+    converged = False
     for _ in range(spec.max_iter):
-        z = X @ w + b
-        resid = _sigmoid(z) - y
-        g_w = X.T @ resid / n + ridge * w
-        g_b = float(np.mean(resid))
-        gnorm2 = float(np.dot(g_w, g_w) + g_b * g_b)
-        if gnorm2 < 1e-16:  # gradient norm below 1e-8
+        p = _sigmoid(X @ w + b)
+        g = np.append(X.T @ (p - y) / n + ridge * w, np.mean(p - y))
+        converged = bool(np.dot(g, g) < 1e-16)  # gradient norm below 1e-8
+        if converged:
             break
+        v = p * (1.0 - p) / n  # Hessian: ridge on the weights, none on the intercept
+        H = np.block([[X.T @ (v[:, None] * X) + ridge * np.eye(d), (X.T @ v)[:, None]],
+                      [X.T @ v, v.sum()]])
+        try:
+            direction = -np.linalg.solve(H, g)
+        except np.linalg.LinAlgError:
+            direction = -g
         step = spec.learning_rate
-        base = history[-1]
-        accepted = False
-        while step >= 1e-20:
-            w_new = w - step * g_w
-            b_new = b - step * g_b
-            val = loss(w_new, b_new)
-            if val <= base - 1e-4 * step * gnorm2:
-                accepted = True
+        while step >= 1e-20:  # backtracking Armijo line search
+            val = loss(w + step * direction[:d], b + step * direction[d])
+            if val <= history[-1] + 1e-4 * step * np.dot(g, direction):
                 break
             step *= 0.5
-        if not accepted:
+        else:
             break  # no descent step left at working precision
-        w, b = w_new, b_new
+        w, b = w + step * direction[:d], b + step * float(direction[d])
         history.append(val)
-    return LogisticScorer(w, b, history)
+    return LogisticScorer(w, b, history, converged)
 
 
 def _train_stump(X: np.ndarray, y: np.ndarray) -> StumpScorer:
@@ -213,6 +215,8 @@ def train_scorer(spec: ScorerSpec, X, y):
         raise ValueError("empty training set")
     if len(X) != len(y):
         raise ValueError("X and y must have the same number of rows")
+    if not np.isfinite(X).all():
+        raise ValueError("training features must be finite")
     if spec.kind == "logistic":
         return _train_logistic(spec, X, y)
     if spec.kind == "stump":

@@ -1,9 +1,12 @@
 import numpy as np
 import pytest
+from scipy.optimize import minimize
 
+from venncal.cli import TUNE_RIDGE_GRID
 from venncal.data import generate_synthetic
 from venncal.exceptions import DegenerateModelError
 from venncal.scorers import (
+    KINDS,
     ConstantScorer,
     ScorerSpec,
     StumpScorer,
@@ -22,6 +25,15 @@ class TestSpec:
             ScorerSpec(max_iter=0)
         with pytest.raises(ValueError):
             ScorerSpec(ridge=0)
+
+
+@pytest.mark.parametrize("kind", KINDS)
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+def test_non_finite_features_rejected(kind, bad):
+    X = np.arange(12.0).reshape(6, 2)
+    X[3, 1] = bad
+    with pytest.raises(ValueError, match="^training features must be finite$"):
+        train_scorer(ScorerSpec(kind), X, [0, 1, 0, 1, 0, 1])
 
 
 class TestConstant:
@@ -106,6 +118,45 @@ class TestLogistic:
         assert np.allclose(a.weights, b.weights, atol=1e-9)
         assert abs(a.intercept - b.intercept) <= 1e-9
 
+    def test_converged_flag(self):
+        ds = generate_synthetic(500, seed=3)
+        assert train_scorer(ScorerSpec("logistic"), ds.X, ds.y).converged
+        stopped = train_scorer(ScorerSpec("logistic", max_iter=1), ds.X, ds.y)
+        assert not stopped.converged
+        assert len(stopped.loss_history) == 2
+
+    def test_near_separable_converges(self):
+        # plain gradient descent stopped here at max_iter = 1000 with loss 0.0524
+        rng = np.random.default_rng(0)
+        X = rng.standard_normal((20_000, 5))
+        y = (X @ np.arange(1.0, 6.0) > 0).astype(float)
+        scorer = train_scorer(ScorerSpec("logistic", ridge=1e-6), X, y)
+        assert scorer.converged
+        assert scorer.loss_history[-1] < 0.02
+
+    @pytest.mark.parametrize("d", [1, 5])
+    @pytest.mark.parametrize("ridge", TUNE_RIDGE_GRID)
+    def test_optimal_against_lbfgs(self, d, ridge):
+        rng = np.random.default_rng(40 + d)
+        X = rng.standard_normal((2_000, d)) + 0.5
+        z_true = X @ np.linspace(1.5, -1.0, d) - 0.3
+        y = (rng.random(len(X)) < 1.0 / (1.0 + np.exp(-z_true))).astype(float)
+
+        def loss_and_grad(theta):
+            w, b = theta[:d], theta[d]
+            z = X @ w + b
+            resid = 1.0 / (1.0 + np.exp(-z)) - y
+            loss = np.mean(np.logaddexp(0.0, z) - y * z) + 0.5 * ridge * (w @ w)
+            return loss, np.append(X.T @ resid / len(X) + ridge * w, resid.mean())
+
+        ref = minimize(loss_and_grad, np.zeros(d + 1), jac=True, method="L-BFGS-B",
+                       options={"ftol": 0.0, "gtol": 1e-12, "maxiter": 10_000})
+        scorer = train_scorer(ScorerSpec("logistic", ridge=ridge), X, y)
+        loss, grad = loss_and_grad(np.append(scorer.weights, scorer.intercept))
+        assert scorer.converged
+        assert loss <= ref.fun + 1e-12
+        assert np.linalg.norm(grad) < 1e-8
+
     def test_raw_linear_score(self):
         from venncal.scorers import LogisticScorer
 
@@ -145,6 +196,13 @@ class TestSerialization:
             clone = scorer_from_dict(scorer.to_dict())
             assert np.array_equal(clone.score_many(X), scorer.score_many(X))
             assert clone.n_features == scorer.n_features == 2
+
+    def test_loaded_logistic_has_no_history(self):
+        ds = generate_synthetic(60, seed=4)
+        scorer = train_scorer(ScorerSpec("logistic"), ds.X, ds.y)
+        clone = scorer_from_dict(scorer.to_dict())
+        assert clone.converged and clone.loss_history == []
+        assert set(scorer.to_dict()) == {"kind", "weights", "intercept"}
 
     def test_width_is_a_constructor_field(self):
         # a stump on feature 0 of 3 and a constant of width 3 reject 2-column
