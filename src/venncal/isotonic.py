@@ -14,7 +14,8 @@ test observation labelled 1 immediately to its left (`upper_prob_scan`) or
 labelled 0 immediately to its right (`lower_prob_scan`).  A naive version
 would refit once per score; here a single sweep moves the test interval
 through the diagram, reflecting one CSD vertex per step and repairing the
-corner stack, so each curve costs O(k') after sorting.  There is one sweep:
+corner stack, so each curve costs O(k') after sorting; numpy skips the
+steps between stack pushes.  There is one hull, `_lower_hull`, and one sweep:
 the lower curve is the upper sweep run on the mirrored points (scores
 negated, labels flipped), read backwards.
 """
@@ -65,8 +66,9 @@ class CurveScan:
     `values[i]` equals `num[i] / den[i]`.  Both components are integral
     whenever the labels are integers (cumulative sums, reflections and hull
     corners all preserve integrality), which lets tests verify identities as
-    exact rationals.  `corner_pushes` and `sweep_pushes` count stack pushes
-    in the corner-initialization and sweep phases; each is at most 2k' + 2.
+    exact rationals.  `corner_pushes` (k' + 2, one per extended-CSD vertex)
+    and `sweep_pushes` count stack pushes in the corner-initialization and
+    sweep phases; each is at most 2k' + 2.
     """
 
     values: np.ndarray
@@ -113,19 +115,18 @@ def build_csd(points: WeightedPoints) -> np.ndarray:
     return csd
 
 
-def _graham_scan(xs: list, ys: list) -> tuple[list, list, int]:
+def _graham_scan(xs: list, ys: list) -> tuple[list, list]:
     """Lower-hull corners of a polyline given as coordinate lists, left to right.
 
     A vertex is popped when the turn through it is nonleft (cross product
     <= 0), so collinear interior points are dropped.  Returns the corner
-    coordinates (both endpoints always included) and the number of pushes.
+    coordinates; both endpoints are always included.
     """
     n = len(xs)
     sx = [0.0] * n
     sy = [0.0] * n
     sx[0], sy[0] = xs[0], ys[0]
     top = 0
-    pushes = 1
     for i in range(1, n):
         px, py = xs[i], ys[i]
         while top > 0:
@@ -137,24 +138,36 @@ def _graham_scan(xs: list, ys: list) -> tuple[list, list, int]:
                 break
         top += 1
         sx[top], sy[top] = px, py
-        pushes += 1
     del sx[top + 1:], sy[top + 1:]
-    return sx, sy, pushes
+    return sx, sy
 
 
-def gcm_corners(csd: np.ndarray) -> tuple[np.ndarray, int]:
+def _lower_hull(x: np.ndarray, y: np.ndarray) -> tuple[list, list]:
+    """`_graham_scan` of the polyline (x, y), x strictly increasing.
+
+    Each numpy round drops every interior vertex whose turn between its
+    surviving neighbours is not strictly left; such a vertex is never a
+    corner.  Once a round keeps more than half of the vertices, the Graham
+    scan finishes on the survivors: at worst one scan plus O(n) numpy work.
+    """
+    while len(x) > 2:
+        dx, dy = np.diff(x), np.diff(y)
+        keep = np.ones(len(x), dtype=bool)
+        keep[1:-1] = dx[:-1] * dy[1:] - dx[1:] * dy[:-1] > 0.0
+        n = len(x)
+        x, y = x[keep], y[keep]
+        if 2 * len(x) > n:
+            break
+    return _graham_scan(x.tolist(), y.tolist())
+
+
+def gcm_corners(csd: np.ndarray) -> np.ndarray:
     """Corners of the greatest convex minorant of a CSD polyline.
 
-    Graham-scan over the vertices left to right; collinear interior points
-    are dropped, so slopes between consecutive corners strictly increase.
-    Returns the corners (both CSD endpoints always included) and the number
-    of stack pushes.
+    Collinear interior points are dropped, so slopes between consecutive
+    corners strictly increase; both CSD endpoints are always included.
     """
-    sx, sy, pushes = _graham_scan(csd[:, 0].tolist(), csd[:, 1].tolist())
-    corners = np.empty((len(sx), 2))
-    corners[:, 0] = sx
-    corners[:, 1] = sy
-    return corners, pushes
+    return np.column_stack(_lower_hull(csd[:, 0], csd[:, 1]))
 
 
 def fit_isotonic(points: WeightedPoints) -> np.ndarray:
@@ -166,7 +179,7 @@ def fit_isotonic(points: WeightedPoints) -> np.ndarray:
     the fitted value equals the weighted mean of the block's mean labels.
     """
     csd = build_csd(points)
-    corners, _ = gcm_corners(csd)
+    corners = gcm_corners(csd)
     cx = corners[:, 0]
     slopes = np.diff(corners[:, 1]) / np.diff(cx)
     # the interval (X_{i-1}, X_i] lies inside exactly one corner segment
@@ -174,64 +187,88 @@ def fit_isotonic(points: WeightedPoints) -> np.ndarray:
     return slopes[seg]
 
 
+_STREAK = 32  # sweep steps taken one at a time before searching ahead with numpy
+
+
 def upper_prob_scan(points: WeightedPoints) -> CurveScan:
     """Fit at each distinct score with a unit label-1 test point just left of it.
 
     The CSD is extended one unit down-left (the test observation placed
-    before all scores), corners of that initial GCM are found by a Graham
-    scan, and the test interval is then swapped rightward through the
-    diagram: each step reports the GCM slope over the test interval, then
-    reflects the vertex between the test interval and the next score
-    interval through the midpoint of its neighbours.  A reflected vertex at
-    or above the current GCM leaves the corner stack untouched; one strictly
-    below becomes the new active corner and the stack is repaired by popping
-    nonleft turns.
+    before all scores), and the test interval is swapped rightward through
+    the diagram from the corners of that initial GCM: each step reports the
+    GCM slope over the test interval, then reflects the vertex between the
+    test interval and the next score interval through the midpoint of its
+    neighbours.  A reflected vertex strictly below the active segment becomes
+    the new active corner, and the stack is repaired by popping nonleft turns.
+
+    The vertex reflected at step i is CSD vertex i shifted by (-1, -1), so
+    the next push is found by testing those vertices: one step at a time for
+    `_STREAK` steps, then with numpy over windows growing fourfold.  Python
+    work grows with the pushes, not with k'.  Raises ValueError unless the
+    weights and label sums are integers and (W + 1)^2 <= 2^53 for the total
+    weight W; in that range every coordinate and cross product is exact.
     """
     k = len(points)
-    # extended CSD: ex[j] holds vertex j-1, so ex[0] is the test extension
-    ex = [-1.0, 0.0]
-    ey = [-1.0, 0.0]
-    ex += np.cumsum(points.weights).astype(float).tolist()
-    ey += np.cumsum(points.label_sums).tolist()
+    w, sums = points.weights, points.label_sums
+    if not (np.array_equal(w, np.floor(w)) and np.array_equal(sums, np.floor(sums))
+            and (np.sum(w, dtype=float) + 1) ** 2 <= 2 ** 53):
+        raise ValueError("the sweep needs integer weights and label sums, "
+                         "with (W + 1)^2 <= 2^53 for the total weight W")
+    # extended CSD: vertex j-1 at index j, the test extension at index 0
+    x = np.concatenate([[-1.0, 0.0], np.cumsum(w)])
+    y = np.concatenate([[-1.0, 0.0], np.cumsum(sums)])
 
     # sweep stack holds the GCM corners reversed: leftmost (active) corner on
     # top; a push always follows a pop, so the stack never outgrows them
-    tx, ty, corner_pushes = _graham_scan(ex, ey)
+    tx, ty = _lower_hull(x, y)
     tx.reverse()
     ty.reverse()
     t = len(tx) - 1
     sweep_pushes = len(tx)
 
-    values = np.empty(k)
-    num = np.empty(k)
-    den = np.empty(k)
-    for i in range(1, k + 1):
+    # vertex reflected at step i, at index i; index k + 1 holds a sentinel
+    # strictly below every segment, so every search ends by k + 1
+    qx = np.append(x[1:] - 1.0, 0.0)
+    qy = np.append(y[1:] - 1.0, -np.inf)
+    lqx, lqy = memoryview(qx), memoryview(qy)  # scalar reads without float lists
+    dys, dxs, ends = [], [], []
+    j = 0
+    while j < k:
+        i = j + 1
         lx, ly = tx[t], ty[t]          # active corner, left end of the segment
-        rx, ry = tx[t - 1], ty[t - 1]  # first corner to its right
-        dy = ry - ly
-        dx = rx - lx
-        values[i - 1] = dy / dx
-        num[i - 1] = dy
-        den[i - 1] = dx
-        # swap the test interval with the i-th score interval
-        qx = ex[i - 1] + ex[i + 1] - ex[i]
-        qy = ey[i - 1] + ey[i + 1] - ey[i]
-        ex[i] = qx
-        ey[i] = qy
-        if (rx - lx) * (qy - ly) - (qx - lx) * (ry - ly) >= 0.0:
-            continue  # reflected vertex at or above the GCM: nothing changes
+        dx, dy = tx[t - 1] - lx, ty[t - 1] - ly
+        # j: first step from i on whose reflected vertex lies strictly below
+        # the active segment; steps i..j all report dy / dx
+        j, stop = i, i + _STREAK
+        while j < stop and dx * (lqy[j] - ly) - (lqx[j] - lx) * dy >= 0.0:
+            j += 1
+        size = 4 * _STREAK
+        while j == stop:
+            stop = j + size
+            below = dx * (qy[j:stop] - ly) - (qx[j:stop] - lx) * dy < 0.0
+            j += int(below.argmax()) if below.any() else size
+            size *= 4
+        dys.append(dy)
+        dxs.append(dx)
+        ends.append(j)
+        if j > k:
+            break
+        qxj, qyj = lqx[j], lqy[j]
         t -= 1
         while t > 0:
             bx, by = tx[t], ty[t]
             cx, cy = tx[t - 1], ty[t - 1]
-            if (bx - qx) * (cy - by) - (cx - bx) * (by - qy) <= 0.0:
+            if (bx - qxj) * (cy - by) - (cx - bx) * (by - qyj) <= 0.0:
                 t -= 1
             else:
                 break
         t += 1
-        tx[t], ty[t] = qx, qy
+        tx[t], ty[t] = qxj, qyj
         sweep_pushes += 1
-    return CurveScan(values, num, den, corner_pushes, sweep_pushes)
+    runs = np.diff(np.minimum([0, *ends], k))
+    num = np.repeat(dys, runs)
+    den = np.repeat(dxs, runs)
+    return CurveScan(num / den, num, den, k + 2, sweep_pushes)
 
 
 def lower_prob_scan(points: WeightedPoints) -> CurveScan:

@@ -1,11 +1,12 @@
 """Independent reference implementations used to check the fast paths.
 
 Everything here is deliberately naive: exhaustive enumeration, insert-and-
-refit, grid search, a masked two-branch sigmoid, an explicit search tree
-over an interval calibrator's tables, and CSV readers and writers that go
-one cell and one row at a time through `csv.reader` and f-strings.  None of
-it shares code with the algorithms under test beyond `dedup_weighted` for
-input normalization and the `Dataset`/`Column` records the readers return.
+refit, the probability sweep one step at a time, grid search, a masked
+two-branch sigmoid, an explicit search tree over an interval calibrator's
+tables, and CSV readers and writers that go one cell and one row at a time
+through `csv.reader` and f-strings.  None of it shares code with the
+algorithms under test beyond `dedup_weighted` for input normalization and
+the `CurveScan`/`Dataset`/`Column` records the oracles return.
 """
 
 import csv
@@ -17,7 +18,7 @@ import numpy as np
 
 from venncal.data import Column, Dataset
 from venncal.exceptions import DataError
-from venncal.isotonic import WeightedPoints, dedup_weighted
+from venncal.isotonic import CurveScan, WeightedPoints, dedup_weighted
 
 
 def brute_force_isotonic(points: WeightedPoints) -> np.ndarray:
@@ -67,6 +68,64 @@ def refit_interval(calib_scores, calib_labels, s: float) -> tuple[float, float]:
     p0 = pooled_fit_at(scores, np.append(labels, 0.0), s)
     p1 = pooled_fit_at(scores, np.append(labels, 1.0), s)
     return p0, p1
+
+
+def stepwise_upper_prob_scan(points: WeightedPoints) -> CurveScan:
+    """`venncal.isotonic.upper_prob_scan` one sweep step at a time.
+
+    The CSD is extended one unit down-left, a Graham scan over every vertex
+    finds the initial corners, and the test interval is swapped rightward one
+    score at a time: each step records the slope over the test interval, then
+    reflects the vertex between the test interval and the next score interval
+    through the midpoint of its neighbours and repairs the corner stack when
+    the reflected vertex falls strictly below the active segment.
+    """
+    k = len(points)
+    ex = [-1.0, 0.0] + np.cumsum(points.weights).astype(float).tolist()
+    ey = [-1.0, 0.0] + np.cumsum(points.label_sums).tolist()
+
+    # Graham scan, popping nonleft turns; every vertex is pushed once
+    sx, sy = [ex[0]], [ey[0]]
+    for px, py in zip(ex[1:], ey[1:]):
+        while len(sx) > 1 and ((sx[-1] - sx[-2]) * (py - sy[-1])
+                               - (px - sx[-1]) * (sy[-1] - sy[-2])) <= 0.0:
+            sx.pop()
+            sy.pop()
+        sx.append(px)
+        sy.append(py)
+    corner_pushes = len(ex)
+
+    # the stack holds the corners reversed: the active corner on top
+    tx, ty = sx[::-1], sy[::-1]
+    t = len(tx) - 1
+    sweep_pushes = len(tx)
+    values, num, den = np.empty(k), np.empty(k), np.empty(k)
+    for i in range(1, k + 1):
+        lx, ly = tx[t], ty[t]
+        rx, ry = tx[t - 1], ty[t - 1]
+        dy = ry - ly
+        dx = rx - lx
+        values[i - 1] = dy / dx
+        num[i - 1] = dy
+        den[i - 1] = dx
+        qx = ex[i - 1] + ex[i + 1] - ex[i]
+        qy = ey[i - 1] + ey[i + 1] - ey[i]
+        ex[i] = qx
+        ey[i] = qy
+        if (rx - lx) * (qy - ly) - (qx - lx) * (ry - ly) >= 0.0:
+            continue
+        t -= 1
+        while t > 0:
+            bx, by = tx[t], ty[t]
+            cx, cy = tx[t - 1], ty[t - 1]
+            if (bx - qx) * (cy - by) - (cx - bx) * (by - qy) <= 0.0:
+                t -= 1
+            else:
+                break
+        t += 1
+        tx[t], ty[t] = qx, qy
+        sweep_pushes += 1
+    return CurveScan(values, num, den, corner_pushes, sweep_pushes)
 
 
 def platt_objective(a, b, scores, labels, k_pos, k_neg):
@@ -300,7 +359,7 @@ def load_csv(path, label_column, *, header: bool = True,
                     X[i, offset] = math.nan
                 else:
                     value = _parse_float(cell)
-                    if value is None:
+                    if value is None or math.isnan(value):
                         raise DataError(
                             f"{path}: line {first_line + i}: column {col.name!r}: "
                             f"expected a number, got {cell!r}")

@@ -185,6 +185,20 @@ class TestCalibrate:
         assert capsys.readouterr().err == "data error: training features must be finite\n"
         assert not (tmp_path / "p.csv").exists()
 
+    @pytest.mark.parametrize("cell", ["nan", " NaN ", "-nan"])
+    def test_nan_feature_cell_is_data_error(self, tmp_path, capsys, cell):
+        # a cell parsing to NaN is neither a number nor a missing marker
+        data = tmp_path / "data.csv"
+        rows = [f"{float(x)!r},{i % 2}" for i, x in enumerate(np.linspace(-1.0, 1.0, 60))]
+        rows[2] = f"{cell},0"
+        rows[5] = "?,1"
+        data.write_text("x,label\n" + "\n".join(rows) + "\n")
+        assert run_cli("calibrate", "--method", "platt", "--train", data, "--test", data,
+                       "--ratio", "1:1", "--out", tmp_path / "p.csv") == 3
+        assert capsys.readouterr().err == (
+            f"data error: {data}: line 4: column 'x': expected a number, got {cell.strip()!r}\n")
+        assert not (tmp_path / "p.csv").exists()
+
     def test_intervals_flag_restricted(self, tmp_path):
         assert run_cli("calibrate", "--method", "platt", "--intervals",
                        "--out", tmp_path / "p.csv") == 2

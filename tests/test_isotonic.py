@@ -1,9 +1,14 @@
+import itertools
+import math
 from fractions import Fraction
 
 import numpy as np
 import pytest
 
 from venncal.isotonic import (
+    WeightedPoints,
+    _graham_scan,
+    _lower_hull,
     build_csd,
     dedup_weighted,
     fit_isotonic,
@@ -117,7 +122,7 @@ class TestFitIsotonic:
         rng = np.random.default_rng(11)
         for _ in range(100):
             pts = random_points(rng, max_k=12)
-            corners, _ = gcm_corners(build_csd(pts))
+            corners = gcm_corners(build_csd(pts))
             slopes = np.diff(corners[:, 1]) / np.diff(corners[:, 0])
             assert np.all(np.diff(slopes) > 0)
 
@@ -215,3 +220,135 @@ class TestProbCurves:
                 ref0 = dedup_weighted(np.append(scores, right), np.append(labels, 0.0))
                 fit0 = fit_isotonic(ref0)
                 assert abs(fit0[np.searchsorted(ref0.scores, right)] - lo[i]) <= 1e-9
+
+
+# ---- the run-skipping sweep against the one-step-at-a-time oracle --------
+
+def mirrored(pts):
+    w = pts.weights
+    return WeightedPoints(-pts.scores[::-1], w[::-1], (w - pts.label_sums)[::-1])
+
+
+def assert_sweep_matches_stepwise(pts):
+    from oracles import stepwise_upper_prob_scan
+
+    for p in (pts, mirrored(pts)):
+        got, want = upper_prob_scan(p), stepwise_upper_prob_scan(p)
+        for field in ("values", "num", "den"):
+            assert getattr(got, field).tobytes() == getattr(want, field).tobytes(), field
+        assert (got.corner_pushes, got.sweep_pushes) == (want.corner_pushes, want.sweep_pushes)
+
+
+def one_label_per_score(labels):
+    labels = np.asarray(labels, dtype=float)
+    return dedup_weighted(np.arange(len(labels), dtype=float), labels)
+
+
+# pushes exactly at, and one step either side of, the end of the one-step
+# streak (32 steps) and of the numpy windows after it (128, 512, 2048 steps)
+BOUNDARY_GAPS = [31, 32, 33, 159, 160, 161, 671, 672, 673, 2719, 2720, 2721]
+
+
+class TestSweepMatchesStepwise:
+    def test_empty_input(self):
+        e = np.empty(0)
+        assert_sweep_matches_stepwise(WeightedPoints(e, e.astype(np.int64), e))
+
+    def test_every_small_input(self):
+        # k = 1-3 distinct scores, weights 1-3, every label sum
+        cells = [(w, s) for w in (1, 2, 3) for s in range(w + 1)]
+        for k in (1, 2, 3):
+            for combo in itertools.product(cells, repeat=k):
+                w, s = np.array(combo, dtype=float).T
+                assert_sweep_matches_stepwise(
+                    WeightedPoints(np.arange(k, dtype=float), w.astype(np.int64), s))
+
+    @pytest.mark.parametrize("kind", ["ties", "continuous", "logistic", "anti_monotone"])
+    def test_generated_scores(self, kind):
+        rng = np.random.default_rng(sum(map(ord, kind)))
+        for _ in range(40):
+            k = int(rng.integers(1, 3000))
+            scores = rng.normal(size=k)
+            if kind == "ties":
+                scores = np.round(scores, 1)
+            p = 1.0 / (1.0 + np.exp(-2.0 * scores))
+            if kind == "continuous":
+                p = np.full(k, 0.5)
+            elif kind == "anti_monotone":
+                p = 1.0 - p
+            assert_sweep_matches_stepwise(dedup_weighted(scores, rng.random(k) < p))
+
+    @pytest.mark.parametrize("labels", [
+        np.arange(5001) % 2,                 # period 1: a push every other step
+        (np.arange(5001) // 2) % 2,          # period 2
+        np.ones(5001),
+        np.zeros(5001),
+        (np.arange(5001) < 2500).astype(float),  # anti-monotone
+    ], ids=["alternate1", "alternate2", "all_ones", "all_zeros", "ones_then_zeros"])
+    def test_label_patterns(self, labels):
+        assert_sweep_matches_stepwise(one_label_per_score(labels))
+
+    @pytest.mark.parametrize("gap", BOUNDARY_GAPS)
+    def test_runs_ending_at_search_boundaries(self, gap):
+        # labels all 1 but a 0 at score `gap`: the first push of the sweep
+        # comes exactly at step `gap`, so the first run is `gap` steps long
+        labels = np.ones(gap + 40)
+        labels[gap - 1] = 0
+        pts = one_label_per_score(labels)
+        up = upper_prob_scan(pts)
+        assert np.all(up.values[:gap] == up.values[0]) and up.values[gap] != up.values[0]
+        assert_sweep_matches_stepwise(pts)
+
+    def test_runs_crossing_boundaries_mid_sweep(self):
+        rng = np.random.default_rng(4)
+        for _ in range(6):
+            zeros = np.cumsum(rng.permutation(BOUNDARY_GAPS))
+            labels = np.ones(zeros[-1] + 100)
+            labels[zeros - 1] = 0
+            assert_sweep_matches_stepwise(one_label_per_score(labels))
+
+
+class TestLowerHull:
+    @pytest.mark.parametrize("name", ["convex", "low_end", "random_walk"])
+    def test_matches_graham_scan(self, name):
+        n = 3000
+        x = np.arange(n, dtype=float)
+        if name == "convex":
+            y = x * x        # every turn is strictly left: a round removes nothing
+        else:
+            y = np.cumsum(np.random.default_rng(2).integers(-1, 2, size=n)).astype(float)
+            if name == "low_end":
+                y[-1] = -1e9  # the hull is the two endpoints
+        assert _lower_hull(x, y) == _graham_scan(x.tolist(), y.tolist())
+
+
+class TestExactRange:
+    # the largest total weight W with (W + 1)^2 <= 2^53
+    W_MAX = math.isqrt(2 ** 53) - 1
+
+    def points(self, total, weights=None, sums=None):
+        w = np.array([1, total - 3, 2] if weights is None else weights)
+        s = np.array([0.0, 7.0, 2.0] if sums is None else sums)
+        return WeightedPoints(np.arange(len(w), dtype=float), w, s)
+
+    def test_largest_total_weight_is_exact(self):
+        assert_sweep_matches_stepwise(self.points(self.W_MAX))
+
+    @pytest.mark.parametrize("scan", [upper_prob_scan, lower_prob_scan])
+    def test_larger_total_weight_rejected(self, scan):
+        with pytest.raises(ValueError, match=r"\(W \+ 1\)\^2 <= 2\^53"):
+            scan(self.points(self.W_MAX + 1))
+
+    @pytest.mark.parametrize("weights, sums", [([1, 2], [0.5, 1.0]), ([1.5, 2.0], [1.0, 1.0])])
+    @pytest.mark.parametrize("scan", [upper_prob_scan, lower_prob_scan])
+    def test_non_integer_components_rejected(self, scan, weights, sums):
+        with pytest.raises(ValueError, match="integer weights and label sums"):
+            scan(self.points(0, weights, sums))
+
+    def test_fit_reaches_the_check(self, monkeypatch):
+        import venncal.ivap
+
+        monkeypatch.setattr(venncal.ivap, "dedup_weighted",
+                            lambda s, y: self.points(self.W_MAX + 1))
+        with pytest.raises(ValueError, match="integer weights and label sums"):
+            venncal.ivap.IvapCalibrator.fit([0.0, 1.0], [0, 1])
