@@ -5,13 +5,13 @@ Every reader tokenizes as `csv.reader` does and then parses a column at a
 time; a field longer than `csv.field_size_limit()` is a DataError.  Data,
 score and prediction files are written by `write_csv`, one column at a time.
 Missing cells are empty strings or "?".  Feature columns are numeric when
-every non-missing cell parses as a float (one parsing to NaN is a DataError),
-nominal otherwise; nominal columns are one-hot encoded with sorted
-categories, and a missing nominal cell is NaN across the indicator block.
-Labels must take exactly two raw values; the lexicographically smaller one
-maps to 0 unless overridden.  Imputation statistics (column means and modes)
-are computed from an explicit set of training rows and recorded with their
-provenance, so test rows can never contribute.
+every non-missing cell parses as a float, nominal otherwise; nominal columns
+are one-hot encoded with lexicographically sorted categories, and a missing
+nominal cell is NaN across the whole indicator block.  Labels must take
+exactly two raw values; the lexicographically smaller one maps to 0 unless
+overridden.  Imputation statistics (column means and modes) are computed
+from an explicit set of training rows and recorded with their provenance, so
+test rows can never contribute.  A cell parsing to NaN is a DataError.
 """
 
 from __future__ import annotations
@@ -233,9 +233,9 @@ def load_csv(path, label_column, *, header: bool = True,
     for col, j in zip(columns, feature_idx):
         if col.kind == "numeric":
             values, bad = parsed[j]
-            if bad is None:  # a literal "nan" cell would pose as the missing marker
-                bad = next((i for i in np.flatnonzero(np.isnan(values))
-                            if cells[j][i] not in MISSING_TOKENS), None)
+            # a "nan" cell would pose as missing; cells from `bad` on are unset
+            bad = next((i for i in np.flatnonzero(np.isnan(values[:bad]))
+                        if cells[j][i] not in MISSING_TOKENS), bad)
             if bad is not None:
                 raise DataError(
                     f"{path}: line {first + bad + 1}: column {col.name!r}: "

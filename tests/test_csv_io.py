@@ -61,7 +61,8 @@ DATASET_TEXTS = {
     "missing_nominal": "c,label\nx,0\n?,1\n,0\ny,1\n",
     "all_missing_column": "a,label\n?,0\n,1\n",
     "whitespace_labels": "a,label\n1, yes\n2,no \n3,yes\n",
-    "odd_floats": "a,label\n1_000,0\nnan,1\ninf,0\n-inf,1\n１２,0\n1e-5,1\n",
+    "odd_floats": "a,label\n1_000,0\ninf,0\n-inf,1\n１２,0\n1e-5,1\n",
+    "nan_cell": "a,label\n1,0\nnan,1\n",
     "unicode_space": "a,label\n\x1c1\x1c,0\n 2 ,1\n",
     "bom_header": "\ufeffa,label\n1,0\n2,1\n",
     "bom_on_label": "\ufefflabel,a\n0,1\n1,2\n",
@@ -104,6 +105,7 @@ def test_positive_label_matches_oracle(tmp_path, positive):
     "c,a,label\nb,1,0\na,2,1\n",
     "c,a,label\nz,1,0\na,2,1\n",             # unknown category
     "c,a,label\nb,1,0\na,abc,1\n",           # not a number where the schema wants one
+    "c,a,label\nb,nan,0\na,abc,1\n",         # a nan cell before a non-number
     "c,a,label\nb,abc,2\na,1,1\n",           # unknown label wins over the bad cells
     "c,a,label\n?,?,0\nb,,1\n",              # missing cells under the schema
     "a,label\n1,0\n",                        # fewer feature columns
