@@ -20,7 +20,7 @@ from venncal.data import (
 from venncal.exceptions import DataError, DegenerateModelError
 from venncal.isotonic import WeightedPoints, dedup_weighted, fit_isotonic
 from venncal.ivap import IvapCalibrator, ProbInterval
-from venncal.merging import merge_brier, merge_log
+from venncal.merging import merge
 from venncal.metrics import EvalReport, brier_loss, evaluate, log_loss
 from venncal.scorers import ScorerSpec, train_scorer
 
@@ -48,8 +48,7 @@ __all__ = [
     "generate_synthetic",
     "load_csv",
     "log_loss",
-    "merge_brier",
-    "merge_log",
+    "merge",
     "split_proper_calibration",
     "train_scorer",
     "__version__",

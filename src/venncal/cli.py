@@ -73,15 +73,18 @@ def _parse_ratio(text: str) -> tuple[int, int]:
     return a, b
 
 
-def _write_manifest(out_path: str, command: str, settings: dict) -> None:
+def _write_manifest(args) -> None:
+    """Write `<out>.manifest.json`: the subcommand, every parsed flag but --out, versions."""
+    settings = {key: value for key, value in vars(args).items()
+                if key not in ("command", "func", "out")}
     manifest = {
-        "command": command,
+        "command": args.command,
         "package": "venncal",
         "package_version": venncal.__version__,
         "numpy_version": np.__version__,
         "settings": settings,
     }
-    with open(out_path + ".manifest.json", "w", encoding="utf-8") as fh:
+    with open(args.out + ".manifest.json", "w", encoding="utf-8") as fh:
         json.dump(manifest, fh, sort_keys=True, indent=2)
         fh.write("\n")
 
@@ -102,7 +105,7 @@ def cmd_synth(args) -> int:
         raise UsageError("--n must be at least 1")
     ds = generate_synthetic(args.n, args.seed)
     write_csv(args.out, "x,label", [ds.X[:, 0]], ds.y)
-    _write_manifest(args.out, "synth", {"n": args.n, "seed": args.seed})
+    _write_manifest(args)
     return 0
 
 
@@ -251,32 +254,6 @@ def _predict_from_score_files(method: str, args):
     return CALIBRATORS[method](scores, labels, test_scores, args)
 
 
-def _calibrate_settings(args) -> dict:
-    return {
-        "method": getattr(args, "method", None),
-        "train": args.train,
-        "test": args.test,
-        "label_column": args.label_column,
-        "calib_scores": args.calib_scores,
-        "scores_in": args.scores_in,
-        "ratio": args.ratio,
-        "folds": args.folds,
-        "merge": args.merge,
-        "scorer": args.scorer,
-        "learning_rate": args.learning_rate,
-        "max_iter": args.max_iter,
-        "ridge": args.ridge,
-        "all_mode": args.all_mode,
-        "seed": args.seed,
-        "randomize_split": args.randomize_split,
-        "randomize_folds": args.randomize_folds,
-        "sigmoid_scores": args.sigmoid_scores,
-        "dummy_endpoints": args.dummy_endpoints,
-        "tune": args.tune,
-        "intervals": getattr(args, "intervals", None),
-    }
-
-
 def cmd_calibrate(args) -> int:
     if args.intervals and args.method not in ("ivap", "cvap"):
         raise UsageError("--intervals is only available for ivap and cvap")
@@ -290,7 +267,7 @@ def cmd_calibrate(args) -> int:
         _, p, intervals = next(_predict_with_methods([args.method], args, train_ds,
                                                      test_ds, spec))
     _write_predictions(args.out, np.asarray(p), intervals if args.intervals else None)
-    _write_manifest(args.out, "calibrate", _calibrate_settings(args))
+    _write_manifest(args)
     return 0
 
 
@@ -339,9 +316,7 @@ def cmd_compare(args) -> int:
         for method, rep in rows:
             mll = "inf" if rep.mean_log_loss == float("inf") else f"{rep.mean_log_loss:.4f}"
             fh.write(f"{method:<12}{mll:>12}{rep.mean_brier_loss:>12.4f}{rep.n_infinite:>6}\n")
-    settings = _calibrate_settings(args)
-    del settings["method"], settings["intervals"]
-    _write_manifest(args.out, "compare", settings)
+    _write_manifest(args)
     return 0
 
 
@@ -424,9 +399,6 @@ def main(argv=None) -> int:
     except UsageError as exc:
         print(f"usage error: {exc}", file=sys.stderr)
         return 2
-    except DataError as exc:
-        print(f"data error: {exc}", file=sys.stderr)
-        return 3
     except OSError as exc:
         print(f"file error: {exc}", file=sys.stderr)
         return 3
@@ -434,7 +406,7 @@ def main(argv=None) -> int:
         print(f"degenerate model: {exc}", file=sys.stderr)
         return 4
     except ValueError as exc:
-        # bad values that surfaced past ingestion, e.g. out-of-range predictions
+        # DataError, and bad values that surfaced past ingestion
         print(f"data error: {exc}", file=sys.stderr)
         return 3
 

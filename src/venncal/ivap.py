@@ -24,9 +24,9 @@ from venncal.isotonic import (
     lower_prob_scan,
     upper_prob_scan,
 )
-from venncal.merging import merge, merge_interval
+from venncal.merging import merge
 
-__all__ = ["ProbInterval", "IvapCalibrator", "merge_interval"]
+__all__ = ["ProbInterval", "IvapCalibrator"]
 
 
 @dataclass(frozen=True)
@@ -47,7 +47,7 @@ class IvapCalibrator:
     VERSION = 1
 
     def __init__(self, points: WeightedPoints, p0: np.ndarray, p1: np.ndarray,
-                 push_counts: tuple[int, int, int, int] | None = None):
+                 push_counts: tuple[int, int, int, int]):
         self.points = points
         self.p0 = p0
         self.p1 = p1
@@ -67,7 +67,11 @@ class IvapCalibrator:
             raise ValueError("calibration scores must be finite")
         if y.size and not np.isin(y, (0.0, 1.0)).all():
             raise ValueError("labels must be 0 or 1")
-        points = dedup_weighted(s, y)
+        return cls._sweep(dedup_weighted(s, y))
+
+    @classmethod
+    def _sweep(cls, points: WeightedPoints) -> "IvapCalibrator":
+        """The rule whose curves are the two scans of `points`."""
         lo = lower_prob_scan(points)
         up = upper_prob_scan(points)
         counts = (lo.corner_pushes, lo.sweep_pushes, up.corner_pushes, up.sweep_pushes)
@@ -107,7 +111,7 @@ class IvapCalibrator:
     def predict(self, score: float, loss: str = "log") -> float:
         """Single precise probability for one test score."""
         interval = self.predict_interval(score)
-        return merge_interval(interval.p0, interval.p1, loss)
+        return merge(interval.p0, interval.p1, loss)
 
     def predict_many(self, scores, loss: str = "log") -> np.ndarray:
         lo, hi = self.predict_intervals(scores)
@@ -128,6 +132,10 @@ class IvapCalibrator:
 
     @classmethod
     def from_dict(cls, d: dict) -> "IvapCalibrator":
+        """The rule of a `to_dict` record, its curves rebuilt by the sweep of `fit`.
+
+        Raises ValueError unless the rebuilt curves equal the stored p0 and p1.
+        """
         if d.get("format") != cls.FORMAT:
             raise ValueError(f"not an interval-calibrator record: {d.get('format')!r}")
         if d.get("version") != cls.VERSION:
@@ -136,8 +144,10 @@ class IvapCalibrator:
             np.asarray(d[key], dtype=float)
             for key in ("scores", "weights", "label_sums", "p0", "p1"))
         _check_tables(scores, weights, label_sums, p0, p1)
-        points = WeightedPoints(scores, weights.astype(np.int64), label_sums)
-        return cls(points, p0, p1)
+        rule = cls._sweep(WeightedPoints(scores, weights.astype(np.int64), label_sums))
+        if not (np.array_equal(rule.p0, p0) and np.array_equal(rule.p1, p1)):
+            raise ValueError("p0 and p1 are not the curves of the stored points")
+        return rule
 
     def save(self, path) -> None:
         with open(path, "w", encoding="utf-8") as fh:

@@ -26,7 +26,7 @@ from venncal.isotonic import (
     upper_prob_scan,
 )
 from venncal.ivap import IvapCalibrator
-from venncal.merging import merge_brier, merge_log
+from venncal.merging import merge
 from venncal.metrics import evaluate
 from venncal.scorers import ScorerSpec, train_scorer
 
@@ -173,7 +173,7 @@ def test_criterion_06_count_bounds():
         lo, hi = rule.predict_intervals(qs)
         assert np.all(hi >= 1.0 / (k_neg + 1) - 1e-12)
         assert np.all(lo <= 1.0 - 1.0 / (k_pos + 1) + 1e-12)
-        p = merge_log(lo[None, :], hi[None, :])
+        p = merge(lo[None, :], hi[None, :], "log")
         assert np.all(p >= 1.0 / (k_neg + 2) - 1e-12)
         assert np.all(p <= 1.0 - 1.0 / (k_pos + 2) + 1e-12)
 
@@ -201,16 +201,16 @@ def test_criterion_07_merging_identities():
         k = int(rng.integers(1, 11))
         p0 = rng.uniform(0.0, 0.98, size=k)
         p1 = p0 + rng.uniform(0.005, 1.0 - p0)
-        p_log = merge_log(p0, p1)
+        p_log = merge(p0, p1, "log")
         assert abs(np.sum(np.log(p1 / p_log))
                    - np.sum(np.log((1.0 - p0) / (1.0 - p_log)))) <= 1e-9
-        p_br = merge_brier(p0, p1)
+        p_br = merge(p0, p1, "brier")
         assert abs(np.sum((1.0 - p_br) ** 2 - (1.0 - p1) ** 2)
                    - np.sum(p_br ** 2 - p0 ** 2)) <= 1e-9
         q = float(rng.uniform(0.01, 0.99))
-        assert abs(merge_log([q] * k, [q] * k) - q) <= 1e-12
+        assert abs(merge([q] * k, [q] * k, "log") - q) <= 1e-12
         qs = rng.uniform(0.01, 0.99, size=k)
-        assert abs(merge_brier(qs, qs) - np.mean(qs)) <= 1e-12
+        assert abs(merge(qs, qs, "brier") - np.mean(qs)) <= 1e-12
     print("\nACCEPTANCE 7 PASS: both merges satisfy their defining equations on "
           "1000 batches (tol 1e-9) and reduce to the precise probability")
 

@@ -1,3 +1,4 @@
+import argparse
 import csv
 import json
 import subprocess
@@ -6,10 +7,10 @@ import sys
 import numpy as np
 import pytest
 
-from venncal.cli import main
+from venncal.cli import build_parser, main
 from venncal.data import generate_synthetic, write_score_file
 from venncal.ivap import IvapCalibrator
-from venncal.merging import merge_log
+from venncal.merging import merge
 
 
 def run_cli(*args):
@@ -41,6 +42,29 @@ class TestSynth:
         manifest = json.loads((tmp_path / "d.csv.manifest.json").read_text())
         assert manifest["command"] == "synth"
         assert manifest["settings"]["seed"] == 3
+
+    def test_manifest_records_every_flag_but_out(self, tmp_path):
+        train = tmp_path / "train.csv"
+        test = tmp_path / "test.csv"
+        write_dataset_csv(train, generate_synthetic(200, seed=1))
+        write_dataset_csv(test, generate_synthetic(40, seed=2))
+        flags = ["--train", train, "--test", test, "--ratio", "2:1"]
+        runs = [("calibrate", "--method", "ivap", "--positive-label", "0"),
+                ("calibrate", "--method", "ivap", "--positive-label", "1"),
+                ("compare", "--positive-label", "0")]
+        subs = next(a for a in build_parser()._actions
+                    if isinstance(a, argparse._SubParsersAction)).choices
+        labels = []
+        for i, (command, *extra) in enumerate(runs):
+            out = tmp_path / f"out{i}.csv"
+            assert run_cli(command, *extra, *flags, "--out", out) == 0
+            manifest = json.loads((tmp_path / f"out{i}.csv.manifest.json").read_text())
+            destinations = {a.dest for a in subs[command]._actions} - {"help", "out"}
+            assert manifest["command"] == command
+            assert set(manifest["settings"]) == destinations
+            assert manifest["settings"]["no_header"] is False
+            labels.append(manifest["settings"]["positive_label"])
+        assert labels == ["0", "1", "0"]
 
 
 class TestCalibrate:
@@ -75,7 +99,7 @@ class TestCalibrate:
         got = np.array([float(line) for line in out.read_text().splitlines()[1:]])
         rule = IvapCalibrator.fit(cal_s, cal_y)
         lo, hi = rule.predict_intervals(test_s)
-        assert np.array_equal(got, merge_log(lo[None, :], hi[None, :]))
+        assert np.array_equal(got, merge(lo[None, :], hi[None, :], "log"))
 
     def test_cvap_score_files_match_library(self, tmp_path):
         rng = np.random.default_rng(9)
@@ -102,7 +126,7 @@ class TestCalibrate:
                        "--out", out)
         assert code == 0
         got = np.array([float(line) for line in out.read_text().splitlines()[1:]])
-        expected = merge_log(np.stack(lows), np.stack(highs))
+        expected = merge(np.stack(lows), np.stack(highs), "log")
         assert np.array_equal(got, expected)
 
     def test_isotonic_can_report_infinite_loss(self, tmp_path, capsys):
@@ -141,7 +165,7 @@ class TestCalibrate:
         scorer = train_scorer(ScorerSpec("logistic"), proper.X, proper.y)
         rule = IvapCalibrator.fit(scorer.score_many(calib.X), calib.y)
         lo, hi = rule.predict_intervals(scorer.score_many(test_ds.X))
-        assert np.array_equal(got, merge_log(lo[None, :], hi[None, :]))
+        assert np.array_equal(got, merge(lo[None, :], hi[None, :], "log"))
 
     def test_missing_inputs_is_usage_error(self, tmp_path):
         assert run_cli("calibrate", "--method", "ivap", "--out", tmp_path / "p.csv") == 2

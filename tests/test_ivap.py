@@ -5,7 +5,7 @@ import pytest
 
 from oracles import query_tree, search_tree, tree_depth, tree_size
 from venncal.ivap import IvapCalibrator
-from venncal.merging import merge_interval
+from venncal.merging import merge
 
 
 def random_calibration(rng, max_k=20):
@@ -155,14 +155,14 @@ class TestQueries:
 class TestPointPredictions:
     def test_identity_when_interval_degenerate(self):
         for q in (0.2, 0.5, 0.9):
-            assert merge_interval(q, q, "log") == pytest.approx(q, abs=1e-15)
-            assert merge_interval(q, q, "brier") == pytest.approx(q, abs=1e-15)
+            assert merge(q, q, "log") == pytest.approx(q, abs=1e-15)
+            assert merge(q, q, "brier") == pytest.approx(q, abs=1e-15)
 
     def test_log_formula(self):
-        assert merge_interval(0.2, 0.4, "log") == pytest.approx(1 / 3, abs=1e-15)
+        assert merge(0.2, 0.4, "log") == pytest.approx(1 / 3, abs=1e-15)
 
     def test_brier_formula(self):
-        assert merge_interval(0.2, 0.4, "brier") == pytest.approx(0.34, abs=1e-15)
+        assert merge(0.2, 0.4, "brier") == pytest.approx(0.34, abs=1e-15)
 
     def test_batch_prediction_matches_scalar_path(self):
         rng = np.random.default_rng(42)
@@ -186,6 +186,12 @@ class TestPointPredictions:
             assert np.all(p <= hi_bound + 1e-12)
 
 
+def raise_halfway(curve):
+    """The curve with its first rising entry moved halfway to its right neighbour."""
+    i = next(i for i in range(len(curve) - 1) if curve[i] < curve[i + 1])
+    return curve[:i] + [(curve[i] + curve[i + 1]) / 2] + curve[i + 1:]
+
+
 class TestSerialization:
     def test_round_trip_bit_exact(self, tmp_path):
         rng = np.random.default_rng(1)
@@ -200,6 +206,7 @@ class TestSerialization:
         assert np.array_equal(loaded.points.label_sums, rule.points.label_sums)
         assert np.array_equal(loaded.p0, rule.p0)
         assert np.array_equal(loaded.p1, rule.p1)
+        assert loaded.push_counts == rule.push_counts
         qs = rng.normal(size=20)
         assert np.array_equal(np.stack(loaded.predict_intervals(qs)),
                               np.stack(rule.predict_intervals(qs)))
@@ -218,9 +225,12 @@ class TestSerialization:
         ("p1", lambda v: v[:-1] + [1.5], "0 <= p0 < p1 <= 1"),
         ("p1", lambda v: v[:-1] + [math.nan], "0 <= p0 < p1 <= 1"),
         ("p0", lambda v: v[:-1] + [0.0], "non-decreasing"),
+        ("p1", lambda v: raise_halfway(v), "not the curves of the stored points"),
+        ("label_sums", lambda v: [0.5] + v[1:], "integer weights and label sums"),
     ], ids=["lengths", "empty", "score_order", "score_finite", "weight_zero",
             "weight_fraction", "label_sum_negative", "label_sum_above_weight", "p0_negative",
-            "p0_not_below_p1", "p1_above_one", "p1_nan", "monotone"])
+            "p0_not_below_p1", "p1_above_one", "p1_nan", "monotone", "p1_tampered",
+            "label_sum_fraction"])
     def test_corrupt_record_rejected(self, field, corrupt, message):
         rng = np.random.default_rng(2)
         record = IvapCalibrator.fit(rng.normal(size=40), rng.integers(0, 2, size=40)).to_dict()

@@ -1,29 +1,32 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from hypothesis.extra.numpy import arrays
 
-from venncal.merging import merge, merge_brier, merge_interval, merge_log, merged_interval
+from venncal.merging import merge, merged_interval
 
 
 class TestMergeLog:
     def test_single_pair(self):
-        assert merge_log([0.2], [0.4]) == pytest.approx(1 / 3, abs=1e-15)
+        assert merge([0.2], [0.4], "log") == pytest.approx(1 / 3, abs=1e-15)
 
     def test_degenerate_pairs_reduce_to_value(self):
         for q in (0.1, 0.5, 0.73):
-            assert merge_log([q] * 3, [q] * 3) == pytest.approx(q, abs=1e-12)
+            assert merge([q] * 3, [q] * 3, "log") == pytest.approx(q, abs=1e-12)
 
     def test_two_pair_hand_value(self):
         # GM(p1)=sqrt(0.18), GM(1-p0)=sqrt(0.72): ratio gives exactly 1/3
-        p = merge_log([0.1, 0.2], [0.3, 0.6])
+        p = merge([0.1, 0.2], [0.3, 0.6], "log")
         assert p == pytest.approx(np.sqrt(0.18) / (np.sqrt(0.72) + np.sqrt(0.18)), abs=1e-15)
         assert p == pytest.approx(1 / 3, abs=1e-12)
 
     def test_identical_pairs_match_single_pair(self):
         for k in (2, 3, 7):
-            assert merge_log([0.2] * k, [0.4] * k) == pytest.approx(
-                merge_log([0.2], [0.4]), abs=1e-12)
-            assert merge_brier([0.2] * k, [0.4] * k) == pytest.approx(
-                merge_brier([0.2], [0.4]), abs=1e-12)
+            assert merge([0.2] * k, [0.4] * k, "log") == pytest.approx(
+                merge([0.2], [0.4], "log"), abs=1e-12)
+            assert merge([0.2] * k, [0.4] * k, "brier") == pytest.approx(
+                merge([0.2], [0.4], "brier"), abs=1e-12)
 
     def test_equalizes_extra_losses(self):
         rng = np.random.default_rng(4)
@@ -31,7 +34,7 @@ class TestMergeLog:
             k = int(rng.integers(1, 11))
             p0 = rng.uniform(0.0, 0.98, size=k)
             p1 = p0 + rng.uniform(0.005, 1.0 - p0)
-            p = merge_log(p0, p1)
+            p = merge(p0, p1, "log")
             assert 0.0 < p < 1.0
             lhs = np.sum(np.log(p1 / p))
             rhs = np.sum(np.log((1.0 - p0) / (1.0 - p)))
@@ -41,39 +44,46 @@ class TestMergeLog:
         p0 = np.array([0.1, 0.5, 0.2])
         p1 = np.array([0.4, 0.9, 0.3])
         order = [2, 0, 1]
-        assert merge_log(p0, p1) == pytest.approx(merge_log(p0[order], p1[order]), abs=1e-12)
+        assert merge(p0, p1, "log") == pytest.approx(
+            merge(p0[order], p1[order], "log"), abs=1e-12)
 
     def test_vectorized_columns(self):
         p0 = np.array([[0.1, 0.2], [0.2, 0.3]])
         p1 = np.array([[0.3, 0.5], [0.6, 0.7]])
-        out = merge_log(p0, p1)
+        out = merge(p0, p1, "log")
         assert out.shape == (2,)
-        assert out[0] == pytest.approx(merge_log(p0[:, 0], p1[:, 0]))
+        assert out[0] == pytest.approx(merge(p0[:, 0], p1[:, 0], "log"))
 
     def test_extreme_endpoints_clamped(self):
         # p1 = 0 and p0 = 1 cannot come from the calibrators but must not crash
-        assert 0.0 <= merge_log([0.0, 0.0], [0.0, 1.0]) <= 1.0
-        assert 0.0 <= merge_log([1.0, 0.0], [1.0, 1.0]) <= 1.0
+        assert 0.0 <= merge([0.0, 0.0], [0.0, 1.0], "log") <= 1.0
+        assert 0.0 <= merge([1.0, 0.0], [1.0, 1.0], "log") <= 1.0
 
     def test_bad_batch_rejected(self):
         with pytest.raises(ValueError):
-            merge_log([], [])
+            merge([], [], "log")
         with pytest.raises(ValueError):
-            merge_log([0.1, 0.2], [0.4])
+            merge([0.1, 0.2], [0.4], "log")
         with pytest.raises(ValueError):
-            merge_log([-0.1], [0.5])
+            merge([-0.1], [0.5], "log")
+        nan = float("nan")
+        for p0, p1 in (([nan], [0.5]), ([0.2], [nan]), ([nan, nan], [nan, nan]),
+                       ([0.2, nan], [0.4, 0.6]), ([0.2, 0.3], [nan, 0.6])):
+            for loss in ("log", "brier"):
+                with pytest.raises(ValueError, match=r"interval endpoints must lie in \[0, 1\]"):
+                    merge(p0, p1, loss)
 
 
 class TestMergeBrier:
     def test_degenerate_pairs_give_arithmetic_mean(self):
         p0 = np.array([0.2, 0.4, 0.9])
-        assert merge_brier(p0, p0) == pytest.approx(np.mean(p0), abs=1e-15)
+        assert merge(p0, p0, "brier") == pytest.approx(np.mean(p0), abs=1e-15)
 
     def test_vacuous_interval(self):
-        assert merge_brier([0.0], [1.0]) == pytest.approx(0.5, abs=1e-15)
+        assert merge([0.0], [1.0], "brier") == pytest.approx(0.5, abs=1e-15)
 
     def test_two_identical_pairs(self):
-        assert merge_brier([0.2, 0.2], [0.4, 0.4]) == pytest.approx(0.34, abs=1e-15)
+        assert merge([0.2, 0.2], [0.4, 0.4], "brier") == pytest.approx(0.34, abs=1e-15)
 
     def test_solves_linear_equation(self):
         rng = np.random.default_rng(40)
@@ -81,7 +91,7 @@ class TestMergeBrier:
             k = int(rng.integers(1, 11))
             p0 = rng.uniform(0.0, 1.0, size=k)
             p1 = p0 + rng.uniform(0.0, 1.0 - p0)
-            p = merge_brier(p0, p1)
+            p = merge(p0, p1, "brier")
             assert 0.0 <= p <= 1.0
             lhs = np.sum((1.0 - p) ** 2 - (1.0 - p1) ** 2)
             rhs = np.sum(p ** 2 - p0 ** 2)
@@ -91,29 +101,20 @@ class TestMergeBrier:
         p0 = np.array([0.1, 0.5, 0.2])
         p1 = np.array([0.4, 0.9, 0.3])
         order = [1, 2, 0]
-        assert merge_brier(p0, p1) == pytest.approx(merge_brier(p0[order], p1[order]), abs=1e-12)
+        assert merge(p0, p1, "brier") == pytest.approx(
+            merge(p0[order], p1[order], "brier"), abs=1e-12)
 
     def test_scalar_interval(self):
-        # a 0-d pair is one interval, as for merge_log
-        p = merge_brier(0.2, 0.4)
+        # a 0-d pair is one interval, as under log loss
+        p = merge(0.2, 0.4, "brier")
         assert type(p) is float
-        assert p == merge_brier([0.2], [0.4]) == 0.34
+        assert p == merge([0.2], [0.4], "brier") == 0.34
 
 
 class TestMergeDispatch:
-    def test_selects_rule_by_loss(self):
-        rng = np.random.default_rng(9)
-        p0 = rng.uniform(0.0, 0.5, size=(3, 20))
-        p1 = p0 + rng.uniform(0.01, 0.5, size=(3, 20))
-        assert np.array_equal(merge(p0, p1, "log"), merge_log(p0, p1))
-        assert np.array_equal(merge(p0, p1, "brier"), merge_brier(p0, p1))
-        assert merge(0.2, 0.4) == merge_log(0.2, 0.4)
-
     def test_unknown_loss_rejected(self):
         with pytest.raises(ValueError, match="unknown loss 'hinge'"):
             merge([0.2], [0.4], "hinge")
-        with pytest.raises(ValueError, match="unknown loss 'hinge'"):
-            merge_interval(0.2, 0.4, "hinge")
 
     def test_single_interval_form_matches_batch_bit_for_bit(self):
         rng = np.random.default_rng(10)
@@ -121,9 +122,33 @@ class TestMergeDispatch:
         p1 = p0 + rng.uniform(0.0, 0.5, size=200)
         for loss in ("log", "brier"):
             batch = merge(p0[None, :], p1[None, :], loss)
-            singles = np.array([merge_interval(float(a), float(b), loss)
-                                for a, b in zip(p0, p1)])
+            singles = np.array([merge(float(a), float(b), loss) for a, b in zip(p0, p1)])
             assert batch.tobytes() == singles.tobytes()
+
+
+@st.composite
+def interval_batches(draw):
+    """A (K, n) batch of intervals 0 <= p0 <= p1 <= 1, exact 0s and 1s included."""
+    k, n = draw(st.integers(1, 6)), draw(st.integers(1, 5))
+    unit = st.one_of(st.sampled_from([0.0, 1.0]), st.floats(0.0, 1.0))
+    ends = draw(arrays(float, (2, k, n), elements=unit))
+    return ends.min(axis=0), ends.max(axis=0)
+
+
+@settings(max_examples=300, deadline=None)
+@given(interval_batches(), st.sampled_from(["log", "brier"]))
+def test_merge_within_endpoint_range(batch, loss):
+    p0, p1 = batch
+    out = merge(p0, p1, loss)
+    assert out.shape == (p0.shape[1],)
+    assert (out >= p0.min(axis=0) - 1e-12).all()
+    assert (out <= p1.max(axis=0) + 1e-12).all()
+    # one interval: the 0-d, (1,) and (1, n) forms agree bit for bit
+    row = merge(p0[:1], p1[:1], loss)
+    for j in range(p0.shape[1]):
+        single = merge(p0[0, j], p1[0, j], loss)
+        assert type(single) is float
+        assert single.hex() == merge(p0[:1, j], p1[:1, j], loss).hex() == row[j].hex()
 
 
 def test_geometric_interval_narrower_than_arithmetic():

@@ -17,7 +17,7 @@ BENCHMARK_NAMES = (
     ("venncal.ivap", "dedup_weighted"),
     ("venncal.ivap", "lower_prob_scan"),
     ("venncal.ivap", "upper_prob_scan"),
-    ("venncal.ivap", "merge_interval"),
+    ("venncal.ivap", "merge"),
     # the lookup sites of the benchmark's data spans: inlining one of them
     # would silently zero that span's metrics
     ("venncal.cli", "load_csv"),
