@@ -8,7 +8,8 @@ returns the lower value of its left neighbour and the upper value of its
 right neighbour; outside the score range the missing side falls back to the
 boundary conventions 0 and 1.  This reproduces, for every s, the isotonic
 fit at s of the calibration set with (s, 0) respectively (s, 1) appended.
-Queries go through `numpy.searchsorted` on the key array.
+The tables are stored padded, lower = [0] + p0 and upper = p1 + [1]; a batch
+is sorted once, searched once on the keys, and read from the padded tables.
 """
 
 from __future__ import annotations
@@ -49,8 +50,11 @@ class IvapCalibrator:
     def __init__(self, points: WeightedPoints, p0: np.ndarray, p1: np.ndarray,
                  push_counts: tuple[int, int, int, int]):
         self.points = points
-        self.p0 = p0
-        self.p1 = p1
+        # padded tables; p0 and p1 are views into them, not copies
+        self._lower = np.concatenate(([0.0], p0))
+        self._upper = np.concatenate((p1, [1.0]))
+        self.p0 = self._lower[1:]
+        self.p1 = self._upper[:-1]
         # (lower corner, lower sweep, upper corner, upper sweep) stack pushes
         self.push_counts = push_counts
 
@@ -89,20 +93,24 @@ class IvapCalibrator:
         return int(np.sum(self.points.weights)) - self.n_positive
 
     def predict_intervals(self, scores) -> tuple[np.ndarray, np.ndarray]:
-        """Vectorized interval query; returns (lower, upper) arrays."""
+        """Vectorized query; (lower, upper) arrays of the input's shape.  A score
+        above i keys reads upper[i] and lower[i], or lower[i + 1] on a hit of key i."""
         s = np.asarray(scores, dtype=float)
-        if not np.isfinite(s).all():
+        flat = s.ravel()
+        order = np.argsort(flat)
+        ss = flat[order]
+        # -inf sorts first, +inf and NaN last
+        if not (np.isfinite(ss[:1]).all() and np.isfinite(ss[-1:]).all()):
             raise ValueError("test scores must be finite")
         keys = self.points.scores
-        k = len(keys)
-        idx = np.searchsorted(keys, s, side="left")
-        clipped = np.minimum(idx, k - 1)
-        exact = (idx < k) & (keys[clipped] == s)
-        lo = np.where(idx >= 1, self.p0[np.maximum(idx - 1, 0)], 0.0)
-        hi = np.where(idx < k, self.p1[clipped], 1.0)
-        lo = np.where(exact, self.p0[clipped], lo)
-        hi = np.where(exact, self.p1[clipped], hi)
-        return lo, hi
+        i = keys.searchsorted(ss, side="left")
+        hit = keys[np.minimum(i, len(keys) - 1)] == ss
+        del ss  # fewer live batch-sized buffers: lower peak memory
+        lo, hi = np.empty_like(flat), np.empty_like(flat)
+        hi[order] = self._upper[i]
+        i += hit
+        lo[order] = self._lower[i]
+        return lo.reshape(s.shape), hi.reshape(s.shape)
 
     def predict_interval(self, score: float) -> ProbInterval:
         lo, hi = self.predict_intervals(np.asarray([score], dtype=float))

@@ -28,12 +28,13 @@ _EPS = 1e-300
 def merge(p0, p1, loss: str = "log"):
     """Minimax merge of K stacked intervals under `loss` ('log' or 'brier').
 
-    `p0` and `p1` hold the lower and upper endpoints.  A 0-d pair is one
+    `p0` and `p1` hold the lower and upper endpoints, 0 <= p0 <= p1 <= 1
+    (ValueError otherwise; p0 == p1 is allowed).  A 0-d pair is one
     interval and (K,) inputs are K intervals; both give a float.  With 2-D
     inputs the K axis is axis 0 and one merged probability is returned per
     column.  Under log loss a single interval reduces to
     p1 / ((1 - p0) + p1), computed directly to avoid needless exp/log
-    round-off; the result lies strictly inside (0, 1).
+    round-off; it lies strictly inside (0, 1) unless p0 = p1 = 0 or 1.
     """
     if loss not in LOSSES:
         raise ValueError(f"unknown loss {loss!r}")
@@ -44,8 +45,8 @@ def merge(p0, p1, loss: str = "log"):
     if p0.size == 0:
         raise ValueError("empty interval batch")
     # a comparison with NaN is false, so NaN endpoints fail here too
-    if not ((p0 >= 0.0) & (p1 <= 1.0)).all():
-        raise ValueError("interval endpoints must lie in [0, 1]")
+    if not ((0.0 <= p0) & (p0 <= p1) & (p1 <= 1.0)).all():
+        raise ValueError("interval endpoints must lie in [0, 1] with p0 <= p1")
     if loss == "brier":
         out = p1 + 0.5 * p0 * p0 - 0.5 * p1 * p1
         if out.ndim:

@@ -3,8 +3,9 @@
 Everything here is deliberately naive: exhaustive enumeration, insert-and-
 refit, the probability sweep one step at a time, grid search, a masked
 two-branch sigmoid, an explicit search tree over an interval calibrator's
-tables, and CSV readers and writers that go one cell and one row at a time
-through `csv.reader` and f-strings.  None of it shares code with the
+tables, a batch query that answers in input order with `np.where`, and CSV
+readers and writers that go one cell and one row at a time through
+`csv.reader` and f-strings.  None of it shares code with the
 algorithms under test beyond `dedup_weighted` for input normalization and
 the `CurveScan`/`Dataset`/`Column` records the oracles return.
 """
@@ -250,6 +251,23 @@ def query_tree(tree: TreeNode, score: float) -> tuple[float, float]:
         else:
             break
     return node.p0, node.p1
+
+
+def where_query(rule, scores) -> tuple[np.ndarray, np.ndarray]:
+    """Answer a batch in input order with unpadded tables and four `np.where` passes."""
+    s = np.asarray(scores, dtype=float)
+    if not np.isfinite(s).all():
+        raise ValueError("test scores must be finite")
+    keys = rule.points.scores
+    k = len(keys)
+    idx = np.searchsorted(keys, s, side="left")
+    clipped = np.minimum(idx, k - 1)
+    exact = (idx < k) & (keys[clipped] == s)
+    lo = np.where(idx >= 1, rule.p0[np.maximum(idx - 1, 0)], 0.0)
+    hi = np.where(idx < k, rule.p1[clipped], 1.0)
+    lo = np.where(exact, rule.p0[clipped], lo)
+    hi = np.where(exact, rule.p1[clipped], hi)
+    return lo, hi
 
 
 # ---- per-cell CSV readers and per-row writers ----------------------------

@@ -2,8 +2,10 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from oracles import query_tree, search_tree, tree_depth, tree_size
+from oracles import query_tree, search_tree, tree_depth, tree_size, where_query
 from venncal.ivap import IvapCalibrator
 from venncal.merging import merge
 
@@ -150,6 +152,85 @@ class TestQueries:
             lo, hi = rule.predict_intervals(qs)
             assert np.all(hi >= 1.0 / (rule.n_negative + 1) - 1e-12)
             assert np.all(lo <= 1.0 - 1.0 / (rule.n_positive + 1) + 1e-12)
+
+
+@st.composite
+def rules_and_batches(draw):
+    """A rule on k >= 1 tied integer scores and an unsorted batch with repeats,
+    exact key hits, neighbours of keys, scores outside the key range and
+    sometimes an infinity."""
+    k = draw(st.integers(1, 12))
+    scores = draw(st.lists(st.integers(-5, 5), min_size=k, max_size=k))
+    labels = draw(st.lists(st.integers(0, 1), min_size=k, max_size=k))
+    rule = IvapCalibrator.fit(np.array(scores, dtype=float), labels)
+    keys = st.sampled_from(rule.points.scores.tolist())
+    score = st.one_of(
+        keys,
+        keys.map(lambda x: float(np.nextafter(x, -math.inf))),
+        keys.map(lambda x: float(np.nextafter(x, math.inf))),
+        st.floats(-10.0, 10.0),
+        st.sampled_from([-1e300, 1e300]),
+    )
+    batch = draw(st.lists(score, min_size=1, max_size=40))
+    batch += draw(st.lists(st.sampled_from(batch), max_size=10))
+    batch = draw(st.permutations(batch))
+    infinity = draw(st.sampled_from([None, None, None, -math.inf, math.inf]))
+    if infinity is not None:
+        batch.insert(draw(st.integers(0, len(batch))), infinity)
+    return rule, np.array(batch)
+
+
+@settings(max_examples=400, deadline=None)
+@given(rules_and_batches())
+def test_batch_query_matches_where_oracle(case):
+    rule, batch = case
+    if not np.isfinite(batch).all():
+        for query in (where_query, IvapCalibrator.predict_intervals):
+            with pytest.raises(ValueError, match="^test scores must be finite$"):
+                query(rule, batch)
+        return
+    lo, hi = rule.predict_intervals(batch)
+    want_lo, want_hi = where_query(rule, batch)
+    assert lo.tobytes() == want_lo.tobytes()
+    assert hi.tobytes() == want_hi.tobytes()
+
+
+class TestBatchShapes:
+    RULE = IvapCalibrator.fit([1, 2, 2, 3, 5, 5], [0, 1, 0, 1, 1, 0])
+
+    @pytest.mark.parametrize("batch", [
+        2.0,
+        np.float64(4.0),
+        [[9.0, 2.0, 0.5], [3.0, 1.0, 2.5]],
+        np.array([[5.0, 0.0, 3.0, 4.0], [2.0, 6.0, 1.0, 2.0], [0.5, 5.0, 2.0, 1.5]]).T,
+        np.arange(24.0)[::-1].reshape(2, 3, 4) % 7,
+        [3.0, 0.0, 2.0, 2.0, 7.5],
+        [],
+        np.empty((0, 3)),
+    ], ids=["0d_float", "0d_numpy", "2d_list", "2d_transposed", "3d", "list", "empty",
+            "empty_2d"])
+    def test_shape_and_values_match_oracle(self, batch):
+        lo, hi = self.RULE.predict_intervals(batch)
+        want_lo, want_hi = where_query(self.RULE, batch)
+        for got, want in ((lo, want_lo), (hi, want_hi)):
+            assert type(got) is np.ndarray and got.dtype == np.float64
+            assert got.shape == want.shape == np.shape(batch)
+            assert got.tobytes() == want.tobytes()
+
+    @pytest.mark.parametrize("position", [0, 4, 8])
+    def test_nan_anywhere_rejected(self, position):
+        batch = np.array([5.0, -9.0, 2.0, 0.0, 3.0, 1.0, 4.0, 9.0, 2.5])
+        batch[position] = math.nan
+        for shaped in (batch, batch[::-1], batch.reshape(3, 3), batch.reshape(3, 3).T,
+                       batch[position], batch.tolist()):
+            with pytest.raises(ValueError, match="^test scores must be finite$"):
+                self.RULE.predict_intervals(shaped)
+
+    def test_curves_are_views_of_the_padded_tables(self):
+        rule = self.RULE
+        assert np.shares_memory(rule.p0, rule._lower) and np.shares_memory(rule.p1, rule._upper)
+        assert rule._lower.tolist() == [0.0] + rule.p0.tolist()
+        assert rule._upper.tolist() == rule.p1.tolist() + [1.0]
 
 
 class TestPointPredictions:

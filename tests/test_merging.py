@@ -73,6 +73,23 @@ class TestMergeLog:
                 with pytest.raises(ValueError, match=r"interval endpoints must lie in \[0, 1\]"):
                     merge(p0, p1, loss)
 
+    @pytest.mark.parametrize("p0, p1, loss", [
+        ([0.9], [0.1], "log"),            # inverted
+        ([2.0, 0.1], [0.3, 0.2], "log"),  # p0 above 1 and above p1
+        (1.5, 0.5, "log"),                # 1 - p0 + p1 is zero
+        (0.6, 0.4, "brier"),
+        ([[0.2, 0.5]], [[0.3, 0.4]], "log"),
+    ])
+    def test_inverted_or_out_of_range_interval_rejected(self, p0, p1, loss):
+        with pytest.raises(ValueError, match=r"must lie in \[0, 1\] with p0 <= p1"):
+            merge(p0, p1, loss)
+
+    def test_degenerate_intervals_stay_valid(self):
+        for q in (0.0, 0.3, 1.0):
+            for loss in ("log", "brier"):
+                assert merge(q, q, loss) == q
+            assert merge([q, 0.2], [q, 0.2], "brier") == pytest.approx((q + 0.2) / 2)
+
 
 class TestMergeBrier:
     def test_degenerate_pairs_give_arithmetic_mean(self):
