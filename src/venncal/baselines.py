@@ -127,10 +127,12 @@ class DirectIsotonic:
         With `dummy_endpoints`, two synthetic observations are appended
         first: score -inf labelled 1 and score +inf labelled 0.  That keeps
         every prediction strictly inside (0, 1) at the price of biasing the
-        extreme steps; off by default.
+        extreme steps; off by default.  Labels must be 0 or 1.
         """
         s = np.asarray(scores, dtype=float)
         y = np.asarray(labels, dtype=float)
+        if y.size and not np.isin(y, (0.0, 1.0)).all():
+            raise ValueError("labels must be 0 or 1")
         if dummy_endpoints:
             s = np.concatenate([[-np.inf], s, [np.inf]])
             y = np.concatenate([[1.0], y, [0.0]])

@@ -1,5 +1,8 @@
 """Weighted isotonic regression on the real line via convex-minorant geometry.
 
+`dedup_weighted` makes the one sort: a default-kind argsort, then a `!=` pass
+for block starts and `np.add.reduceat`; a 0.0/-0.0 tie keeps its first zero.
+
 The cumulative sum diagram (CSD) of a sorted, weighted score sequence is the
 polyline whose i-th vertex is (cumulative weight, cumulative label sum).  The
 isotonic fit at the i-th distinct score equals the slope of the greatest
@@ -54,10 +57,6 @@ class WeightedPoints:
     def __len__(self) -> int:
         return len(self.scores)
 
-    @property
-    def mean_labels(self) -> np.ndarray:
-        return self.label_sums / self.weights
-
 
 @dataclass(frozen=True)
 class CurveScan:
@@ -81,7 +80,11 @@ class CurveScan:
 def dedup_weighted(scores, labels) -> WeightedPoints:
     """Sort scores, merge duplicates, and record multiplicities and label sums.
 
-    The mean label at each distinct score is `label_sums / weights`.  Raises
+    One default-kind argsort; a `!=` pass over the sorted scores gives the
+    block starts, hence the distinct scores, `np.diff` weights and
+    `np.add.reduceat` label sums.  Label sums are exact for integer labels;
+    fractional labels in a tie are summed in an unspecified order.  A
+    0.0/-0.0 tie keeps the zero that comes first in the input.  Raises
     ValueError on empty input, length mismatch, or NaN scores.
     """
     s = np.asarray(scores, dtype=float)
@@ -94,13 +97,16 @@ def dedup_weighted(scores, labels) -> WeightedPoints:
         raise ValueError("empty calibration set")
     if np.isnan(s).any():
         raise ValueError("scores must not contain NaN")
-    order = np.argsort(s, kind="stable")
-    s = s[order]
-    y = y[order]
-    distinct, start = np.unique(s, return_index=True)
+    order = np.argsort(s)
+    ss = s[order]
+    first = np.ones(len(ss), dtype=bool)  # one bool array, not two: lower peak memory
+    np.not_equal(ss[1:], ss[:-1], out=first[1:])
+    start = np.flatnonzero(first)
+    distinct = ss[start]
+    if 0.0 in distinct:
+        distinct[distinct == 0.0] = s[np.argmax(s == 0.0)]
     weights = np.diff(np.append(start, len(s))).astype(np.int64)
-    sums = np.add.reduceat(y, start)
-    return WeightedPoints(distinct, weights, sums)
+    return WeightedPoints(distinct, weights, np.add.reduceat(y[order], start))
 
 
 def build_csd(points: WeightedPoints) -> np.ndarray:

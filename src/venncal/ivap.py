@@ -84,14 +84,6 @@ class IvapCalibrator:
     def __len__(self) -> int:
         return len(self.points)
 
-    @property
-    def n_positive(self) -> int:
-        return int(round(float(np.sum(self.points.label_sums))))
-
-    @property
-    def n_negative(self) -> int:
-        return int(np.sum(self.points.weights)) - self.n_positive
-
     def predict_intervals(self, scores) -> tuple[np.ndarray, np.ndarray]:
         """Vectorized query; (lower, upper) arrays of the input's shape.  A score
         above i keys reads upper[i] and lower[i], or lower[i + 1] on a hit of key i."""

@@ -1,13 +1,13 @@
 """Independent reference implementations used to check the fast paths.
 
 Everything here is deliberately naive: exhaustive enumeration, insert-and-
-refit, the probability sweep one step at a time, grid search, a masked
-two-branch sigmoid, an explicit search tree over an interval calibrator's
-tables, a batch query that answers in input order with `np.where`, and CSV
-readers and writers that go one cell and one row at a time through
-`csv.reader` and f-strings.  None of it shares code with the
-algorithms under test beyond `dedup_weighted` for input normalization and
-the `CurveScan`/`Dataset`/`Column` records the oracles return.
+refit, a stable-sort dedup, the probability sweep one step at a time, grid
+search, a masked two-branch sigmoid, an explicit search tree over an
+interval calibrator's tables, a batch query that answers in input order
+with `np.where`, and CSV readers and writers that go one cell and one row
+at a time through `csv.reader` and f-strings.  None of it shares code with
+the algorithms under test beyond `dedup_weighted` for input normalization
+and the `CurveScan`/`Dataset`/`Column` records the oracles return.
 """
 
 import csv
@@ -22,11 +22,40 @@ from venncal.exceptions import DataError
 from venncal.isotonic import CurveScan, WeightedPoints, dedup_weighted
 
 
+def stable_dedup(scores, labels) -> WeightedPoints:
+    """Distinct scores, multiplicities and label sums by a stable argsort and
+    `np.unique`: each tie is summed in input order and represented by its
+    first occurrence (which matters only for a tie of 0.0 and -0.0)."""
+    s = np.asarray(scores, dtype=float)
+    y = np.asarray(labels, dtype=float)
+    order = np.argsort(s, kind="stable")
+    s = s[order]
+    y = y[order]
+    distinct, start = np.unique(s, return_index=True)
+    weights = np.diff(np.append(start, len(s))).astype(np.int64)
+    return WeightedPoints(distinct, weights, np.add.reduceat(y, start))
+
+
+def mean_labels(points: WeightedPoints) -> np.ndarray:
+    """Mean label at each distinct score."""
+    return points.label_sums / points.weights
+
+
+def n_positive(rule) -> int:
+    """Number of label-1 calibration points behind an interval calibrator."""
+    return int(round(float(np.sum(rule.points.label_sums))))
+
+
+def n_negative(rule) -> int:
+    """Number of label-0 calibration points behind an interval calibrator."""
+    return int(np.sum(rule.points.weights)) - n_positive(rule)
+
+
 def brute_force_isotonic(points: WeightedPoints) -> np.ndarray:
     """Exhaustive isotonic fit: try every partition into contiguous blocks,
     solve each by weighted block means, keep the feasible minimizer."""
     k = len(points)
-    y = points.mean_labels
+    y = mean_labels(points)
     w = points.weights.astype(float)
     best = None
     best_sse = np.inf

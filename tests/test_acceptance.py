@@ -14,7 +14,14 @@ from fractions import Fraction
 
 import numpy as np
 
-from oracles import brute_force_isotonic, grid_platt, platt_objective, refit_interval
+from oracles import (
+    brute_force_isotonic,
+    grid_platt,
+    n_negative,
+    n_positive,
+    platt_objective,
+    refit_interval,
+)
 from venncal.baselines import DirectIsotonic, PlattCalibrator
 from venncal.cvap import CvapCalibrator
 from venncal.data import SplitSpec, generate_synthetic, split_proper_calibration
@@ -168,7 +175,7 @@ def test_criterion_06_count_bounds():
     for _ in range(1000):
         scores, labels = random_calibration(rng, 25)
         rule = IvapCalibrator.fit(scores, labels)
-        k_pos, k_neg = rule.n_positive, rule.n_negative
+        k_pos, k_neg = n_positive(rule), n_negative(rule)
         qs = rng.normal(scale=3, size=5)
         lo, hi = rule.predict_intervals(qs)
         assert np.all(hi >= 1.0 / (k_neg + 1) - 1e-12)

@@ -138,3 +138,13 @@ class TestDirectIsotonic:
         m = DirectIsotonic.fit([1, 2, 3, 4], [0, 0, 1, 1], dummy_endpoints=True)
         p = m.predict_many([-100.0, 0.0, 100.0])
         assert np.all(p > 0.0) and np.all(p < 1.0)
+
+    @pytest.mark.parametrize("labels", [[0, 0.5, 1], [0, 2, 1], [-1, 0, 1], [0, np.nan, 1]])
+    @pytest.mark.parametrize("dummy", [False, True])
+    def test_labels_other_than_zero_or_one_rejected(self, labels, dummy):
+        with pytest.raises(ValueError, match="labels must be 0 or 1"):
+            DirectIsotonic.fit([1.0, 2.0, 3.0], labels, dummy_endpoints=dummy)
+
+    def test_boolean_labels_accepted(self):
+        m = DirectIsotonic.fit([1, 2, 3], np.array([False, True, True]))
+        assert m.fitted.tolist() == [0.0, 1.0, 1.0]

@@ -4,7 +4,10 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from oracles import mean_labels, stable_dedup
 from venncal.isotonic import (
     WeightedPoints,
     _graham_scan,
@@ -33,19 +36,19 @@ class TestDedup:
         pts = dedup_weighted([1, 2, 3], [0, 0, 1])
         assert pts.scores.tolist() == [1, 2, 3]
         assert pts.weights.tolist() == [1, 1, 1]
-        assert pts.mean_labels.tolist() == [0, 0, 1]
+        assert mean_labels(pts).tolist() == [0, 0, 1]
 
     def test_duplicates_merge(self):
         pts = dedup_weighted([1, 1, 2], [0, 1, 1])
         assert pts.scores.tolist() == [1, 2]
         assert pts.weights.tolist() == [2, 1]
-        assert pts.mean_labels.tolist() == [0.5, 1.0]
+        assert mean_labels(pts).tolist() == [0.5, 1.0]
 
     def test_singleton(self):
         pts = dedup_weighted([5], [1])
         assert pts.scores.tolist() == [5]
         assert pts.weights.tolist() == [1]
-        assert pts.mean_labels.tolist() == [1.0]
+        assert mean_labels(pts).tolist() == [1.0]
 
     def test_unsorted_input(self):
         pts = dedup_weighted([3, 1, 1, 2], [1, 0, 1, 0])
@@ -65,7 +68,91 @@ class TestDedup:
         with pytest.raises(ValueError, match="NaN"):
             dedup_weighted([1, float("nan")], [0, 1])
 
+    # on some CPUs numpy's vectorized sort puts the second zero first in the last two
+    @pytest.mark.parametrize("scores", [[0.0, -0.0, 1.0], [-0.0, 0.0, 1.0],
+                                        [0.0, -0.0, -1.0, -1.0], [-0.0, 0.0, -1.0, -1.0]])
+    def test_signed_zero_tie_keeps_first_occurrence(self, scores):
+        labels = [1, 0, 1, 0][:len(scores)]
+        pts = dedup_weighted(scores, labels)
+        assert_same_points(pts, stable_dedup(scores, labels))
+        zero = pts.scores.tolist().index(0.0)
+        assert math.copysign(1.0, pts.scores[zero]) == math.copysign(1.0, scores[0])
+        assert pts.weights[zero] == 2
 
+
+def assert_same_points(got, want):
+    for field in ("scores", "weights", "label_sums"):
+        a, b = getattr(got, field), getattr(want, field)
+        assert a.dtype == b.dtype, field
+        assert a.tobytes() == b.tobytes(), field
+
+
+# few values, so ties are heavy; signed zeros and infinities in any order
+TIE_VALUES = [0.0, -0.0, 1.0, -1.0, 0.5, 2.0, np.inf, -np.inf]
+
+
+@st.composite
+def dedup_inputs(draw):
+    """Scores with heavy ties, scores rounded to a few decimals, a single score,
+    all-equal scores, or the dummy-endpoint shape (-inf first, +inf last), each
+    with 0/1 labels."""
+    k = draw(st.integers(1, 40))
+    kind = draw(st.sampled_from(["ties", "rounded", "equal", "endpoints"]))
+    if kind == "ties":
+        scores = draw(st.lists(st.sampled_from(TIE_VALUES), min_size=k, max_size=k))
+    elif kind == "rounded":
+        floats = st.floats(-2.0, 2.0, allow_nan=False)
+        scores = [round(v, 1) for v in draw(st.lists(floats, min_size=k, max_size=k))]
+    elif kind == "equal":
+        scores = [draw(st.sampled_from(TIE_VALUES))] * k
+    else:
+        inner = draw(st.lists(st.sampled_from(TIE_VALUES[:6]), min_size=k, max_size=k))
+        scores = [-np.inf] + inner + [np.inf]
+    labels = draw(st.lists(st.integers(0, 1), min_size=len(scores), max_size=len(scores)))
+    return np.array(scores), np.array(labels, dtype=float)
+
+
+@settings(max_examples=400, deadline=None)
+@given(dedup_inputs())
+def test_dedup_matches_stable_oracle(case):
+    scores, labels = case
+    assert_same_points(dedup_weighted(scores, labels), stable_dedup(scores, labels))
+
+
+@settings(max_examples=300, deadline=None)
+@given(dedup_inputs(), st.data())
+def test_dedup_shuffle_invariant(case, data):
+    """For 0/1 labels the output depends only on the multiset of (score, label)
+    pairs, whatever order the sort leaves a tie in; the one exception is the
+    sign of a 0.0/-0.0 tie, which follows the first zero of the input."""
+    scores, labels = case
+    perm = np.array(data.draw(st.permutations(range(len(scores)))), dtype=np.intp)
+    assert_shuffle_invariant(scores, labels, perm)
+
+
+def assert_shuffle_invariant(scores, labels, perm):
+    base = dedup_weighted(scores, labels)
+    moved = dedup_weighted(scores[perm], labels[perm])
+    assert moved.weights.tobytes() == base.weights.tobytes()
+    assert moved.label_sums.tobytes() == base.label_sums.tobytes()
+    zero = moved.scores == 0.0
+    assert moved.scores[~zero].tobytes() == base.scores[~zero].tobytes()
+    if zero.any():
+        first = scores[perm][np.argmax(scores[perm] == 0.0)]
+        assert moved.scores[zero].tobytes() == np.array([first]).tobytes()
+
+
+def test_dedup_large_ties_match_oracle_under_shuffles():
+    # large enough for numpy's vectorized unstable sort, not its small-array path
+    rng = np.random.default_rng(7)
+    k = 20_000
+    for scores in (np.round(rng.normal(size=k), 2),
+                   rng.choice(np.array(TIE_VALUES), size=k),
+                   np.where(rng.random(k) < 0.5, 0.0, -0.0)):
+        labels = (rng.random(k) < 0.3).astype(float)
+        assert_same_points(dedup_weighted(scores, labels), stable_dedup(scores, labels))
+        for _ in range(3):
+            assert_shuffle_invariant(scores, labels, rng.permutation(k))
 class TestCsd:
     def test_unit_weights(self):
         pts = dedup_weighted([1, 2, 3], [0, 0, 1])
@@ -114,7 +201,7 @@ class TestFitIsotonic:
             assert np.all(np.diff(fit) >= -1e-15)
             for v in np.unique(fit):
                 mask = fit == v
-                mean = np.sum(pts.mean_labels[mask] * pts.weights[mask]) / np.sum(
+                mean = np.sum(mean_labels(pts)[mask] * pts.weights[mask]) / np.sum(
                     pts.weights[mask])
                 assert abs(mean - v) <= 1e-12
 

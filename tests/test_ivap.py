@@ -5,7 +5,15 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from oracles import query_tree, search_tree, tree_depth, tree_size, where_query
+from oracles import (
+    n_negative,
+    n_positive,
+    query_tree,
+    search_tree,
+    tree_depth,
+    tree_size,
+    where_query,
+)
 from venncal.ivap import IvapCalibrator
 from venncal.merging import merge
 
@@ -150,8 +158,8 @@ class TestQueries:
             rule = IvapCalibrator.fit(scores, labels)
             qs = rng.normal(scale=3, size=10)
             lo, hi = rule.predict_intervals(qs)
-            assert np.all(hi >= 1.0 / (rule.n_negative + 1) - 1e-12)
-            assert np.all(lo <= 1.0 - 1.0 / (rule.n_positive + 1) + 1e-12)
+            assert np.all(hi >= 1.0 / (n_negative(rule) + 1) - 1e-12)
+            assert np.all(lo <= 1.0 - 1.0 / (n_positive(rule) + 1) + 1e-12)
 
 
 @st.composite
@@ -261,8 +269,8 @@ class TestPointPredictions:
             scores, labels = random_calibration(rng)
             rule = IvapCalibrator.fit(scores, labels)
             p = rule.predict_many(rng.normal(scale=3, size=10), loss="log")
-            lo_bound = 1.0 / (rule.n_negative + 2)
-            hi_bound = 1.0 - 1.0 / (rule.n_positive + 2)
+            lo_bound = 1.0 / (n_negative(rule) + 2)
+            hi_bound = 1.0 - 1.0 / (n_positive(rule) + 2)
             assert np.all(p >= lo_bound - 1e-12)
             assert np.all(p <= hi_bound + 1e-12)
 
