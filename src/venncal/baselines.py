@@ -4,11 +4,13 @@ The sigmoid calibrator fits g(s) = 1 / (1 + exp(a*s + b)) by minimizing the
 cross-entropy against regularized targets (k+ + 1)/(k+ + 2) for label-1 and
 1/(k- + 2) for label-0 calibration points, where k+ and k- count the labels.
 Those targets confine every fitted prediction to the open interval
-(1/(k- + 2), (k+ + 1)/(k+ + 2)).  The direct isotonic calibrator fits the
-plain isotonic regression and answers queries with a left-step lookup (the
-fitted value at the largest calibration score not exceeding the query, the
-first fitted value below all scores).  It has no regularization, so a test
-score below every calibration score can be assigned probability exactly 0.
+(1/(k- + 2), (k+ + 1)/(k+ + 2)).  The fit is the logistic scorer's damped-Newton
+solver (`scorers._newton`) on z = -(a*s + b) with ridge 0, as in Lin, Lin &
+Weng (2007).  The direct isotonic calibrator fits the plain isotonic
+regression and answers queries with a left-step lookup (the fitted value at
+the largest calibration score not exceeding the query, the first fitted value
+below all scores).  It has no regularization, so a test score below every
+calibration score can be assigned probability exactly 0.
 """
 
 from __future__ import annotations
@@ -19,11 +21,11 @@ import numpy as np
 
 from venncal.exceptions import DegenerateModelError
 from venncal.isotonic import dedup_weighted, fit_isotonic
-from venncal.scorers import _sigmoid
+from venncal.scorers import _newton, _sigmoid
 
 __all__ = ["PlattCalibrator", "DirectIsotonic"]
 
-# Platt's Newton iteration stops at this gradient norm or iteration count
+# Platt's fit stops at this summed-gradient norm or iteration count
 _GRAD_TOL = 1e-8
 _MAX_ITER = 10_000
 
@@ -36,14 +38,17 @@ class PlattCalibrator:
     b: float
     k_pos: int
     k_neg: int
+    converged: bool = True  # False if the fit stopped at _MAX_ITER or without a descent step
 
     @classmethod
     def fit(cls, scores, labels) -> "PlattCalibrator":
-        """Fit (a, b) by damped Newton with backtracking line search.
+        """Fit (a, b) with the damped-Newton solver the logistic scorer uses.
 
-        Scores must be finite; labels must be 0 or 1.  Convergence when the
-        gradient norm drops below 1e-8 or after 10,000 iterations.  Starts
-        from a = 0 and the prior-matching intercept b = log((k- + 1) / (k+ + 1)).
+        Scores must be finite; labels must be 0 or 1.  Starts from a = 0 and
+        the prior-matching intercept b = log((k- + 1) / (k+ + 1)); stops once
+        the norm of the gradient of the summed cross-entropy is below 1e-8.
+        `converged` is False if it stopped instead after 10,000 iterations or
+        when no step decreased the objective.
         """
         s = np.asarray(scores, dtype=float)
         y = np.asarray(labels, dtype=float)
@@ -57,51 +62,12 @@ class PlattCalibrator:
             raise ValueError("labels must be 0 or 1")
         if k_pos == 0 or k_neg == 0:
             raise DegenerateModelError("sigmoid calibrator needs both classes present")
-        t_pos = (k_pos + 1.0) / (k_pos + 2.0)
-        t_neg = 1.0 / (k_neg + 2.0)
-        t = np.where(y == 1.0, t_pos, t_neg)
+        t = np.where(y == 1.0, (k_pos + 1.0) / (k_pos + 2.0), 1.0 / (k_neg + 2.0))
 
-        def objective(a, b):
-            # cross entropy of p = sigmoid(-(a s + b)) against targets t,
-            # written via softplus for stability
-            z = a * s + b
-            return float(np.sum(np.logaddexp(0.0, -z) + t * z))
-
-        a = 0.0
-        b = float(np.log((k_neg + 1.0) / (k_pos + 1.0)))
-        value = objective(a, b)
-        for _ in range(_MAX_ITER):
-            z = a * s + b
-            p = _sigmoid(-z)
-            resid = t - p
-            g_a = float(np.dot(resid, s))
-            g_b = float(np.sum(resid))
-            if g_a * g_a + g_b * g_b < _GRAD_TOL * _GRAD_TOL:
-                break
-            w = p * (1.0 - p)
-            h_aa = float(np.dot(w, s * s)) + 1e-12
-            h_ab = float(np.dot(w, s))
-            h_bb = float(np.sum(w)) + 1e-12
-            det = h_aa * h_bb - h_ab * h_ab
-            if det <= 0:
-                d_a, d_b = -g_a, -g_b  # fall back to plain gradient descent
-            else:
-                d_a = -(g_a * h_bb - g_b * h_ab) / det
-                d_b = -(g_b * h_aa - g_a * h_ab) / det
-            step = 1.0
-            accepted = False
-            while step >= 1e-16:
-                cand = objective(a + step * d_a, b + step * d_b)
-                if cand < value:
-                    accepted = True
-                    break
-                step *= 0.5
-            if not accepted:
-                break
-            a += step * d_a
-            b += step * d_b
-            value = cand
-        return cls(a, b, k_pos, k_neg)
+        # with z = -(a s + b) the objective is n times the logistic loss against targets t
+        c0 = float(np.log((k_pos + 1.0) / (k_neg + 1.0)))
+        w, c, _, converged = _newton(s[:, None], t, 0.0, c0, _MAX_ITER, 1.0, _GRAD_TOL / len(s))
+        return cls(0.0 - float(w[0]), 0.0 - c, k_pos, k_neg, converged)  # 0.0 - x: never -0.0
 
     def predict_many(self, scores) -> np.ndarray:
         s = np.asarray(scores, dtype=float)

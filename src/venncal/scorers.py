@@ -6,7 +6,8 @@ trained by damped Newton steps (its score is the raw linear predictor, not the
 squashed probability; calibration is invariant to monotone transforms and
 raw scores avoid saturation), a one-feature decision stump, and a constant
 scorer emitting the empirical positive rate.  All training is deterministic
-given the spec and the data.
+given the spec and the data.  The sigmoid baseline in `baselines` fits its
+two parameters with the same Newton solver.
 """
 
 from __future__ import annotations
@@ -70,12 +71,6 @@ class _Scorer:
             raise ValueError(
                 f"feature dimension mismatch: scorer expects {self.n_features}, got {X.shape[1]}")
 
-    def score(self, x) -> float:
-        return float(self.score_many(np.asarray(x, dtype=float)[None, :])[0])
-
-    def probability(self, x) -> float:
-        return float(self.probability_many(np.asarray(x, dtype=float)[None, :])[0])
-
 
 @dataclass
 class LogisticScorer(_Scorer):
@@ -137,24 +132,25 @@ class ConstantScorer(_Scorer):
         return {"kind": "constant", "value": self.value, "n_features": self.n_features}
 
 
-def _train_logistic(spec: ScorerSpec, X: np.ndarray, y: np.ndarray) -> LogisticScorer:
-    if len(np.unique(y)) < 2:
-        raise DegenerateModelError("logistic scorer needs both classes present")
+def _newton(X: np.ndarray, t: np.ndarray, ridge: float, b0: float, max_iter: int,
+            first_step: float, tol: float):
+    """Minimize mean(softplus(z) - t z) + ridge |w|^2 / 2, z = X w + b, from w = 0, b = b0.
+
+    Stops once the gradient norm is below `tol`.  Returns (w, b, loss history, converged).
+    """
     n, d = X.shape
-    w = np.zeros(d)
-    b = 0.0
-    ridge = spec.ridge
+    w, b = np.zeros(d), b0
 
     def loss(w, b):
         z = X @ w + b
-        return float(np.mean(np.logaddexp(0.0, z) - y * z) + 0.5 * ridge * np.dot(w, w))
+        return float(np.mean(np.logaddexp(0.0, z) - t * z) + 0.5 * ridge * np.dot(w, w))
 
     history = [loss(w, b)]
     converged = False
-    for _ in range(spec.max_iter):
+    for _ in range(max_iter):
         p = _sigmoid(X @ w + b)
-        g = np.append(X.T @ (p - y) / n + ridge * w, np.mean(p - y))
-        converged = bool(np.dot(g, g) < 1e-16)  # gradient norm below 1e-8
+        g = np.append(X.T @ (p - t) / n + ridge * w, np.mean(p - t))
+        converged = bool(np.dot(g, g) < tol * tol)
         if converged:
             break
         v = p * (1.0 - p) / n  # Hessian: ridge on the weights, none on the intercept
@@ -162,19 +158,27 @@ def _train_logistic(spec: ScorerSpec, X: np.ndarray, y: np.ndarray) -> LogisticS
                       [X.T @ v, v.sum()]])
         try:
             direction = -np.linalg.solve(H, g)
-        except np.linalg.LinAlgError:
+        except np.linalg.LinAlgError:  # singular, e.g. constant features at ridge 0
             direction = -g
-        step = spec.learning_rate
+        slope = np.dot(g, direction)
+        flat = -slope < 1e-15 * abs(history[-1])  # below the loss's rounding: take it
+        step = first_step
         while step >= 1e-20:  # backtracking Armijo line search
             val = loss(w + step * direction[:d], b + step * direction[d])
-            if val <= history[-1] + 1e-4 * step * np.dot(g, direction):
+            if flat or val <= history[-1] + 1e-4 * step * slope:
                 break
             step *= 0.5
         else:
             break  # no descent step left at working precision
         w, b = w + step * direction[:d], b + step * float(direction[d])
         history.append(val)
-    return LogisticScorer(w, b, history, converged)
+    return w, b, history, converged
+
+
+def _train_logistic(spec: ScorerSpec, X: np.ndarray, y: np.ndarray) -> LogisticScorer:
+    if len(np.unique(y)) < 2:
+        raise DegenerateModelError("logistic scorer needs both classes present")
+    return LogisticScorer(*_newton(X, y, spec.ridge, 0.0, spec.max_iter, spec.learning_rate, 1e-8))
 
 
 def _train_stump(X: np.ndarray, y: np.ndarray) -> StumpScorer:

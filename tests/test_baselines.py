@@ -4,6 +4,7 @@ import pytest
 from venncal.baselines import DirectIsotonic, PlattCalibrator
 from venncal.exceptions import DegenerateModelError
 from venncal.metrics import log_loss
+from venncal.scorers import ScorerSpec, _newton, _sigmoid, train_scorer
 
 
 class TestPlatt:
@@ -73,6 +74,41 @@ class TestPlatt:
         # scores carry no information: optimum is the average of the targets
         m = PlattCalibrator.fit([1.0] * 4, [0, 1, 0, 1])
         assert m.predict(1.0) == pytest.approx(0.5, abs=1e-9)
+        assert not np.signbit(m.a)
+        # away from the start the Hessian is singular at ridge 0; targets 4/5, 1/4 average 0.58
+        for c in (1.0, -3.0):
+            m = PlattCalibrator.fit([c] * 5, [0, 1, 1, 1, 0])
+            assert m.converged
+            assert m.predict(c) == pytest.approx(0.58, abs=1e-8)
+
+    @staticmethod
+    def _compare_sized_calibration_set(seed):
+        # scored as `venncal compare` scores its calibration part: 50,000 rows split 2:1
+        rng = np.random.default_rng(seed)
+        n = 50_000
+        y = rng.integers(0, 2, n)
+        x = y + rng.standard_normal(n)
+        scorer = train_scorer(ScorerSpec(), x[:33334, None], y[:33334])
+        return scorer.score_many(x[33334:, None]), y[33334:]
+
+    @pytest.mark.parametrize("seed", range(5))
+    def test_converges_on_compare_sized_sets(self, seed):
+        s, y = self._compare_sized_calibration_set(seed)
+        m = PlattCalibrator.fit(s, y)
+        assert m.converged
+        t = np.where(y == 1, (m.k_pos + 1) / (m.k_pos + 2), 1 / (m.k_neg + 2))
+        resid = t - _sigmoid(-(m.a * s + m.b))
+        assert np.hypot(np.dot(resid, s), resid.sum()) < 1e-8  # summed gradient norm
+
+    def test_no_crawl_when_the_loss_cannot_see_the_decrease(self):
+        # on this set a plain Armijo test crawled for 56 iterations near the optimum
+        s, y = self._compare_sized_calibration_set(4)
+        k_pos, k_neg = int(y.sum()), int(len(y) - y.sum())
+        t = np.where(y == 1, (k_pos + 1) / (k_pos + 2), 1 / (k_neg + 2))
+        _, _, history, converged = _newton(s[:, None], t, 0.0, np.log((k_pos + 1) / (k_neg + 1)),
+                                           10_000, 1.0, 1e-8 / len(s))
+        assert converged
+        assert len(history) - 1 <= 8
 
     def test_single_class_rejected(self):
         with pytest.raises(DegenerateModelError):

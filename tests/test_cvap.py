@@ -165,7 +165,7 @@ class TestPredict:
                 fold = model.folds.indices(k)
                 scorer = model.scorers[k]
                 cal = scorer.score_many(ds.X[fold])
-                p0, p1 = refit_interval(cal, ds.y[fold], scorer.score(x))
+                p0, p1 = refit_interval(cal, ds.y[fold], scorer.score_many(x[None])[0])
                 lows.append(p0)
                 highs.append(p1)
             gm_hi = np.exp(np.mean(np.log(highs)))

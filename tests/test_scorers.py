@@ -63,8 +63,8 @@ class TestStump:
     def test_indicator_output(self):
         X = np.array([[1.0], [2.0], [3.0], [4.0]])
         scorer = train_scorer(ScorerSpec("stump"), X, [0, 0, 1, 1])
-        assert scorer.score(np.array([3.0])) == 1.0
-        assert scorer.score(np.array([2.0])) == 0.0
+        assert scorer.score_many(np.array([[3.0]]))[0] == 1.0
+        assert scorer.score_many(np.array([[2.0]]))[0] == 0.0
 
     def test_tie_break_prefers_lowest_feature(self):
         # both features separate perfectly; feature 0 must win
@@ -161,8 +161,8 @@ class TestLogistic:
         from venncal.scorers import LogisticScorer
 
         scorer = LogisticScorer(np.array([1.0]), 0.0, [])
-        assert scorer.score(np.array([2.0])) == 2.0
-        assert scorer.probability(np.array([0.0])) == 0.5
+        assert scorer.score_many(np.array([[2.0]]))[0] == 2.0
+        assert scorer.probability_many(np.array([[0.0]]))[0] == 0.5
 
     def test_single_class_rejected(self):
         with pytest.raises(DegenerateModelError):
