@@ -21,7 +21,7 @@ from venncal.exceptions import DataError, DegenerateModelError
 from venncal.isotonic import WeightedPoints, dedup_weighted, fit_isotonic
 from venncal.ivap import IvapCalibrator, ProbInterval
 from venncal.merging import merge
-from venncal.metrics import EvalReport, brier_loss, evaluate, log_loss
+from venncal.metrics import EvalReport, evaluate
 from venncal.scorers import ScorerSpec, train_scorer
 
 __version__ = "0.1.0"
@@ -41,13 +41,11 @@ __all__ = [
     "SplitSpec",
     "WeightedPoints",
     "assign_folds",
-    "brier_loss",
     "dedup_weighted",
     "evaluate",
     "fit_isotonic",
     "generate_synthetic",
     "load_csv",
-    "log_loss",
     "merge",
     "split_proper_calibration",
     "train_scorer",

@@ -75,9 +75,6 @@ class PlattCalibrator:
             raise ValueError("test scores must not be NaN")
         return _sigmoid(-(self.a * s + self.b))
 
-    def predict(self, score: float) -> float:
-        return float(self.predict_many(np.asarray([score]))[0])
-
 
 @dataclass
 class DirectIsotonic:
@@ -111,6 +108,3 @@ class DirectIsotonic:
             raise ValueError("test scores must not be NaN")
         idx = np.searchsorted(self.scores, s, side="right") - 1
         return self.fitted[np.maximum(idx, 0)]
-
-    def predict(self, score: float) -> float:
-        return float(self.predict_many(np.asarray([score]))[0])

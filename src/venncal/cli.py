@@ -22,7 +22,7 @@ import numpy as np
 
 import venncal
 from venncal.baselines import DirectIsotonic, PlattCalibrator
-from venncal.cvap import CvapCalibrator, assign_folds
+from venncal.cvap import CvapCalibrator, assign_folds, fold_intervals
 from venncal.data import (
     Dataset,
     SplitSpec,
@@ -217,6 +217,19 @@ def _predict_with_methods(methods, args, train_ds: Dataset, test_ds: Dataset,
             yield method, *CALIBRATORS[method](*scored, args)
 
 
+def _score_file_folds(calib_paths, test_paths):
+    """Yield (rule, test scores) per fold, reading and fitting one fold at a time."""
+    n_rows = None
+    for calib_path, test_path in zip(calib_paths, test_paths):
+        rule = IvapCalibrator.fit(*read_calibration_scores(calib_path))
+        test_scores = read_test_scores(test_path)
+        if n_rows is None:
+            n_rows = len(test_scores)
+        elif len(test_scores) != n_rows:
+            raise DataError("per-fold test score files have different lengths")
+        yield rule, test_scores
+
+
 def _predict_from_score_files(method: str, args):
     if method == "cvap":
         if not args.calib_scores or len(args.calib_scores) < 2:
@@ -225,20 +238,7 @@ def _predict_from_score_files(method: str, args):
             raise UsageError("cvap needs one --scores-in file per fold, aligned by row")
         if args.folds and args.folds != len(args.calib_scores):
             raise UsageError("--folds disagrees with the number of score files")
-        lows, highs = [], []
-        n_rows = None
-        for calib_path, test_path in zip(args.calib_scores, args.scores_in):
-            scores, labels = read_calibration_scores(calib_path)
-            rule = IvapCalibrator.fit(scores, labels)
-            test_scores = read_test_scores(test_path)
-            if n_rows is None:
-                n_rows = len(test_scores)
-            elif len(test_scores) != n_rows:
-                raise DataError("per-fold test score files have different lengths")
-            lo, hi = rule.predict_intervals(test_scores)
-            lows.append(lo)
-            highs.append(hi)
-        lo, hi = np.stack(lows), np.stack(highs)
+        lo, hi = fold_intervals(_score_file_folds(args.calib_scores, args.scores_in))
         return merge(lo, hi, args.merge), merged_interval(lo, hi)
 
     if not args.scores_in or len(args.scores_in) != 1:

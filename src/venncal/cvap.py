@@ -21,7 +21,7 @@ from venncal.ivap import IvapCalibrator
 from venncal.merging import LOSSES, merge
 from venncal.scorers import ScorerSpec, scorer_from_dict, train_scorer
 
-__all__ = ["FoldAssignment", "assign_folds", "CvapCalibrator"]
+__all__ = ["FoldAssignment", "assign_folds", "fold_intervals", "CvapCalibrator"]
 
 
 @dataclass(frozen=True)
@@ -67,6 +67,20 @@ def assign_folds(n: int, n_folds: int, mode: str = "contiguous",
         rng = np.random.default_rng(seed)
         rng.shuffle(fold_of)
     return FoldAssignment(n, n_folds, fold_of, mode, seed)
+
+
+def fold_intervals(pairs) -> tuple[np.ndarray, np.ndarray]:
+    """Intervals of each (rule, test scores) pair, stacked: two (K, n) arrays.
+
+    Pairs are taken one at a time, so a lazy iterable yields, and fails on,
+    one fold before the next is made.
+    """
+    lows, highs = [], []
+    for rule, scores in pairs:
+        lo, hi = rule.predict_intervals(scores)
+        lows.append(lo)
+        highs.append(hi)
+    return np.stack(lows), np.stack(highs)
 
 
 def _check_merge_loss(loss: str) -> None:
@@ -123,19 +137,10 @@ class CvapCalibrator:
             rules.append(rule)
         return cls(folds, scorers, rules, merge_loss)
 
-    @property
-    def n_folds(self) -> int:
-        return self.folds.n_folds
-
     def predict_intervals_many(self, X) -> tuple[np.ndarray, np.ndarray]:
         """Per-fold intervals for a feature matrix: two (K, n) arrays."""
-        lows = []
-        highs = []
-        for scorer, rule in zip(self.scorers, self.rules):
-            lo, hi = rule.predict_intervals(scorer.score_many(X))
-            lows.append(lo)
-            highs.append(hi)
-        return np.stack(lows), np.stack(highs)
+        return fold_intervals((rule, scorer.score_many(X))
+                              for scorer, rule in zip(self.scorers, self.rules))
 
     def predict_many(self, X) -> np.ndarray:
         lo, hi = self.predict_intervals_many(X)
@@ -176,6 +181,9 @@ class CvapCalibrator:
             raise ValueError(f"fold_of must assign every row to one of {n_folds} folds")
         folds = FoldAssignment(len(fold_of), n_folds, fold_of, d["fold_mode"], d["fold_seed"])
         scorers = [scorer_from_dict(s) for s in d["scorers"]]
+        widths = [s.n_features for s in scorers]
+        if len(set(widths)) != 1:
+            raise ValueError(f"fold scorers expect {widths} features")
         rules = [IvapCalibrator.from_dict(r) for r in d["rules"]]
         calibrated = [int(rule.points.weights.sum()) for rule in rules]
         if calibrated != folds.sizes().tolist():

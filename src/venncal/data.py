@@ -38,7 +38,6 @@ __all__ = [
     "split_proper_calibration",
     "generate_synthetic",
     "write_csv",
-    "write_score_file",
     "read_calibration_scores",
     "read_test_scores",
     "read_prediction_column",
@@ -394,12 +393,6 @@ def write_csv(path, header: str, columns, labels=None) -> None:
                 pieces[2 * j::2 * width] = t[start:start + n]
             pieces[2 * width - 1::2 * width] = ["\n"] * n
             fh.write("".join(pieces))
-
-
-def write_score_file(path, scores, labels=None) -> None:
-    if labels is not None and len(labels) != len(scores):
-        raise DataError("scores and labels must have the same length")
-    write_csv(path, "score" if labels is None else "score,label", [scores], labels)
 
 
 def _read_score_table(path, expected_header: str) -> tuple[list[str], list[int]]:

@@ -18,9 +18,9 @@ labelled 0 immediately to its right (`lower_prob_scan`).  A naive version
 would refit once per score; here a single sweep moves the test interval
 through the diagram, reflecting one CSD vertex per step and repairing the
 corner stack, so each curve costs O(k') after sorting; numpy skips the
-steps between stack pushes.  There is one hull, `_lower_hull`, and one sweep:
-the lower curve is the upper sweep run on the mirrored points (scores
-negated, labels flipped), read backwards.
+steps between stack pushes.  There is one CSD construction, `_csd`, one hull,
+`_lower_hull`, and one sweep: the lower curve is the upper sweep run on the
+mirrored points (scores negated, labels flipped), read backwards.
 """
 
 from __future__ import annotations
@@ -33,8 +33,6 @@ __all__ = [
     "WeightedPoints",
     "CurveScan",
     "dedup_weighted",
-    "build_csd",
-    "gcm_corners",
     "fit_isotonic",
     "lower_prob_scan",
     "upper_prob_scan",
@@ -109,16 +107,11 @@ def dedup_weighted(scores, labels) -> WeightedPoints:
     return WeightedPoints(distinct, weights, np.add.reduceat(y[order], start))
 
 
-def build_csd(points: WeightedPoints) -> np.ndarray:
-    """Cumulative sum diagram: k'+1 rows (cumulative weight, cumulative label sum).
-
-    Row 0 is the origin (0, 0); x-coordinates are strictly increasing.
-    """
-    k = len(points)
-    csd = np.zeros((k + 1, 2))
-    csd[1:, 0] = np.cumsum(points.weights)
-    csd[1:, 1] = np.cumsum(points.label_sums)
-    return csd
+def _csd(points: WeightedPoints) -> tuple[np.ndarray, np.ndarray]:
+    """Cumulative sum diagram: k'+1 vertices (cumulative weight, cumulative label
+    sum), from the origin; x strictly increasing."""
+    return (np.concatenate([[0.0], np.cumsum(points.weights)]),
+            np.concatenate([[0.0], np.cumsum(points.label_sums)]))
 
 
 def _graham_scan(xs: list, ys: list) -> tuple[list, list]:
@@ -167,15 +160,6 @@ def _lower_hull(x: np.ndarray, y: np.ndarray) -> tuple[list, list]:
     return _graham_scan(x.tolist(), y.tolist())
 
 
-def gcm_corners(csd: np.ndarray) -> np.ndarray:
-    """Corners of the greatest convex minorant of a CSD polyline.
-
-    Collinear interior points are dropped, so slopes between consecutive
-    corners strictly increase; both CSD endpoints are always included.
-    """
-    return np.column_stack(_lower_hull(csd[:, 0], csd[:, 1]))
-
-
 def fit_isotonic(points: WeightedPoints) -> np.ndarray:
     """Weighted least-squares isotonic fit, one value per distinct score.
 
@@ -184,12 +168,11 @@ def fit_isotonic(points: WeightedPoints) -> np.ndarray:
     sum_j w_j (g_j - y'_j)^2 over nondecreasing g.  Within every pooled block
     the fitted value equals the weighted mean of the block's mean labels.
     """
-    csd = build_csd(points)
-    corners = gcm_corners(csd)
-    cx = corners[:, 0]
-    slopes = np.diff(corners[:, 1]) / np.diff(cx)
+    x, y = _csd(points)
+    cx, cy = (np.array(c) for c in _lower_hull(x, y))
+    slopes = np.diff(cy) / np.diff(cx)
     # the interval (X_{i-1}, X_i] lies inside exactly one corner segment
-    seg = np.searchsorted(cx, csd[1:, 0], side="left") - 1
+    seg = np.searchsorted(cx, x[1:], side="left") - 1
     return slopes[seg]
 
 
@@ -221,8 +204,7 @@ def upper_prob_scan(points: WeightedPoints) -> CurveScan:
         raise ValueError("the sweep needs integer weights and label sums, "
                          "with (W + 1)^2 <= 2^53 for the total weight W")
     # extended CSD: vertex j-1 at index j, the test extension at index 0
-    x = np.concatenate([[-1.0, 0.0], np.cumsum(w)])
-    y = np.concatenate([[-1.0, 0.0], np.cumsum(sums)])
+    x, y = (np.concatenate([[-1.0], c]) for c in _csd(points))
 
     # sweep stack holds the GCM corners reversed: leftmost (active) corner on
     # top; a push always follows a pop, so the stack never outgrows them

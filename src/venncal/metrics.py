@@ -13,29 +13,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-__all__ = ["log_loss", "brier_loss", "evaluate", "EvalReport"]
-
-
-def _check(p: float, y) -> tuple[float, int]:
-    if not 0.0 <= p <= 1.0:
-        raise ValueError(f"probability out of range: {p!r}")
-    if y not in (0, 1):
-        raise ValueError(f"label must be 0 or 1, got {y!r}")
-    return float(p), int(y)
-
-
-def log_loss(p: float, y) -> float:
-    """Binary-log loss; +inf when the prediction is categorically wrong."""
-    p, y = _check(p, y)
-    if y == 1:
-        return math.inf if p == 0.0 else -math.log2(p)
-    return math.inf if p == 1.0 else -math.log2(1.0 - p)
-
-
-def brier_loss(p: float, y) -> float:
-    """Brier loss 4 (y - p)^2, in [0, 4]."""
-    p, y = _check(p, y)
-    return 4.0 * (y - p) ** 2
+__all__ = ["evaluate", "EvalReport"]
 
 
 @dataclass(frozen=True)

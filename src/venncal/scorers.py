@@ -235,8 +235,10 @@ def scorer_from_dict(d: dict):
         return LogisticScorer(np.asarray(d["weights"], dtype=float),
                               float(d["intercept"]), [])
     if kind == "stump":
-        return StumpScorer(int(d["feature"]), float(d["threshold"]), bool(d["high_is_one"]),
-                           int(d["n_features"]))
+        feature, n_features = int(d["feature"]), int(d["n_features"])
+        if not 0 <= feature < n_features:
+            raise ValueError(f"stump feature {feature} is not one of {n_features} features")
+        return StumpScorer(feature, float(d["threshold"]), bool(d["high_is_one"]), n_features)
     if kind == "constant":
         return ConstantScorer(float(d["value"]), int(d["n_features"]))
     raise ValueError(f"unknown scorer kind {kind!r}")

@@ -488,7 +488,7 @@ def read_prediction_column(path, column: str) -> np.ndarray:
 
 
 def write_score_file(path, scores, labels=None) -> None:
-    """`venncal.data.write_score_file` one row at a time."""
+    """A score file (header "score", or "score,label" with labels), one row at a time."""
     scores = np.asarray(scores, dtype=float)
     with open(path, "w", encoding="utf-8", newline="") as fh:
         if labels is None:

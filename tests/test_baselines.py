@@ -3,7 +3,7 @@ import pytest
 
 from venncal.baselines import DirectIsotonic, PlattCalibrator
 from venncal.exceptions import DegenerateModelError
-from venncal.metrics import log_loss
+from venncal.metrics import evaluate
 from venncal.scorers import ScorerSpec, _newton, _sigmoid, train_scorer
 
 
@@ -53,10 +53,10 @@ class TestPlatt:
 
     def test_sigmoid_values(self):
         m = PlattCalibrator(a=-1.0, b=0.0, k_pos=1, k_neg=1)
-        assert m.predict(0.0) == pytest.approx(0.5)
-        assert m.predict(50.0) == pytest.approx(1.0, abs=1e-9)
+        assert m.predict_many([0.0])[0] == pytest.approx(0.5)
+        assert m.predict_many([50.0])[0] == pytest.approx(1.0, abs=1e-9)
         m = PlattCalibrator(a=-2.0, b=1.0, k_pos=1, k_neg=1)
-        assert m.predict(0.5) == pytest.approx(0.5)
+        assert m.predict_many([0.5])[0] == pytest.approx(0.5)
 
     def test_predictions_strictly_inside_unit_interval(self):
         rng = np.random.default_rng(14)
@@ -73,13 +73,13 @@ class TestPlatt:
     def test_constant_scores_hit_mean_target(self):
         # scores carry no information: optimum is the average of the targets
         m = PlattCalibrator.fit([1.0] * 4, [0, 1, 0, 1])
-        assert m.predict(1.0) == pytest.approx(0.5, abs=1e-9)
+        assert m.predict_many([1.0])[0] == pytest.approx(0.5, abs=1e-9)
         assert not np.signbit(m.a)
         # away from the start the Hessian is singular at ridge 0; targets 4/5, 1/4 average 0.58
         for c in (1.0, -3.0):
             m = PlattCalibrator.fit([c] * 5, [0, 1, 1, 1, 0])
             assert m.converged
-            assert m.predict(c) == pytest.approx(0.58, abs=1e-8)
+            assert m.predict_many([c])[0] == pytest.approx(0.58, abs=1e-8)
 
     @staticmethod
     def _compare_sized_calibration_set(seed):
@@ -126,29 +126,29 @@ class TestPlatt:
         with pytest.raises(ValueError, match="test scores must not be NaN"):
             m.predict_many([0.5, np.nan])
         with pytest.raises(ValueError, match="test scores must not be NaN"):
-            m.predict(np.nan)
+            m.predict_many([np.nan])
         assert m.predict_many([-np.inf, np.inf]).tolist() == [0.0, 1.0]
 
 
 class TestDirectIsotonic:
     def test_step_lookup_between_scores(self):
         m = DirectIsotonic.fit([1, 2, 3], [0, 1, 1])
-        assert m.predict(2.5) == 1.0  # value at the largest score <= query
+        assert m.predict_many([2.5])[0] == 1.0  # value at the largest score <= query
 
     def test_pooled_block(self):
         m = DirectIsotonic.fit([1, 2], [1, 0])
-        assert m.predict(1.5) == 0.5
+        assert m.predict_many([1.5])[0] == 0.5
 
     def test_below_all_scores_can_give_zero_and_infinite_loss(self):
         m = DirectIsotonic.fit([1, 2, 3, 4], [0, 0, 1, 1])
-        p = m.predict(0.0)
+        p = m.predict_many([0.0])[0]
         assert p == 0.0
-        assert log_loss(p, 1) == float("inf")
+        assert evaluate([p], [1]).mean_log_loss == float("inf")
 
     def test_at_and_above_scores(self):
         m = DirectIsotonic.fit([1, 2, 3], [0, 1, 1])
-        assert m.predict(1.0) == 0.0
-        assert m.predict(99.0) == 1.0
+        assert m.predict_many([1.0])[0] == 0.0
+        assert m.predict_many([99.0])[0] == 1.0
 
     def test_monotone_in_unit_range(self):
         rng = np.random.default_rng(6)
@@ -167,7 +167,7 @@ class TestDirectIsotonic:
         with pytest.raises(ValueError, match="test scores must not be NaN"):
             m.predict_many([2.0, np.nan])
         with pytest.raises(ValueError, match="test scores must not be NaN"):
-            m.predict(np.nan)
+            m.predict_many([np.nan])
         assert m.predict_many([-np.inf, np.inf]).tolist() == [0.0, 1.0]
 
     def test_dummy_endpoints_keep_predictions_interior(self):

@@ -7,8 +7,9 @@ import sys
 import numpy as np
 import pytest
 
+import oracles
 from venncal.cli import build_parser, main
-from venncal.data import generate_synthetic, write_score_file
+from venncal.data import generate_synthetic
 from venncal.ivap import IvapCalibrator
 from venncal.merging import merge
 
@@ -90,8 +91,8 @@ class TestCalibrate:
         test_s = rng.normal(size=25)
         cal_file = tmp_path / "cal.csv"
         test_file = tmp_path / "test.csv"
-        write_score_file(cal_file, cal_s, cal_y)
-        write_score_file(test_file, test_s)
+        oracles.write_score_file(cal_file, cal_s, cal_y)
+        oracles.write_score_file(test_file, test_s)
         out = tmp_path / "p.csv"
         code = run_cli("calibrate", "--method", "ivap", "--calib-scores", cal_file,
                        "--scores-in", test_file, "--out", out)
@@ -112,8 +113,8 @@ class TestCalibrate:
             t_s = rng.normal(size=20)
             cal_path = tmp_path / f"cal{k}.csv"
             test_path = tmp_path / f"test{k}.csv"
-            write_score_file(cal_path, cal_s, cal_y)
-            write_score_file(test_path, t_s)
+            oracles.write_score_file(cal_path, cal_s, cal_y)
+            oracles.write_score_file(test_path, t_s)
             cal_files.append(cal_path)
             test_files.append(test_path)
             rule = IvapCalibrator.fit(cal_s, cal_y)
@@ -131,8 +132,8 @@ class TestCalibrate:
 
     def test_isotonic_can_report_infinite_loss(self, tmp_path, capsys):
         # calibration scores all above the lowest test score; first block is 0
-        write_score_file(tmp_path / "cal.csv", [1.0, 2.0, 3.0, 4.0], [0, 0, 1, 1])
-        write_score_file(tmp_path / "test.csv", [0.0, 2.5])
+        oracles.write_score_file(tmp_path / "cal.csv", [1.0, 2.0, 3.0, 4.0], [0, 0, 1, 1])
+        oracles.write_score_file(tmp_path / "test.csv", [0.0, 2.5])
         out = tmp_path / "p.csv"
         assert run_cli("calibrate", "--method", "isotonic",
                        "--calib-scores", tmp_path / "cal.csv",
@@ -171,7 +172,7 @@ class TestCalibrate:
         assert run_cli("calibrate", "--method", "ivap", "--out", tmp_path / "p.csv") == 2
 
     def test_oversized_field_is_data_error(self, tmp_path, capsys):
-        write_score_file(tmp_path / "cal.csv", [1.0, 2.0, 3.0, 4.0], [0, 0, 1, 1])
+        oracles.write_score_file(tmp_path / "cal.csv", [1.0, 2.0, 3.0, 4.0], [0, 0, 1, 1])
         test = tmp_path / "test.csv"
         test.write_text("score\n" + "1" * 200_000 + "\n")
         assert run_cli("calibrate", "--method", "ivap", "--calib-scores", tmp_path / "cal.csv",
@@ -191,9 +192,9 @@ class TestCalibrate:
     def test_non_finite_score_is_data_error(self, tmp_path, capsys, method, cal, test, message):
         args = ["calibrate", "--method", method, "--scores-in", tmp_path / "test.csv",
                 "--out", tmp_path / "p.csv"]
-        write_score_file(tmp_path / "test.csv", test)
+        oracles.write_score_file(tmp_path / "test.csv", test)
         if cal is not None:
-            write_score_file(tmp_path / "cal.csv", cal, [0, 1, 1, 0])
+            oracles.write_score_file(tmp_path / "cal.csv", cal, [0, 1, 1, 0])
             args += ["--calib-scores", tmp_path / "cal.csv"]
         assert run_cli(*args) == 3
         assert capsys.readouterr().err == f"data error: {message}\n"
@@ -226,6 +227,45 @@ class TestCalibrate:
     def test_intervals_flag_restricted(self, tmp_path):
         assert run_cli("calibrate", "--method", "platt", "--intervals",
                        "--out", tmp_path / "p.csv") == 2
+
+    @pytest.mark.parametrize("method, n_cal, tests, extra, code, err", [
+        ("cvap", 1, [[0.5, 1.5]], [],
+         2, "usage error: cvap on score files needs one --calib-scores file per fold"),
+        ("cvap", 2, [[0.5, 1.5]], [],
+         2, "usage error: cvap needs one --scores-in file per fold, aligned by row"),
+        ("cvap", 2, [[0.5, 1.5]] * 2, ["--folds", "3"],
+         2, "usage error: --folds disagrees with the number of score files"),
+        ("cvap", 2, [[0.5, 1.5], [0.5, 1.5, 2.5]], [],
+         3, "data error: per-fold test score files have different lengths"),
+        # fold 0 is queried before fold 1's test file is read
+        ("cvap", 2, [[0.5, float("inf")], [0.5, 1.5, 2.5]], [],
+         3, "data error: test scores must be finite"),
+        ("ivap", 1, [[0.5, 1.5]] * 2, [], 2, "usage error: expected exactly one --scores-in file"),
+        ("platt", 2, [[0.5, 1.5]], [],
+         2, "usage error: method 'platt' expects exactly one --calib-scores file"),
+    ], ids=["cvap_calib_files", "cvap_test_files", "cvap_folds", "cvap_lengths",
+            "cvap_first_bad_fold", "one_test_file", "one_calib_file"])
+    def test_score_file_routes_reject_bad_file_sets(self, tmp_path, capsys, method, n_cal,
+                                                    tests, extra, code, err):
+        cal = [tmp_path / f"cal{k}.csv" for k in range(n_cal)]
+        test = [tmp_path / f"test{k}.csv" for k in range(len(tests))]
+        for path in cal:
+            oracles.write_score_file(path, [1.0, 2.0, 3.0, 4.0], [0, 1, 0, 1])
+        for path, scores in zip(test, tests):
+            oracles.write_score_file(path, scores)
+        assert run_cli("calibrate", "--method", method, "--calib-scores", *cal,
+                       "--scores-in", *test, *extra, "--out", tmp_path / "p.csv") == code
+        assert capsys.readouterr().err == err + "\n"
+        assert not (tmp_path / "p.csv").exists()
+
+    def test_split_method_without_ratio_is_usage_error(self, tmp_path, capsys):
+        data = tmp_path / "data.csv"
+        write_dataset_csv(data, generate_synthetic(60, seed=1))
+        assert run_cli("calibrate", "--method", "ivap", "--train", data, "--test", data,
+                       "--out", tmp_path / "p.csv") == 2
+        assert capsys.readouterr().err == (
+            "usage error: method 'ivap' needs --ratio (or --all-mode)\n")
+        assert not (tmp_path / "p.csv").exists()
 
 
 class TestEvaluate:

@@ -263,10 +263,11 @@ def test_score_file_writer_matches_oracle(tmp_path, kind):
     int_labels = rng.integers(0, 2, len(scores))
     for labels in (None, int_labels, int_labels.astype(float), int_labels.astype(bool),
                    int_labels.tolist()):
-        data.write_score_file(tmp_path / "new.csv", scores, labels)
+        header = "score" if labels is None else "score,label"
+        data.write_csv(tmp_path / "new.csv", header, [scores], labels)
         oracles.write_score_file(tmp_path / "old.csv", scores, labels)
         assert (tmp_path / "new.csv").read_bytes() == (tmp_path / "old.csv").read_bytes()
-    data.write_score_file(tmp_path / "empty.csv", [])
+    data.write_csv(tmp_path / "empty.csv", "score", [[]])
     assert (tmp_path / "empty.csv").read_bytes() == b"score\n"
 
 
@@ -279,5 +280,5 @@ def test_synth_matches_oracle(tmp_path):
 def test_write_csv_rejects_unequal_columns(tmp_path):
     with pytest.raises(ValueError, match="same length"):
         data.write_csv(tmp_path / "x.csv", "a,b", [[0.5], [0.5, 0.25]])
-    with pytest.raises(DataError, match="same length"):
-        data.write_score_file(tmp_path / "x.csv", [0.5], [0, 1])
+    with pytest.raises(ValueError, match="same length"):
+        data.write_csv(tmp_path / "x.csv", "score,label", [[0.5]], [0, 1])

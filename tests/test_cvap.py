@@ -75,7 +75,7 @@ def assert_trained_on_complements(seen, ds, folds):
 class TestBuild:
     def test_two_folds_structure(self):
         model = CvapCalibrator.fit(small_dataset(200), 2, ScorerSpec("constant"))
-        assert model.n_folds == 2
+        assert model.folds.n_folds == 2
         sizes = [int(np.sum(r.points.weights)) for r in model.rules]
         assert sizes == [100, 100]
 
@@ -194,8 +194,14 @@ class TestSerialization:
          r"rules calibrated on \[54, 53, 53\] rows for folds of \[53, 54, 53\]"),
         (lambda d: d.update(merge_loss="hinge"), "unknown merge loss 'hinge'"),
         (lambda d: d["rules"][1]["scores"].reverse(), "strictly increasing"),
+        (lambda d: d["scorers"].__setitem__(0, {"kind": "stump", "feature": 3, "threshold": 0.0,
+                                                "high_is_one": True, "n_features": 1}),
+         "stump feature 3 is not one of 1 features"),
+        (lambda d: d["scorers"].__setitem__(1, {"kind": "constant", "value": 0.5,
+                                                "n_features": 2}),
+         r"fold scorers expect \[1, 2, 1\] features"),
     ], ids=["n_folds", "scorers", "rules", "fold_of_range", "fold_sizes", "merge_loss",
-            "nested_rule"])
+            "nested_rule", "stump_feature", "scorer_widths"])
     def test_corrupt_record_rejected(self, corrupt, message):
         model = CvapCalibrator.fit(small_dataset(160, seed=8), 3, ScorerSpec("logistic"))
         record = model.to_dict()

@@ -3,6 +3,7 @@ import math
 import numpy as np
 import pytest
 
+import oracles
 from venncal.data import (
     SplitSpec,
     apply_imputation,
@@ -12,7 +13,6 @@ from venncal.data import (
     read_calibration_scores,
     read_test_scores,
     split_proper_calibration,
-    write_score_file,
 )
 from venncal.exceptions import DataError
 
@@ -193,7 +193,7 @@ class TestScoreFiles:
         scores = rng.normal(size=31)
         labels = rng.integers(0, 2, size=31)
         path = tmp_path / "cal.csv"
-        write_score_file(path, scores, labels)
+        oracles.write_score_file(path, scores, labels)
         s2, y2 = read_calibration_scores(path)
         assert np.array_equal(s2, scores)
         assert np.array_equal(y2, labels)
@@ -201,7 +201,7 @@ class TestScoreFiles:
     def test_test_scores_round_trip_exact(self, tmp_path):
         scores = np.array([0.1, -2.5, 1e-17, 3.333333333333333])
         path = tmp_path / "test.csv"
-        write_score_file(path, scores)
+        oracles.write_score_file(path, scores)
         assert np.array_equal(read_test_scores(path), scores)
 
     def test_header_enforced(self, tmp_path):

@@ -10,12 +10,11 @@ from hypothesis import strategies as st
 from oracles import mean_labels, stable_dedup
 from venncal.isotonic import (
     WeightedPoints,
+    _csd,
     _graham_scan,
     _lower_hull,
-    build_csd,
     dedup_weighted,
     fit_isotonic,
-    gcm_corners,
     lower_prob_scan,
     upper_prob_scan,
 )
@@ -153,20 +152,6 @@ def test_dedup_large_ties_match_oracle_under_shuffles():
         assert_same_points(dedup_weighted(scores, labels), stable_dedup(scores, labels))
         for _ in range(3):
             assert_shuffle_invariant(scores, labels, rng.permutation(k))
-class TestCsd:
-    def test_unit_weights(self):
-        pts = dedup_weighted([1, 2, 3], [0, 0, 1])
-        csd = build_csd(pts)
-        assert csd.tolist() == [[0, 0], [1, 0], [2, 0], [3, 1]]
-
-    def test_merged_weights(self):
-        pts = dedup_weighted([1, 1, 2], [0, 1, 1])
-        csd = build_csd(pts)
-        assert csd.tolist() == [[0, 0], [2, 1], [3, 2]]
-
-    def test_single_point(self):
-        pts = dedup_weighted([1], [0])
-        assert build_csd(pts).tolist() == [[0, 0], [1, 0]]
 
 
 class TestFitIsotonic:
@@ -209,8 +194,8 @@ class TestFitIsotonic:
         rng = np.random.default_rng(11)
         for _ in range(100):
             pts = random_points(rng, max_k=12)
-            corners = gcm_corners(build_csd(pts))
-            slopes = np.diff(corners[:, 1]) / np.diff(corners[:, 0])
+            cx, cy = _lower_hull(*_csd(pts))
+            slopes = np.diff(cy) / np.diff(cx)
             assert np.all(np.diff(slopes) > 0)
 
 

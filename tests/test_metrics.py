@@ -3,7 +3,17 @@ import math
 import numpy as np
 import pytest
 
-from venncal.metrics import brier_loss, evaluate, log_loss
+from venncal.metrics import evaluate
+
+
+def log_loss(p, y):
+    """Mean log loss of one prediction, through `evaluate`."""
+    return evaluate([p], [y]).mean_log_loss
+
+
+def brier_loss(p, y):
+    """Mean Brier loss of one prediction, through `evaluate`."""
+    return evaluate([p], [y]).mean_brier_loss
 
 
 class TestLogLoss:
@@ -18,16 +28,17 @@ class TestLogLoss:
     def test_categorical_mistake_is_infinite(self):
         assert log_loss(0.0, 1) == math.inf
         assert log_loss(1.0, 0) == math.inf
+        assert evaluate([0.0], [1]).n_infinite == 1
 
     def test_binary_logarithm(self):
         assert log_loss(0.25, 1) == pytest.approx(2.0)
 
     def test_range_validation(self):
-        with pytest.raises(ValueError):
+        with pytest.raises(ValueError, match="probabilities out of range"):
             log_loss(1.5, 1)
-        with pytest.raises(ValueError):
+        with pytest.raises(ValueError, match="probabilities out of range"):
             log_loss(-0.1, 0)
-        with pytest.raises(ValueError):
+        with pytest.raises(ValueError, match="labels must be 0 or 1"):
             log_loss(0.5, 2)
 
 
