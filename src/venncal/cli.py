@@ -112,11 +112,6 @@ def cmd_synth(args) -> int:
 # ---- calibrate ------------------------------------------------------------
 
 
-def _scorer_spec(args) -> ScorerSpec:
-    return ScorerSpec(kind=args.scorer, learning_rate=args.learning_rate,
-                      max_iter=args.max_iter, ridge=args.ridge)
-
-
 def _n_folds(args) -> int:
     """Fold count for cvap and --tune: --folds, else the --ratio parts summed, else 5."""
     return args.folds or (sum(_parse_ratio(args.ratio)) if args.ratio else 5)
@@ -148,7 +143,8 @@ def _tuned_ridge(train_ds: Dataset, n_folds: int, spec: ScorerSpec,
 
 def _tuned_spec(args, train_ds: Dataset) -> ScorerSpec:
     """The scorer spec from the flags, with the ridge grid-searched under --tune."""
-    spec = _scorer_spec(args)
+    spec = ScorerSpec(kind=args.scorer, learning_rate=args.learning_rate,
+                      max_iter=args.max_iter, ridge=args.ridge)
     if args.tune and args.scorer == "logistic":
         spec = replace(spec, ridge=_tuned_ridge(train_ds, _n_folds(args), spec, args.seed))
     return spec
@@ -163,28 +159,30 @@ def _load_feature_data(args) -> tuple[Dataset, Dataset]:
     return apply_imputation(train_ds, stats), apply_imputation(test_ds, stats)
 
 
-def _platt(scores, labels, test_scores, args):
-    return PlattCalibrator.fit(scores, labels).predict_many(test_scores), None
+def _calibrate(method: str, args, inputs):
+    """(p, intervals-or-None) of `method` from the inputs either route made.
 
-
-def _isotonic(scores, labels, test_scores, args):
-    model = DirectIsotonic.fit(scores, labels, dummy_endpoints=args.dummy_endpoints)
-    return model.predict_many(test_scores), None
-
-
-def _ivap(scores, labels, test_scores, args):
+    The inputs are the test probabilities for underlying, the stacked (K, n)
+    fold intervals for cvap, and (calibration scores, labels, test scores)
+    for every other method.
+    """
+    if method == "underlying":
+        return inputs, None
+    if method == "cvap":
+        lo, hi = inputs
+        return merge(lo, hi, args.merge), merged_interval(lo, hi)
+    scores, labels, test_scores = inputs
+    if method == "platt":
+        return PlattCalibrator.fit(scores, labels).predict_many(test_scores), None
+    if method == "isotonic":
+        model = DirectIsotonic.fit(scores, labels, dummy_endpoints=args.dummy_endpoints)
+        return model.predict_many(test_scores), None
     lo, hi = IvapCalibrator.fit(scores, labels).predict_intervals(test_scores)
     return merge(lo[None, :], hi[None, :], args.merge), (lo, hi)
 
 
-# method -> fit on (calibration scores, labels), then predict test scores as
-# (p, intervals-or-None); the feature and the score-file routes both use it
-CALIBRATORS = {"platt": _platt, "isotonic": _isotonic, "ivap": _ivap}
-
-
-def _predict_with_methods(methods, args, train_ds: Dataset, test_ds: Dataset,
-                          spec: ScorerSpec):
-    """Yield (method, p, intervals-or-None) for each method, in order.
+def _feature_inputs(methods, args, train_ds: Dataset, test_ds: Dataset, spec: ScorerSpec):
+    """Yield (method, inputs for `_calibrate`) for each method, in order.
 
     The split methods share one split, one proper-set scorer fit and one
     scoring pass, made when the first of them is reached; cvap trains its
@@ -196,8 +194,7 @@ def _predict_with_methods(methods, args, train_ds: Dataset, test_ds: Dataset,
             mode = "randomized" if args.randomize_folds else "contiguous"
             model = CvapCalibrator.fit(train_ds, _n_folds(args), spec, mode=mode,
                                        seed=_sub_seed(args.seed, 1), merge_loss=args.merge)
-            lo, hi = model.predict_intervals_many(test_ds.X)
-            yield method, merge(lo, hi, args.merge), merged_interval(lo, hi)
+            yield method, model.predict_intervals_many(test_ds.X)
             continue
         if scored is None:
             if args.all_mode:
@@ -211,10 +208,7 @@ def _predict_with_methods(methods, args, train_ds: Dataset, test_ds: Dataset,
             scorer = train_scorer(spec, proper.X, proper.y)
             score = scorer.probability_many if args.sigmoid_scores else scorer.score_many
             scored = score(calibration.X), calibration.y, score(test_ds.X)
-        if method == "underlying":
-            yield method, scorer.probability_many(test_ds.X), None
-        else:
-            yield method, *CALIBRATORS[method](*scored, args)
+        yield method, scorer.probability_many(test_ds.X) if method == "underlying" else scored
 
 
 def _score_file_folds(calib_paths, test_paths):
@@ -230,7 +224,8 @@ def _score_file_folds(calib_paths, test_paths):
         yield rule, test_scores
 
 
-def _predict_from_score_files(method: str, args):
+def _score_file_inputs(method: str, args):
+    """The inputs for `_calibrate` read from --calib-scores and --scores-in."""
     if method == "cvap":
         if not args.calib_scores or len(args.calib_scores) < 2:
             raise UsageError("cvap on score files needs one --calib-scores file per fold")
@@ -238,8 +233,7 @@ def _predict_from_score_files(method: str, args):
             raise UsageError("cvap needs one --scores-in file per fold, aligned by row")
         if args.folds and args.folds != len(args.calib_scores):
             raise UsageError("--folds disagrees with the number of score files")
-        lo, hi = fold_intervals(_score_file_folds(args.calib_scores, args.scores_in))
-        return merge(lo, hi, args.merge), merged_interval(lo, hi)
+        return fold_intervals(_score_file_folds(args.calib_scores, args.scores_in))
 
     if not args.scores_in or len(args.scores_in) != 1:
         raise UsageError("expected exactly one --scores-in file")
@@ -247,25 +241,26 @@ def _predict_from_score_files(method: str, args):
     if method == "underlying":
         if not ((test_scores >= 0.0) & (test_scores <= 1.0)).all():
             raise DataError("underlying scores must already be probabilities in [0, 1]")
-        return test_scores, None
+        return test_scores
     if not args.calib_scores or len(args.calib_scores) != 1:
         raise UsageError(f"method {method!r} expects exactly one --calib-scores file")
-    scores, labels = read_calibration_scores(args.calib_scores[0])
-    return CALIBRATORS[method](scores, labels, test_scores, args)
+    return *read_calibration_scores(args.calib_scores[0]), test_scores
 
 
 def cmd_calibrate(args) -> int:
     if args.intervals and args.method not in ("ivap", "cvap"):
         raise UsageError("--intervals is only available for ivap and cvap")
-    if args.calib_scores or (args.scores_in and args.method == "underlying"):
-        p, intervals = _predict_from_score_files(args.method, args)
+    if args.calib_scores is not None or args.scores_in is not None:
+        if args.train or args.test:
+            raise UsageError("calibrate takes --train/--test or score files, not both")
+        inputs = _score_file_inputs(args.method, args)
     else:
         if not args.train or not args.test:
             raise UsageError("calibrate needs --train and --test (or score files)")
         train_ds, test_ds = _load_feature_data(args)
-        spec = _tuned_spec(args, train_ds)
-        _, p, intervals = next(_predict_with_methods([args.method], args, train_ds,
-                                                     test_ds, spec))
+        _, inputs = next(_feature_inputs([args.method], args, train_ds, test_ds,
+                                         _tuned_spec(args, train_ds)))
+    p, intervals = _calibrate(args.method, args, inputs)
     _write_predictions(args.out, np.asarray(p), intervals if args.intervals else None)
     _write_manifest(args)
     return 0
@@ -302,8 +297,8 @@ def cmd_compare(args) -> int:
         raise UsageError("compare with --all-mode needs --folds for the cross method")
     train_ds, test_ds = _load_feature_data(args)
     spec = _tuned_spec(args, train_ds)
-    rows = [(method, evaluate(p, test_ds.y))
-            for method, p, _ in _predict_with_methods(METHODS, args, train_ds, test_ds, spec)]
+    rows = [(method, evaluate(_calibrate(method, args, inputs)[0], test_ds.y))
+            for method, inputs in _feature_inputs(METHODS, args, train_ds, test_ds, spec)]
 
     with open(args.out, "w", encoding="utf-8", newline="") as fh:
         fh.write("method,mll,mbl,n,n_infinite\n")
@@ -348,10 +343,6 @@ def _add_common_model_flags(sub) -> None:
                      help="regularize direct isotonic with two synthetic extreme points")
     sub.add_argument("--tune", action="store_true",
                      help="grid search the ridge coefficient by cumulative Brier loss over folds")
-    sub.add_argument("--calib-scores", nargs="*", default=None,
-                     help="precomputed calibration score,label file(s); bypasses --train")
-    sub.add_argument("--scores-in", nargs="*", default=None,
-                     help="precomputed test score file(s); bypasses --test")
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -368,8 +359,13 @@ def build_parser() -> argparse.ArgumentParser:
     cal = subs.add_parser("calibrate", help="run one calibration method")
     cal.add_argument("--method", choices=METHODS, required=True)
     _add_common_model_flags(cal)
+    cal.add_argument("--calib-scores", nargs="*", default=None,
+                     help="precomputed calibration score,label file(s); instead of --train")
+    cal.add_argument("--scores-in", nargs="*", default=None,
+                     help="precomputed test score file(s); instead of --test")
     cal.add_argument("--intervals", action="store_true",
-                     help="write p0,p1,p instead of a single probability column")
+                     help="write p0,p1,p instead of a single probability column; cvap's "
+                          "p0,p1 are not a bracket and may cross when folds disagree")
     cal.add_argument("--out", required=True)
     cal.set_defaults(func=cmd_calibrate)
 

@@ -68,6 +68,8 @@ def _geometric_means(p0, p1) -> tuple[np.ndarray, np.ndarray]:
 
 
 def merged_interval(p0: np.ndarray, p1: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Merged-interval endpoints (1 - GM(1 - p0), GM(p1)) of K stacked intervals."""
+    """(1 - GM(1 - p0), GM(p1)) of K stacked intervals: the one interval whose
+    single-interval log merge is their log merge.  Not a bracket: the ends cross
+    (p0 > p1, which `merge` rejects) when the folds disagree."""
     gm_q0, gm_p1 = _geometric_means(p0, p1)
     return 1.0 - gm_q0, gm_p1

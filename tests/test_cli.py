@@ -11,7 +11,7 @@ import oracles
 from venncal.cli import build_parser, main
 from venncal.data import generate_synthetic
 from venncal.ivap import IvapCalibrator
-from venncal.merging import merge
+from venncal.merging import merge, merged_interval
 
 
 def run_cli(*args):
@@ -129,6 +129,69 @@ class TestCalibrate:
         got = np.array([float(line) for line in out.read_text().splitlines()[1:]])
         expected = merge(np.stack(lows), np.stack(highs), "log")
         assert np.array_equal(got, expected)
+
+    @pytest.mark.parametrize("route", ["features", "score_files"])
+    def test_cvap_interval_columns_match_library(self, tmp_path, route):
+        from venncal.cli import _sub_seed
+        from venncal.cvap import CvapCalibrator
+        from venncal.data import load_csv
+        from venncal.scorers import ScorerSpec
+
+        out = tmp_path / "p.csv"
+        if route == "features":
+            train, test = tmp_path / "train.csv", tmp_path / "test.csv"
+            write_dataset_csv(train, generate_synthetic(300, seed=3))
+            write_dataset_csv(test, generate_synthetic(80, seed=4))
+            assert run_cli("calibrate", "--method", "cvap", "--train", train, "--test", test,
+                           "--folds", 4, "--seed", 2, "--intervals", "--out", out) == 0
+            train_ds = load_csv(train, "label")
+            model = CvapCalibrator.fit(train_ds, 4, ScorerSpec("logistic"), seed=_sub_seed(2, 1))
+            lo, hi = model.predict_intervals_many(load_csv(test, "label", like=train_ds).X)
+        else:
+            rng = np.random.default_rng(10)
+            cal, tests, lows, highs = [], [], [], []
+            for k in range(3):
+                cal_s, cal_y = rng.normal(size=50), rng.integers(0, 2, size=50)
+                t_s = rng.normal(size=30)
+                cal.append(tmp_path / f"cal{k}.csv")
+                tests.append(tmp_path / f"test{k}.csv")
+                oracles.write_score_file(cal[-1], cal_s, cal_y)
+                oracles.write_score_file(tests[-1], t_s)
+                fold_lo, fold_hi = IvapCalibrator.fit(cal_s, cal_y).predict_intervals(t_s)
+                lows.append(fold_lo)
+                highs.append(fold_hi)
+            assert run_cli("calibrate", "--method", "cvap", "--calib-scores", *cal,
+                           "--scores-in", *tests, "--intervals", "--out", out) == 0
+            lo, hi = np.stack(lows), np.stack(highs)
+        lines = out.read_text().splitlines()
+        assert lines[0] == "p0,p1,p"
+        got = np.array([[float(v) for v in line.split(",")] for line in lines[1:]])
+        want_lo, want_hi = merged_interval(lo, hi)
+        assert got[:, 0].tobytes() == want_lo.tobytes()
+        assert got[:, 1].tobytes() == want_hi.tobytes()
+        assert got[:, 2].tobytes() == merge(lo, hi, "log").tobytes()
+
+    @pytest.mark.parametrize("features", [["--train", "TRAIN", "--test", "TRAIN"],
+                                          ["--train", "TRAIN"], ["--test", "TRAIN"]],
+                             ids=["train_test", "train", "test"])
+    @pytest.mark.parametrize("scores", [["--calib-scores", "CAL", "--scores-in", "TEST"],
+                                        ["--scores-in", "TEST"], ["--calib-scores", "CAL"],
+                                        ["--scores-in"]],
+                             ids=["calib_scores_in", "scores_in", "calib", "no_file"])
+    def test_feature_and_score_files_together_is_usage_error(self, tmp_path, capsys,
+                                                             features, scores):
+        paths = {"TRAIN": tmp_path / "train.csv", "CAL": tmp_path / "cal.csv",
+                 "TEST": tmp_path / "test.csv"}
+        write_dataset_csv(paths["TRAIN"], generate_synthetic(60, seed=1))
+        oracles.write_score_file(paths["CAL"], [1.0, 2.0, 3.0, 4.0], [0, 1, 0, 1])
+        oracles.write_score_file(paths["TEST"], [0.5, 1.5])
+        argv = [paths.get(a, a) for a in [*features, *scores]]
+        out = tmp_path / "p.csv"
+        assert run_cli("calibrate", "--method", "ivap", "--ratio", "2:1", *argv,
+                       "--out", out) == 2
+        assert capsys.readouterr().err == (
+            "usage error: calibrate takes --train/--test or score files, not both\n")
+        assert list(tmp_path.glob("p.csv*")) == []
 
     def test_isotonic_can_report_infinite_loss(self, tmp_path, capsys):
         # calibration scores all above the lowest test score; first block is 0
@@ -383,6 +446,18 @@ class TestCompare:
             got = json.loads(report.read_text())
             assert (float(mll), float(mbl), int(n), int(n_inf)) == (
                 got["mll"], got["mbl"], got["n"], got["n_infinite"]), method
+
+    @pytest.mark.parametrize("flag", ["--calib-scores", "--scores-in"])
+    def test_score_file_flags_rejected(self, tmp_path, capsys, flag):
+        train, test = self.make_files(tmp_path, 60, 20)
+        oracles.write_score_file(tmp_path / "s.csv", [0.5, 1.5])
+        out = tmp_path / "t.csv"
+        with pytest.raises(SystemExit) as exc:
+            run_cli("compare", "--train", train, "--test", test, "--ratio", "2:1",
+                    flag, tmp_path / "s.csv", "--out", out)
+        assert exc.value.code == 2
+        assert f"unrecognized arguments: {flag}" in capsys.readouterr().err
+        assert list(tmp_path.glob("t.csv*")) == []
 
     def test_degenerate_model_exit_code(self, tmp_path):
         train = tmp_path / "train.csv"

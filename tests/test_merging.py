@@ -181,3 +181,14 @@ def test_geometric_interval_narrower_than_arithmetic():
         assert merged_interval(p0, p1) == (gm_lo, gm_hi)
         assert gm_hi <= np.mean(p1) + 1e-12
         assert gm_lo >= np.mean(p0) - 1e-12
+
+
+def test_merged_interval_ends_cross_when_folds_disagree():
+    # the ends are the interval whose single-interval log merge is the K-fold
+    # log merge, not a bracket: two far-apart folds give p0 > p1
+    p0, p1 = np.array([0.0, 0.99]), np.array([0.01, 1.0])
+    lo, hi = merged_interval(p0, p1)
+    assert (lo, hi) == pytest.approx((0.9, 0.1), abs=1e-15)
+    assert hi / ((1.0 - lo) + hi) == pytest.approx(merge(p0, p1, "log"), abs=1e-15)
+    with pytest.raises(ValueError, match="p0 <= p1"):
+        merge(lo, hi, "log")

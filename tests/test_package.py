@@ -18,6 +18,8 @@ BENCHMARK_NAMES = (
     ("venncal.ivap", "lower_prob_scan"),
     ("venncal.ivap", "upper_prob_scan"),
     ("venncal.ivap", "merge"),
+    ("venncal.cvap", "merge"),
+    ("venncal.cli", "merge"),
     # the lookup sites of the benchmark's data spans: inlining one of them
     # would silently zero that span's metrics
     ("venncal.cli", "load_csv"),
