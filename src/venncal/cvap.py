@@ -5,7 +5,7 @@ default; a seeded shuffle on request).  For each fold, a scorer is trained
 on the complement and an interval calibrator is built from the fold's scores
 under that scorer, so no observation ever calibrates a scorer that saw it.
 A prediction computes K intervals and merges them with the minimax rule for
-the configured loss.
+the configured loss; one feature row takes a scalar interval query per fold.
 """
 
 from __future__ import annotations
@@ -147,7 +147,12 @@ class CvapCalibrator:
         return merge(lo, hi, self.merge_loss)
 
     def predict(self, x) -> float:
-        return float(self.predict_many(np.asarray(x, dtype=float)[None, :])[0])
+        row = np.asarray(x, dtype=float)[None, :]
+        intervals = [rule.predict_interval(scorer.score_many(row)[0])
+                     for scorer, rule in zip(self.scorers, self.rules)]
+        lo = np.array([[iv.p0] for iv in intervals])
+        hi = np.array([[iv.p1] for iv in intervals])
+        return float(merge(lo, hi, self.merge_loss)[0])
 
     # ---- serialization --------------------------------------------------
 

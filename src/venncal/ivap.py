@@ -9,12 +9,14 @@ right neighbour; outside the score range the missing side falls back to the
 boundary conventions 0 and 1.  This reproduces, for every s, the isotonic
 fit at s of the calibration set with (s, 0) respectively (s, 1) appended.
 The tables are stored padded, lower = [0] + p0 and upper = p1 + [1]; a batch
-is sorted once, searched once on the keys, and read from the padded tables.
+is sorted once, searched once on the keys, and read from the padded tables;
+a single score takes one `searchsorted` on the keys and reads the same tables.
 """
 
 from __future__ import annotations
 
 import json
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -30,7 +32,7 @@ from venncal.merging import merge
 __all__ = ["ProbInterval", "IvapCalibrator"]
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class ProbInterval:
     """Lower/upper probability pair; always p0 < p1."""
 
@@ -105,8 +107,14 @@ class IvapCalibrator:
         return lo.reshape(s.shape), hi.reshape(s.shape)
 
     def predict_interval(self, score: float) -> ProbInterval:
-        lo, hi = self.predict_intervals(np.asarray([score], dtype=float))
-        return ProbInterval(float(lo[0]), float(hi[0]))
+        """Interval of one score: one binary search, the same bits as the batch path."""
+        s = float(score)
+        if not math.isfinite(s):
+            raise ValueError("test scores must be finite")
+        keys = self.points.scores
+        i = keys.searchsorted(s)
+        hit = i < len(keys) and keys[i] == s
+        return ProbInterval(float(self._lower[i + hit]), float(self._upper[i]))
 
     def predict(self, score: float, loss: str = "log") -> float:
         """Single precise probability for one test score."""

@@ -5,6 +5,7 @@ import venncal.cvap
 from venncal.cvap import CvapCalibrator, assign_folds
 from venncal.data import Dataset, generate_synthetic
 from venncal.exceptions import DegenerateModelError
+from venncal.ivap import IvapCalibrator
 from venncal.scorers import ScorerSpec, train_scorer
 
 
@@ -172,6 +173,44 @@ class TestPredict:
             gm_lo = np.exp(np.mean(np.log(1.0 - np.asarray(lows))))
             expected = gm_hi / (gm_lo + gm_hi)
             assert model.predict(x) == pytest.approx(expected, abs=1e-9)
+
+
+class TestScalarPredict:
+    """`predict(x)` answers with the bits of `predict_many(x[None])[0]`."""
+
+    @pytest.mark.parametrize("kind", ["logistic", "stump", "constant"])
+    @pytest.mark.parametrize("n_folds", [2, 5])
+    @pytest.mark.parametrize("loss", ["log", "brier"])
+    def test_bits_equal_batch_of_one(self, kind, n_folds, loss):
+        ds = small_dataset(240, seed=6)
+        model = CvapCalibrator.fit(ds, n_folds, ScorerSpec(kind), merge_loss=loss)
+        rows = np.concatenate([np.random.default_rng(3).normal(0.5, 2.0, size=(30, 1)),
+                               ds.X[:10]])
+        for x in rows:
+            got = model.predict(x)
+            assert type(got) is float
+            assert np.array([got]).tobytes() == model.predict_many(x[None]).tobytes()
+
+    def test_nan_feature_rejected_like_batch(self):
+        model = CvapCalibrator.fit(small_dataset(120, seed=2), 3, ScorerSpec("logistic"))
+        x = np.array([np.nan])
+        with pytest.raises(ValueError, match="^test scores must be finite$"):
+            model.predict_many(x[None])
+        with pytest.raises(ValueError, match="^test scores must be finite$"):
+            model.predict(x)
+
+    def test_single_score_calls_never_take_the_batch_path(self, monkeypatch):
+        model = CvapCalibrator.fit(small_dataset(120, seed=2), 3, ScorerSpec("logistic"))
+        rule = model.rules[0]
+        expected = (rule.predict_interval(0.3), rule.predict(0.3), model.predict(np.array([0.3])))
+
+        def batch_path(*args, **kwargs):
+            raise AssertionError("single-score call took the batch path")
+
+        monkeypatch.setattr(IvapCalibrator, "predict_intervals", batch_path)
+        monkeypatch.setattr(CvapCalibrator, "predict_many", batch_path)
+        assert (rule.predict_interval(0.3), rule.predict(0.3),
+                model.predict(np.array([0.3]))) == expected
 
 
 class TestSerialization:

@@ -1,4 +1,7 @@
+import copy
+import dataclasses
 import math
+import pickle
 
 import numpy as np
 import pytest
@@ -14,7 +17,7 @@ from oracles import (
     tree_size,
     where_query,
 )
-from venncal.ivap import IvapCalibrator
+from venncal.ivap import IvapCalibrator, ProbInterval
 from venncal.merging import merge
 
 
@@ -105,9 +108,11 @@ class TestQueries:
 
     def test_nonfinite_query_rejected(self):
         rule = IvapCalibrator.fit([1, 2, 3], [0, 0, 1])
-        for bad in (math.nan, math.inf, -math.inf):
-            with pytest.raises(ValueError, match="finite"):
+        for bad in (math.nan, math.inf, -math.inf, np.float64("nan")):
+            with pytest.raises(ValueError, match="^test scores must be finite$"):
                 rule.predict_interval(bad)
+            with pytest.raises(ValueError, match="^test scores must be finite$"):
+                rule.predict_intervals(np.array([bad]))
 
     def test_tree_agrees_with_array_path(self):
         rng = np.random.default_rng(31)
@@ -160,6 +165,50 @@ class TestQueries:
             lo, hi = rule.predict_intervals(qs)
             assert np.all(hi >= 1.0 / (n_negative(rule) + 1) - 1e-12)
             assert np.all(lo <= 1.0 - 1.0 / (n_positive(rule) + 1) + 1e-12)
+
+
+class TestScalarQuery:
+    """The single-score query returns the bits of the batch query on a batch of one."""
+
+    RULE = IvapCalibrator.fit([0.0, 1.0, 2.0, 2.0, 3.5, 5.0], [0, 1, 0, 1, 1, 0])
+
+    @pytest.mark.parametrize("score", [
+        0.0, 1.0, 2.0, 3.5, 5.0,  # exact hits
+        0.5, 1.5, 2.75, 4.0,  # between keys
+        -1e300, -2.0, 5.5, 1e300,  # below and above the range
+        -0.0,  # equal to the 0.0 key
+        3, np.float64(2.0), np.int64(5), np.array(1.5), np.array(2),
+    ], ids=repr)
+    def test_bits_equal_batch_of_one(self, score):
+        iv = self.RULE.predict_interval(score)
+        lo, hi = self.RULE.predict_intervals(np.array([score], dtype=float))
+        assert np.array([iv.p0]).tobytes() == lo.tobytes()
+        assert np.array([iv.p1]).tobytes() == hi.tobytes()
+        assert type(iv.p0) is float and type(iv.p1) is float
+
+    def test_bits_equal_batch_on_random_rules(self):
+        rng = np.random.default_rng(15)
+        for _ in range(100):
+            scores, labels = random_calibration(rng)
+            rule = IvapCalibrator.fit(scores, labels)
+            queries = np.concatenate([rng.normal(scale=8, size=6), rule.points.scores])
+            lo, hi = rule.predict_intervals(queries)
+            got = np.array([dataclasses.astuple(rule.predict_interval(q))
+                            for q in queries.tolist()])
+            assert got[:, 0].tobytes() == lo.tobytes()
+            assert got[:, 1].tobytes() == hi.tobytes()
+
+
+class TestProbInterval:
+    def test_slotted_frozen_value(self):
+        iv = ProbInterval(0.25, 0.75)
+        assert not hasattr(iv, "__dict__")
+        assert pickle.loads(pickle.dumps(iv)) == iv
+        assert copy.deepcopy(iv) == iv
+        assert dataclasses.asdict(iv) == {"p0": 0.25, "p1": 0.75}
+        assert dataclasses.replace(iv, p0=0.5) == ProbInterval(0.5, 0.75)
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            iv.p0 = 0.0
 
 
 @st.composite
