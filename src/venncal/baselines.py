@@ -3,8 +3,9 @@
 The sigmoid calibrator fits g(s) = 1 / (1 + exp(a*s + b)) by minimizing the
 cross-entropy against regularized targets (k+ + 1)/(k+ + 2) for label-1 and
 1/(k- + 2) for label-0 calibration points, where k+ and k- count the labels.
-Those targets confine every fitted prediction to the open interval
-(1/(k- + 2), (k+ + 1)/(k+ + 2)).  The fit is the logistic scorer's damped-Newton
+At the optimum the predictions match the targets' sum and their score-weighted
+sum; single predictions can fall outside (1/(k- + 2), (k+ + 1)/(k+ + 2)), as
+criterion 11b in README shows.  The fit is the logistic scorer's damped-Newton
 solver (`scorers._newton`) on z = -(a*s + b) with ridge 0, as in Lin, Lin &
 Weng (2007).  The direct isotonic calibrator fits the plain isotonic
 regression and answers queries with a left-step lookup (the fitted value at

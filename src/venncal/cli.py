@@ -117,10 +117,9 @@ def _n_folds(args) -> int:
     return args.folds or (sum(_parse_ratio(args.ratio)) if args.ratio else 5)
 
 
-def _tuned_ridge(train_ds: Dataset, n_folds: int, spec: ScorerSpec,
-                 seed: int | None) -> float:
-    """Pick the ridge coefficient minimizing cumulative Brier loss over folds."""
-    folds = assign_folds(len(train_ds), n_folds, "contiguous", seed)
+def _tuned_ridge(train_ds: Dataset, n_folds: int, spec: ScorerSpec) -> float:
+    """Pick the ridge coefficient minimizing cumulative Brier loss over contiguous folds."""
+    folds = assign_folds(len(train_ds), n_folds)
     best = None
     for ridge in TUNE_RIDGE_GRID:
         candidate = replace(spec, ridge=ridge)
@@ -146,7 +145,7 @@ def _tuned_spec(args, train_ds: Dataset) -> ScorerSpec:
     spec = ScorerSpec(kind=args.scorer, learning_rate=args.learning_rate,
                       max_iter=args.max_iter, ridge=args.ridge)
     if args.tune and args.scorer == "logistic":
-        spec = replace(spec, ridge=_tuned_ridge(train_ds, _n_folds(args), spec, args.seed))
+        spec = replace(spec, ridge=_tuned_ridge(train_ds, _n_folds(args), spec))
     return spec
 
 
@@ -155,8 +154,8 @@ def _load_feature_data(args) -> tuple[Dataset, Dataset]:
                         positive_label=args.positive_label)
     test_ds = load_csv(args.test, args.label_column, header=not args.no_header,
                        like=train_ds)
-    stats = compute_imputation(train_ds, np.arange(len(train_ds)))
-    return apply_imputation(train_ds, stats), apply_imputation(test_ds, stats)
+    values = compute_imputation(train_ds)
+    return apply_imputation(train_ds, values), apply_imputation(test_ds, values)
 
 
 def _calibrate(method: str, args, inputs):

@@ -10,7 +10,6 @@ the configured loss; one feature row takes a scalar interval query per fold.
 
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass
 
 import numpy as np
@@ -34,7 +33,6 @@ class FoldAssignment:
     permutation (numpy Generator.shuffle), preserving the size multiset.
     """
 
-    n: int
     n_folds: int
     fold_of: np.ndarray
     mode: str
@@ -66,7 +64,7 @@ def assign_folds(n: int, n_folds: int, mode: str = "contiguous",
     if mode == "randomized":
         rng = np.random.default_rng(seed)
         rng.shuffle(fold_of)
-    return FoldAssignment(n, n_folds, fold_of, mode, seed)
+    return FoldAssignment(n_folds, fold_of, mode, seed)
 
 
 def fold_intervals(pairs) -> tuple[np.ndarray, np.ndarray]:
@@ -184,7 +182,7 @@ class CvapCalibrator:
         fold_of = np.asarray(d["fold_of"], dtype=np.int64)
         if fold_of.ndim != 1 or not ((fold_of >= 0) & (fold_of < n_folds)).all():
             raise ValueError(f"fold_of must assign every row to one of {n_folds} folds")
-        folds = FoldAssignment(len(fold_of), n_folds, fold_of, d["fold_mode"], d["fold_seed"])
+        folds = FoldAssignment(n_folds, fold_of, d["fold_mode"], d["fold_seed"])
         scorers = [scorer_from_dict(s) for s in d["scorers"]]
         widths = [s.n_features for s in scorers]
         if len(set(widths)) != 1:
@@ -195,12 +193,3 @@ class CvapCalibrator:
             raise ValueError(f"rules calibrated on {calibrated} rows for folds of "
                              f"{folds.sizes().tolist()} rows")
         return cls(folds, scorers, rules, d["merge_loss"])
-
-    def save(self, path) -> None:
-        with open(path, "w", encoding="utf-8") as fh:
-            json.dump(self.to_dict(), fh, sort_keys=True)
-
-    @classmethod
-    def load(cls, path) -> "CvapCalibrator":
-        with open(path, encoding="utf-8") as fh:
-            return cls.from_dict(json.load(fh))

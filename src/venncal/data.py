@@ -10,8 +10,8 @@ are one-hot encoded with lexicographically sorted categories, and a missing
 nominal cell is NaN across the whole indicator block.  Labels must take
 exactly two raw values; the lexicographically smaller one maps to 0 unless
 overridden.  Imputation statistics (column means and modes) are computed
-from an explicit set of training rows and recorded with their provenance, so
-test rows can never contribute.  A cell parsing to NaN is a DataError.
+from the training dataset alone, so test rows can never contribute; no record
+of their source is kept.  A cell parsing to NaN is a DataError.
 """
 
 from __future__ import annotations
@@ -29,7 +29,6 @@ from venncal.exceptions import DataError
 __all__ = [
     "Column",
     "Dataset",
-    "ImputationStats",
     "SplitSpec",
     "load_csv",
     "compute_imputation",
@@ -59,15 +58,6 @@ class Column:
         return len(self.categories) if self.kind == "nominal" else 1
 
 
-@dataclass(frozen=True)
-class ImputationStats:
-    """Per-column fill values plus a record of the rows that produced them."""
-
-    values: tuple  # float mean for numeric, category string for nominal
-    n_rows: int
-    source: str
-
-
 @dataclass
 class Dataset:
     """Encoded feature matrix with binary labels and column metadata.
@@ -81,7 +71,6 @@ class Dataset:
     y: np.ndarray
     columns: tuple[Column, ...]
     label_values: tuple[str, str] = ("0", "1")
-    imputation: ImputationStats | None = None
 
     def __len__(self) -> int:
         return len(self.y)
@@ -258,14 +247,12 @@ def load_csv(path, label_column, *, header: bool = True,
     return Dataset(X, y, columns, label_values)
 
 
-def compute_imputation(dataset: Dataset, rows) -> ImputationStats:
-    """Column means (numeric) and modes (nominal) over the given rows only."""
-    rows = np.asarray(rows, dtype=np.int64)
-    if len(rows) == 0:
-        raise DataError("imputation needs at least one source row")
+def compute_imputation(dataset: Dataset) -> tuple:
+    """Per-column fill values over the dataset's rows: the mean of a numeric
+    column, the mode (a category string) of a nominal one."""
     values = []
     for col, sl in zip(dataset.columns, dataset.column_slices()):
-        block = dataset.X[rows, sl]
+        block = dataset.X[:, sl]
         if col.kind == "numeric":
             observed = block[~np.isnan(block[:, 0]), 0]
             values.append(float(np.mean(observed)) if len(observed) else 0.0)
@@ -278,16 +265,15 @@ def compute_imputation(dataset: Dataset, rows) -> ImputationStats:
             # argmax takes the first maximum; categories are sorted, so ties
             # resolve to the lexicographically smallest category
             values.append(col.categories[int(np.argmax(counts))])
-    source = f"rows[{rows.min()}..{rows.max()}] of the training portion"
-    return ImputationStats(tuple(values), len(rows), source)
+    return tuple(values)
 
 
-def apply_imputation(dataset: Dataset, stats: ImputationStats) -> Dataset:
-    """Fill missing cells with the recorded statistics; returns a new Dataset."""
-    if len(stats.values) != len(dataset.columns):
+def apply_imputation(dataset: Dataset, values: tuple) -> Dataset:
+    """Fill missing cells with `compute_imputation`'s values; returns a new Dataset."""
+    if len(values) != len(dataset.columns):
         raise DataError("imputation statistics do not match the column layout")
     X = dataset.X.copy()
-    for col, sl, value in zip(dataset.columns, dataset.column_slices(), stats.values):
+    for col, sl, value in zip(dataset.columns, dataset.column_slices(), values):
         missing = np.isnan(X[:, sl.start])
         if not missing.any():
             continue
@@ -296,13 +282,12 @@ def apply_imputation(dataset: Dataset, stats: ImputationStats) -> Dataset:
         else:
             X[np.ix_(missing, range(sl.start, sl.stop))] = 0.0
             X[missing, sl.start + col.categories.index(value)] = 1.0
-    return Dataset(X, dataset.y, dataset.columns, dataset.label_values, stats)
+    return Dataset(X, dataset.y, dataset.columns, dataset.label_values)
 
 
 def subset(dataset: Dataset, rows) -> Dataset:
     rows = np.asarray(rows, dtype=np.int64)
-    return Dataset(dataset.X[rows], dataset.y[rows], dataset.columns,
-                   dataset.label_values, dataset.imputation)
+    return Dataset(dataset.X[rows], dataset.y[rows], dataset.columns, dataset.label_values)
 
 
 @dataclass(frozen=True)

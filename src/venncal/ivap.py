@@ -15,7 +15,6 @@ a single score takes one `searchsorted` on the keys and reads the same tables.
 
 from __future__ import annotations
 
-import json
 import math
 from dataclasses import dataclass
 
@@ -156,15 +155,6 @@ class IvapCalibrator:
         if not (np.array_equal(rule.p0, p0) and np.array_equal(rule.p1, p1)):
             raise ValueError("p0 and p1 are not the curves of the stored points")
         return rule
-
-    def save(self, path) -> None:
-        with open(path, "w", encoding="utf-8") as fh:
-            json.dump(self.to_dict(), fh, sort_keys=True)
-
-    @classmethod
-    def load(cls, path) -> "IvapCalibrator":
-        with open(path, encoding="utf-8") as fh:
-            return cls.from_dict(json.load(fh))
 
 
 def _check_tables(scores, weights, label_sums, p0, p1) -> None:

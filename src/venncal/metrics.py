@@ -46,14 +46,9 @@ def evaluate(predictions, labels) -> EvalReport:
         raise ValueError("probabilities out of range")
     if not np.isin(y, (0.0, 1.0)).all():
         raise ValueError("labels must be 0 or 1")
-    wrong1 = (y == 1.0) & (p == 0.0)
-    wrong0 = (y == 0.0) & (p == 1.0)
-    n_inf = int(np.sum(wrong1 | wrong0))
-    if n_inf:
-        mll = math.inf
-    else:
-        with np.errstate(divide="ignore"):
-            losses = np.where(y == 1.0, -np.log2(p), -np.log2(1.0 - p))
-        mll = float(np.mean(losses))
+    # the probability given to the observed label; 0 exactly when the loss is infinite
+    q = np.where(y == 1.0, p, 1.0 - p)
+    n_inf = int(np.sum(q == 0.0))
+    mll = math.inf if n_inf else float(np.mean(-np.log2(q)))
     mbl = float(np.mean(4.0 * (y - p) ** 2))
     return EvalReport(mll, mbl, len(p), n_inf)

@@ -2,12 +2,13 @@
 
 Everything here is deliberately naive: exhaustive enumeration, insert-and-
 refit, a stable-sort dedup, the probability sweep one step at a time, grid
-search, a masked two-branch sigmoid, an explicit search tree over an
-interval calibrator's tables, a batch query that answers in input order
-with `np.where`, and CSV readers and writers that go one cell and one row
-at a time through `csv.reader` and f-strings.  None of it shares code with
-the algorithms under test beyond `dedup_weighted` for input normalization
-and the `CurveScan`/`Dataset`/`Column` records the oracles return.
+search, a masked two-branch sigmoid, a two-branch log loss, an explicit
+search tree over an interval calibrator's tables, a batch query that answers
+in input order with `np.where`, and CSV readers and writers that go one
+cell and one row at a time through `csv.reader` and f-strings.  None of it
+shares code with the algorithms under test beyond `dedup_weighted` for input
+normalization and the `CurveScan`/`Dataset`/`Column` records the oracles
+return.
 """
 
 import csv
@@ -200,6 +201,21 @@ def masked_sigmoid(z: np.ndarray) -> np.ndarray:
     ez = np.exp(z[~pos])
     out[~pos] = ez / (1.0 + ez)
     return out
+
+
+def two_branch_losses(p, y) -> tuple[float, float, int]:
+    """(mean log loss, mean Brier loss, infinite count): both log branches are
+    taken for every row, and the infinite ones are counted by label."""
+    p = np.asarray(p, dtype=float)
+    y = np.asarray(y, dtype=float)
+    n_inf = int(np.sum(((y == 1.0) & (p == 0.0)) | ((y == 0.0) & (p == 1.0))))
+    if n_inf:
+        mll = math.inf
+    else:
+        with np.errstate(divide="ignore"):
+            losses = np.where(y == 1.0, -np.log2(p), -np.log2(1.0 - p))
+        mll = float(np.mean(losses))
+    return mll, float(np.mean(4.0 * (y - p) ** 2)), n_inf
 
 
 # ---- explicit search tree over an interval calibrator's tables ----------

@@ -231,6 +231,29 @@ class TestCalibrate:
         lo, hi = rule.predict_intervals(scorer.score_many(test_ds.X))
         assert np.array_equal(got, merge(lo[None, :], hi[None, :], "log"))
 
+    def test_test_file_never_moves_fill_values(self, tmp_path):
+        # the two test files agree on the rows with a missing cell and differ
+        # elsewhere; fill values from the test rows would move those rows
+        rng = np.random.default_rng(3)
+        train_rows = []
+        for i, y in enumerate(rng.integers(0, 2, size=60)):
+            a = "?" if i % 7 == 3 else repr(float(y + rng.normal()))
+            c = "?" if i % 5 == 1 else ("u" if rng.random() < 0.2 + 0.6 * y else "v")
+            train_rows.append(f"{a},{c},{y}")
+        train = tmp_path / "train.csv"
+        train.write_text("a,c,label\n" + "\n".join(train_rows) + "\n")
+        probabilities = []
+        for name, other in (("low", "-2.0,u"), ("high", "900.0,v")):
+            test = tmp_path / f"{name}.csv"
+            test.write_text("a,c,label\n?,u,0\n0.5,?,1\n" + f"{other},0\n" * 8)
+            out = tmp_path / f"{name}.p.csv"
+            assert run_cli("calibrate", "--method", "underlying", "--train", train,
+                           "--test", test, "--ratio", "1:1", "--out", out) == 0
+            probabilities.append(out.read_text().splitlines()[1:])
+        low, high = probabilities
+        assert low[:2] == high[:2]
+        assert low[2] != high[2]
+
     def test_missing_inputs_is_usage_error(self, tmp_path):
         assert run_cli("calibrate", "--method", "ivap", "--out", tmp_path / "p.csv") == 2
 

@@ -13,6 +13,7 @@ from venncal.data import (
     read_calibration_scores,
     read_test_scores,
     split_proper_calibration,
+    subset,
 )
 from venncal.exceptions import DataError
 
@@ -92,35 +93,33 @@ class TestImputation:
     def test_numeric_mean_from_training_rows(self, tmp_path):
         path = write(tmp_path, "a,label\n1,0\n2,1\n?,0\n")
         ds = load_csv(path, "label")
-        stats = compute_imputation(ds, [0, 1])
-        assert stats.values == (1.5,)
-        filled = apply_imputation(ds, stats)
+        values = compute_imputation(subset(ds, [0, 1]))
+        assert values == (1.5,)
+        filled = apply_imputation(ds, values)
         assert filled.X[2, 0] == 1.5
 
     def test_nominal_mode(self, tmp_path):
         path = write(tmp_path, "c,label\na,0\na,1\nb,0\n?,1\n")
         ds = load_csv(path, "label")
-        stats = compute_imputation(ds, [0, 1, 2])
-        assert stats.values == ("a",)
-        filled = apply_imputation(ds, stats)
+        values = compute_imputation(subset(ds, [0, 1, 2]))
+        assert values == ("a",)
+        filled = apply_imputation(ds, values)
         assert filled.X[3].tolist() == [1, 0]
 
     def test_mode_tie_breaks_lexicographically(self, tmp_path):
         path = write(tmp_path, "c,label\nb,0\na,1\n?,0\n")
         ds = load_csv(path, "label")
-        stats = compute_imputation(ds, [0, 1])
-        assert stats.values == ("a",)
+        values = compute_imputation(subset(ds, [0, 1]))
+        assert values == ("a",)
 
     def test_statistics_ignore_other_rows(self, tmp_path):
         # test rows differ wildly; training-derived statistics must not move
         path = write(tmp_path, "a,label\n1,0\n3,1\n1000,0\n?,1\n")
         ds = load_csv(path, "label")
-        stats = compute_imputation(ds, [0, 1])
-        assert stats.values == (2.0,)
-        assert stats.n_rows == 2
-        filled = apply_imputation(ds, stats)
+        values = compute_imputation(subset(ds, [0, 1]))
+        assert values == (2.0,)
+        filled = apply_imputation(ds, values)
         assert filled.X[3, 0] == 2.0
-        assert filled.imputation is stats
 
 
 class TestSplit:

@@ -1,5 +1,6 @@
 import copy
 import dataclasses
+import json
 import math
 import pickle
 
@@ -331,14 +332,12 @@ def raise_halfway(curve):
 
 
 class TestSerialization:
-    def test_round_trip_bit_exact(self, tmp_path):
+    def test_round_trip_bit_exact(self):
         rng = np.random.default_rng(1)
         scores = rng.normal(size=37)
         labels = rng.integers(0, 2, size=37)
         rule = IvapCalibrator.fit(scores, labels)
-        path = tmp_path / "rule.json"
-        rule.save(path)
-        loaded = IvapCalibrator.load(path)
+        loaded = IvapCalibrator.from_dict(json.loads(json.dumps(rule.to_dict())))
         assert np.array_equal(loaded.points.scores, rule.points.scores)
         assert np.array_equal(loaded.points.weights, rule.points.weights)
         assert np.array_equal(loaded.points.label_sums, rule.points.label_sums)
@@ -349,10 +348,18 @@ class TestSerialization:
         assert np.array_equal(np.stack(loaded.predict_intervals(qs)),
                               np.stack(rule.predict_intervals(qs)))
 
+    def test_one_key_round_trip(self):
+        rule = IvapCalibrator.fit([0.5, 0.5], [0, 1])
+        loaded = IvapCalibrator.from_dict(rule.to_dict())
+        assert len(loaded) == 1
+        assert loaded.to_dict() == rule.to_dict()
+
     @pytest.mark.parametrize("field, corrupt, message", [
         ("p1", lambda v: v[:-1], "equal, non-zero length"),
         ("scores", lambda v: [], "equal, non-zero length"),
         ("scores", lambda v: [v[1], v[0]] + v[2:], "strictly increasing"),
+        # the sweep reads only weights and label sums, so it rebuilds the stored curves
+        ("scores", lambda v: [v[0], v[0]] + v[2:], "strictly increasing"),
         ("scores", lambda v: v[:-1] + [math.inf], "finite"),
         ("weights", lambda v: [0] + v[1:], "positive integers"),
         ("weights", lambda v: [v[0] + 0.5] + v[1:], "positive integers"),
@@ -362,13 +369,14 @@ class TestSerialization:
         ("p0", lambda v: v[:2] + [1.0] + v[3:], "0 <= p0 < p1 <= 1"),
         ("p1", lambda v: v[:-1] + [1.5], "0 <= p0 < p1 <= 1"),
         ("p1", lambda v: v[:-1] + [math.nan], "0 <= p0 < p1 <= 1"),
+        ("p0", lambda v: v[:-1] + [0.7], "0 <= p0 < p1 <= 1"),  # the stored p1 ends at 0.7
         ("p0", lambda v: v[:-1] + [0.0], "non-decreasing"),
         ("p1", lambda v: raise_halfway(v), "not the curves of the stored points"),
         ("label_sums", lambda v: [0.5] + v[1:], "integer weights and label sums"),
-    ], ids=["lengths", "empty", "score_order", "score_finite", "weight_zero",
-            "weight_fraction", "label_sum_negative", "label_sum_above_weight", "p0_negative",
-            "p0_not_below_p1", "p1_above_one", "p1_nan", "monotone", "p1_tampered",
-            "label_sum_fraction"])
+    ], ids=["lengths", "empty", "score_order", "score_repeated", "score_finite",
+            "weight_zero", "weight_fraction", "label_sum_negative", "label_sum_above_weight",
+            "p0_negative", "p0_not_below_p1", "p1_above_one", "p1_nan", "p0_equals_p1",
+            "monotone", "p1_tampered", "label_sum_fraction"])
     def test_corrupt_record_rejected(self, field, corrupt, message):
         rng = np.random.default_rng(2)
         record = IvapCalibrator.fit(rng.normal(size=40), rng.integers(0, 2, size=40)).to_dict()

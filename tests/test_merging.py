@@ -79,6 +79,8 @@ class TestMergeLog:
         (1.5, 0.5, "log"),                # 1 - p0 + p1 is zero
         (0.6, 0.4, "brier"),
         ([[0.2, 0.5]], [[0.3, 0.4]], "log"),
+        (0.2, 1.5, "log"),                # p1 above 1
+        ([0.1, 0.2], [0.5, 1.5], "brier"),
     ])
     def test_inverted_or_out_of_range_interval_rejected(self, p0, p1, loss):
         with pytest.raises(ValueError, match=r"must lie in \[0, 1\] with p0 <= p1"):

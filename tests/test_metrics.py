@@ -2,7 +2,10 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from oracles import two_branch_losses
 from venncal.metrics import evaluate
 
 
@@ -92,6 +95,24 @@ class TestEvaluate:
     def test_probability_outside_unit_interval_rejected(self, bad):
         with pytest.raises(ValueError, match="probabilities out of range"):
             evaluate([bad, 0.5], [0, 1])
+
+
+EDGE_PROBABILITIES = (0.0, -0.0, 1.0, 5e-324, 1.0 - 2.0 ** -53)
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.lists(st.tuples(st.one_of(st.sampled_from(EDGE_PROBABILITIES),
+                                    st.floats(0.0, 1.0)),
+                          st.integers(0, 1)), min_size=1, max_size=40))
+def test_evaluate_matches_two_branch_oracle(rows):
+    # one log per row, and no log2(0): the RuntimeWarning filter would raise
+    p, y = (list(column) for column in zip(*rows))
+    rep = evaluate(p, y)
+    mll, mbl, n_inf = two_branch_losses(p, y)
+    # repr tells apart every non-NaN float, -0.0 from 0.0 included
+    assert repr(rep.mean_log_loss) == repr(mll)
+    assert repr(rep.mean_brier_loss) == repr(mbl)
+    assert rep.n_infinite == n_inf
 
 
 def test_both_losses_are_proper():

@@ -1,4 +1,6 @@
 import importlib
+import subprocess
+import sys
 
 import venncal
 
@@ -53,3 +55,15 @@ def test_module_exports_resolve():
         mod = importlib.import_module(f"venncal.{module}")
         for name in getattr(mod, "__all__", ()):
             assert hasattr(mod, name), f"venncal.{module}.{name}"
+
+
+def test_runtime_imports_only_numpy():
+    # scipy, hypothesis and pytest are test-side only; a fresh interpreter
+    # (with the package on its path, as conftest.py sets) shows what the
+    # package itself imports
+    test_side = ("scipy", "hypothesis", "pytest")
+    proc = subprocess.run(
+        [sys.executable, "-c", "import sys, venncal, venncal.cli; "
+         f"print(sorted(set({test_side!r}) & set(sys.modules)))"],
+        capture_output=True, text=True, check=True)
+    assert proc.stdout.strip() == "[]"
