@@ -158,18 +158,18 @@ def _load_feature_data(args) -> tuple[Dataset, Dataset]:
     return apply_imputation(train_ds, values), apply_imputation(test_ds, values)
 
 
-def _calibrate(method: str, args, inputs):
+def _calibrate(method: str, args, inputs, intervals: bool = False):
     """(p, intervals-or-None) of `method` from the inputs either route made.
 
     The inputs are the test probabilities for underlying, the stacked (K, n)
     fold intervals for cvap, and (calibration scores, labels, test scores)
-    for every other method.
+    for every other method.  ivap and cvap return intervals if `intervals`.
     """
     if method == "underlying":
         return inputs, None
     if method == "cvap":
         lo, hi = inputs
-        return merge(lo, hi, args.merge), merged_interval(lo, hi)
+        return merge(lo, hi, args.merge), merged_interval(lo, hi) if intervals else None
     scores, labels, test_scores = inputs
     if method == "platt":
         return PlattCalibrator.fit(scores, labels).predict_many(test_scores), None
@@ -177,7 +177,7 @@ def _calibrate(method: str, args, inputs):
         model = DirectIsotonic.fit(scores, labels, dummy_endpoints=args.dummy_endpoints)
         return model.predict_many(test_scores), None
     lo, hi = IvapCalibrator.fit(scores, labels).predict_intervals(test_scores)
-    return merge(lo[None, :], hi[None, :], args.merge), (lo, hi)
+    return merge(lo[None, :], hi[None, :], args.merge), (lo, hi) if intervals else None
 
 
 def _feature_inputs(methods, args, train_ds: Dataset, test_ds: Dataset, spec: ScorerSpec):
@@ -259,8 +259,8 @@ def cmd_calibrate(args) -> int:
         train_ds, test_ds = _load_feature_data(args)
         _, inputs = next(_feature_inputs([args.method], args, train_ds, test_ds,
                                          _tuned_spec(args, train_ds)))
-    p, intervals = _calibrate(args.method, args, inputs)
-    _write_predictions(args.out, np.asarray(p), intervals if args.intervals else None)
+    p, intervals = _calibrate(args.method, args, inputs, args.intervals)
+    _write_predictions(args.out, np.asarray(p), intervals)
     _write_manifest(args)
     return 0
 

@@ -2,16 +2,19 @@
 
 CSV files are comma-separated with an optional header and quoted fields.
 Every reader tokenizes as `csv.reader` does and then parses a column at a
-time; a field longer than `csv.field_size_limit()` is a DataError.  Data,
-score and prediction files are written by `write_csv`, one column at a time.
-Missing cells are empty strings or "?".  Feature columns are numeric when
-every non-missing cell parses as a float, nominal otherwise; nominal columns
-are one-hot encoded with lexicographically sorted categories, and a missing
-nominal cell is NaN across the whole indicator block.  Labels must take
-exactly two raw values; the lexicographically smaller one maps to 0 unless
-overridden.  Imputation statistics (column means and modes) are computed
-from the training dataset alone, so test rows can never contribute; no record
-of their source is kept.  A cell parsing to NaN is a DataError.
+time with float(); a field longer than `csv.field_size_limit()` is a
+DataError.  ASCII text without quotes or carriage returns is split at its
+newlines and commas, with the field counts found in its bytes; every other
+file goes through `csv.reader`.  Data, score and prediction files are
+written by `write_csv`, one column at a time.  Missing cells are empty
+strings or "?".  Feature columns are numeric when every non-missing cell
+parses as a float, nominal otherwise; nominal columns are one-hot encoded
+with lexicographically sorted categories, and a missing nominal cell is NaN
+across the whole indicator block.  Labels must take exactly two raw values;
+the lexicographically smaller one maps to 0 unless overridden.  Imputation
+statistics (column means and modes) are computed from the training dataset
+alone, so test rows can never contribute; no record of their source is
+kept.  A cell parsing to NaN is a DataError.
 """
 
 from __future__ import annotations
@@ -20,7 +23,7 @@ import csv
 import io
 import math
 from dataclasses import dataclass
-from itertools import accumulate, chain, repeat
+from itertools import chain
 
 import numpy as np
 
@@ -87,34 +90,51 @@ class Dataset:
 # ---- CSV tables: a record's line number in messages is its 1-based index
 
 
-def _read_table(path) -> tuple[list[str], list[int]]:
+def _record_widths(raw: bytes) -> np.ndarray | None:
+    """Field count of each line of `raw`, or None when a line is blank or a
+    field is longer than csv.field_size_limit() (left to csv.reader)."""
+    buf = np.frombuffer(raw if raw.endswith(b"\n") else raw + b"\n", np.uint8)
+    seps = np.flatnonzero((buf == ord("\n")) | (buf == ord(",")))  # where each field ends
+    ends = np.flatnonzero(buf[seps] == ord("\n"))  # the index in `seps` of each newline
+    if (np.diff(seps, prepend=-1).max() > csv.field_size_limit() + 1
+            or np.diff(seps[ends], prepend=-1).min() == 1):
+        return None
+    return np.diff(ends, prepend=-1)
+
+
+def _read_table(path, strip: bool = False) -> tuple[list[str], np.ndarray]:
     """The records of a CSV file as csv.reader yields them: every field in
-    order, and the field count of each record."""
-    with open(path, newline="", encoding="utf-8") as fh:
-        text = fh.read()
-    lines = text.removesuffix("\n").split("\n")
-    # for text without quotes, carriage returns, blank lines (or no lines)
-    # and over-long fields, splitting at newlines and commas gives
-    # csv.reader's rows
-    if ('"' not in text and "\r" not in text and "" not in lines
-            and max(map(len, lines)) <= csv.field_size_limit()):
-        if "," not in text:
-            # the lines are the fields; splitting them again would hold a
-            # second copy of every field of a score file while it is parsed
-            return lines, [1] * len(lines)
-        widths = [commas + 1 for commas in map(str.count, lines, repeat(","))]
-        return ",".join(lines).split(","), widths
-    reader = csv.reader(io.StringIO(text, newline=""))
-    try:
-        rows = list(reader)
-    except csv.Error as exc:
-        raise DataError(f"{path}: line {reader.line_num}: {exc}") from None
-    return list(chain.from_iterable(rows)), list(map(len, rows))
+    order (stripped if `strip`), and the field count of each record."""
+    with open(path, "rb") as fh:
+        raw = fh.read()
+    # in ASCII text without quotes or carriage returns csv.reader's records are
+    # the lines, its fields are the parts between commas, and chars are bytes
+    plain = raw.isascii() and b'"' not in raw and b"\r" not in raw
+    widths = _record_widths(raw) if plain else None
+    # the ASCII characters str.strip removes, \n and \r aside
+    strip = strip and (not plain or any(map(raw.__contains__, b"\t\x0b\x0c\x1c\x1d\x1e\x1f ")))
+    text = raw.decode("utf-8")  # after the widths: their temporaries never overlap it
+    del raw  # splitting the text is the peak
+    if widths is None:
+        reader = csv.reader(io.StringIO(text, newline=""))
+        try:
+            rows = list(reader)
+        except csv.Error as exc:
+            raise DataError(f"{path}: line {reader.line_num}: {exc}") from None
+        fields = list(chain.from_iterable(rows))
+        widths = np.fromiter(map(len, rows), np.intp, len(rows))
+    else:
+        sep = "," if widths.sum() > len(widths) else "\n"
+        fields = text.replace("\n", sep).split(sep)
+        if text.endswith("\n"):
+            fields.pop()  # the last newline ends a record and starts none
+    return (list(map(str.strip, fields)) if strip else fields), widths
 
 
-def _first_not_of_width(widths: list[int], first: int, width: int) -> int:
-    """Index of the first record from `first` on without `width` fields, else the record count."""
-    return next((i for i, w in enumerate(widths[first:], first) if w != width), len(widths))
+def _first(mask: np.ndarray) -> int:
+    """Index of the first true entry of `mask`, else its length."""
+    hits = np.flatnonzero(mask)
+    return int(hits[0]) if len(hits) else len(mask)
 
 
 def _floats(cells, missing=()) -> tuple[np.ndarray, int | None]:
@@ -142,11 +162,11 @@ def load_csv(path, label_column, *, header: bool = True,
     `like` to reuse another dataset's column schema and label mapping, e.g.
     to encode a test file consistently with its training file.
     """
-    fields, widths = _read_table(path)
-    if not widths:
+    fields, widths = _read_table(path, strip=True)
+    if not len(widths):
         raise DataError(f"{path}: empty file")
     if header:
-        names = [c.strip() for c in fields[:widths[0]]]
+        names = fields[:widths[0]]
         first = 1
     else:
         names = [f"col{i}" for i in range(widths[0])]
@@ -164,11 +184,11 @@ def load_csv(path, label_column, *, header: bool = True,
         label_idx = names.index(label_column)
 
     width = len(names)
-    bad = _first_not_of_width(widths, first, width)
+    bad = first + _first(widths[first:] != width)
     if bad < len(widths):
         raise DataError(f"{path}: line {bad + 1}: expected {width} fields, got {widths[bad]}")
     # every record has `width` fields, so column j is a stride of the fields
-    cells = [list(map(str.strip, fields[first * width + j::width])) for j in range(width)]
+    cells = [fields[first * width + j::width] for j in range(width)]
 
     raw_labels = cells[label_idx]
     label_set = set(raw_labels)
@@ -380,9 +400,9 @@ def write_csv(path, header: str, columns, labels=None) -> None:
             fh.write("".join(pieces))
 
 
-def _read_score_table(path, expected_header: str) -> tuple[list[str], list[int]]:
+def _read_score_table(path, expected_header: str) -> tuple[list[str], np.ndarray]:
     fields, widths = _read_table(path)
-    if not widths or [c.strip() for c in fields[:widths[0]]] != expected_header.split(","):
+    if not len(widths) or [c.strip() for c in fields[:widths[0]]] != expected_header.split(","):
         raise DataError(f"{path}: expected header {expected_header!r}")
     if len(widths) < 2:
         raise DataError(f"{path}: no data rows")
@@ -393,16 +413,21 @@ def read_calibration_scores(path) -> tuple[np.ndarray, np.ndarray]:
     fields, widths = _read_score_table(path, "score,label")
     # the first bad row is reported; within a row the field count is checked
     # first, then the score, then the label
-    stop = _first_not_of_width(widths, 1, 2)
+    stop = 1 + _first(widths[1:] != 2)
     score_cells, label_cells = fields[2:2 * stop:2], fields[3:2 * stop:2]
     scores, bad_score = _floats(score_cells)
-    valid = list(map(("0", "1").__contains__, map(str.strip, label_cells)))
-    bad_label = valid.index(False) if False in valid else len(valid)
-    bad_score = len(valid) if bad_score is None else bad_score
-    labels = np.array(list(map(int, label_cells[:min(bad_score, bad_label)])), dtype=np.int64)
-    if bad_score < len(valid) and bad_score <= bad_label:
+    n = len(label_cells)
+    bad_score = n if bad_score is None else bad_score
+    if set(label_cells) <= {"0", "1"}:  # one ASCII digit per label
+        labels = np.frombuffer("".join(label_cells).encode(), np.uint8).astype(np.int64) - 48
+        bad_label = n
+    else:
+        valid = list(map(("0", "1").__contains__, map(str.strip, label_cells)))
+        bad_label = valid.index(False) if False in valid else n
+        labels = np.array(list(map(int, label_cells[:min(bad_score, bad_label)])), dtype=np.int64)
+    if bad_score < n and bad_score <= bad_label:
         raise DataError(f"{path}: line {bad_score + 2}: bad score {score_cells[bad_score]!r}")
-    if bad_label < len(valid):
+    if bad_label < n:
         raise DataError(f"{path}: line {bad_label + 2}: bad label {label_cells[bad_label]!r}")
     if stop < len(widths):
         raise DataError(f"{path}: line {stop + 1}: expected two fields")
@@ -411,7 +436,7 @@ def read_calibration_scores(path) -> tuple[np.ndarray, np.ndarray]:
 
 def read_test_scores(path) -> np.ndarray:
     fields, widths = _read_score_table(path, "score")
-    stop = _first_not_of_width(widths, 1, 1)  # records before it hold one field each
+    stop = 1 + _first(widths[1:] != 1)  # records before it hold one field each
     scores, bad = _floats(fields[1:stop])
     if bad is not None or stop < len(widths):
         i = stop if bad is None else bad + 1
@@ -422,15 +447,15 @@ def read_test_scores(path) -> np.ndarray:
 def read_prediction_column(path, column: str) -> np.ndarray:
     """The named float column of a prediction file such as `calibrate` writes."""
     fields, widths = _read_table(path)
-    if not widths:
+    if not len(widths):
         raise DataError(f"{path}: empty file")
     header = [c.strip() for c in fields[:widths[0]]]
     if column not in header:
         raise DataError(f"{path}: no column {column!r} in header {header!r}")
     j = header.index(column)
-    stop = next((i for i, w in enumerate(widths[1:], 1) if w <= j), len(widths))
+    stop = 1 + _first(widths[1:] <= j)
     # records 1..stop-1 each have a field j; rows may differ in width
-    values, bad = _floats([fields[s + j] for s in accumulate(widths[:stop - 1])])
+    values, bad = _floats([fields[s + j] for s in np.cumsum(widths[:stop - 1]).tolist()])
     if bad is not None or stop < len(widths):
         raise DataError(f"{path}: line {stop + 1 if bad is None else bad + 2}: "
                         f"bad value in column {column!r}")

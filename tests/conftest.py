@@ -1,11 +1,23 @@
 """Setup shared by every test module."""
 
 import os
+import warnings
 from pathlib import Path
 
 import pytest
 
 import venncal
+
+# hypothesis's pytest plugin imports this module to report a failing example;
+# it imports libcst, whose use of mypy_extensions.TypedDict warns, and the
+# DeprecationWarning-as-error setting would turn the report into a crash
+with warnings.catch_warnings():
+    warnings.filterwarnings("ignore", "mypy_extensions.TypedDict is deprecated",
+                            DeprecationWarning)
+    try:
+        import hypothesis.extra._patching  # noqa: F401
+    except ImportError:  # without libcst the plugin skips the report itself
+        pass
 
 
 @pytest.fixture(autouse=True, scope="session")

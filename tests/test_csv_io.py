@@ -76,6 +76,13 @@ DATASET_TEXTS = {
     "missing_label": "a,label\n1,0\n2,?\n",
     "nominal_and_numeric": "c,a,label\nb,1,0\na,?,1\nb,3,1\n?,4,0\n",
     "bad_label_column": "a,b\n1,0\n",
+    "empty_label": "a,label\n1,\n2,0\n",
+    # whitespace that str.strip removes, in ASCII text and in other text
+    "tab_after_label": "a,label\n1,0\n2,1\t\n",
+    "unit_separator_category": "c,label\nx\x1f,0\nx,1\n",
+    "ideographic_space_label": "a,label\n1,0\n2,1\u3000\n",
+    "leading_newline": "\na,label\n1,0\n2,1\n",
+    "lone_newline": "\n",
 }
 
 
@@ -140,6 +147,11 @@ CALIBRATION_TEXTS = [
     "",
     "\ufeffscore,label\n0.5,1\n",
     "score,label\n0.5\x00,1\n",
+    "score,label\n0.5,1\n0.25,\n",           # an empty label cell
+    "score,label\n0.5,\nabc,1\n",           # an empty label before a bad score
+    "\nscore,label\n0.5,1\n",
+    "score,label\n0.5,1\n\n",
+    "\n",
 ]
 
 
@@ -161,6 +173,9 @@ TEST_SCORE_TEXTS = [
     "score\n1",
     "score\n",
     "score,label\n1,0\n",
+    "\ufeffscore\n1\n",
+    "\nscore\n1\n",
+    "\n",
 ]
 
 
@@ -181,6 +196,11 @@ PREDICTION_TEXTS = [
     "p\n",
     "q\n0.5\n",
     "",
+    "\ufeffp\n0.5\n",
+    "p\n0.5\n１\n",
+    "a,p\n1, 0.5\n2,\n",
+    "\np\n0.5\n",
+    "\n",
 ]
 
 
@@ -200,6 +220,43 @@ def test_oversized_field_is_a_data_error(tmp_path):
     limit = csv.field_size_limit()
     path.write_text("score\n" + "1" * limit + "\n", encoding="utf-8")
     assert data.read_test_scores(path).tobytes() == oracles.read_test_scores(path).tobytes()
+
+
+# ---- the field limit: the byte path hands a line with a field over it to
+# csv.reader, and keeps a long line whose fields are each under it
+
+READER_ARGS = {"load_csv": ("label",), "read_calibration_scores": (),
+               "read_test_scores": (), "read_prediction_column": ("p",)}
+LIMIT = csv.field_size_limit()
+LONG_LINE_TEXTS = {
+    "load_csv": f"a,b,label\n{'1' * (LIMIT - 1)},{'2' * (LIMIT - 1)},0\n3,4,1\n",
+    "read_calibration_scores": f"score,label\n0.{'5' * (LIMIT - 2)},{' ' * (LIMIT - 1)}1\n",
+    "read_prediction_column": f"a,p\n{'1' * (LIMIT - 1)},0.{'5' * (LIMIT - 2)}\n",
+}
+
+
+@pytest.mark.parametrize("reader", sorted(LONG_LINE_TEXTS))
+def test_long_line_of_short_fields_matches_oracle(tmp_path, reader):
+    assert_same(tmp_path, LONG_LINE_TEXTS[reader], reader, *READER_ARGS[reader])
+
+
+@pytest.mark.parametrize("reader", sorted(READER_ARGS))
+@pytest.mark.parametrize("extra", [0, 1])
+def test_field_at_and_over_the_limit_match_oracle(tmp_path, reader, extra):
+    # csv.reader's own error, with the line it names, is the oracle's outcome
+    # for a field one character over the limit
+    field = "1" * (LIMIT + extra)
+    header = {"load_csv": "a,label", "read_calibration_scores": "score,label"}.get(reader)
+    text = (f"{header}\n1,0\n{field},1\n" if header else
+            f"{'p' if reader == 'read_prediction_column' else 'score'}\n1\n{field}\n")
+    path = tmp_path / "in.csv"
+    path.write_text(text, encoding="utf-8")
+    new = outcome(getattr(data, reader), path, *READER_ARGS[reader])
+    want = outcome(getattr(oracles, reader), path, *READER_ARGS[reader])
+    if extra:
+        assert want == ("Error", f"field larger than field limit ({LIMIT})")
+        want = ("DataError", f"{path}: line 3: {want[1]}")
+    assert new == want
 
 
 def test_invalid_utf8_names_its_byte_offset(tmp_path):
@@ -229,7 +286,7 @@ def test_tokenizer_matches_csv_reader(text):
             rows = list(csv.reader(fh))
         fields, widths = data._read_table(path)
     assert fields == list(itertools.chain.from_iterable(rows))
-    assert widths == [len(r) for r in rows]
+    assert widths.tolist() == [len(r) for r in rows]
 
 
 # ---- writers ---------------------------------------------------------------

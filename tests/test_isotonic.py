@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from scipy.optimize import isotonic_regression
 
 from oracles import mean_labels, stable_dedup
 from venncal.isotonic import (
@@ -177,6 +178,16 @@ class TestFitIsotonic:
         for _ in range(200):
             pts = random_points(rng)
             assert np.allclose(fit_isotonic(pts), brute_force_isotonic(pts), atol=1e-9)
+
+    @settings(max_examples=300, deadline=None)
+    @given(st.integers(0, 5).flatmap(lambda top: st.lists(
+        st.tuples(st.integers(0, top), st.integers(0, 1)), min_size=1, max_size=60)))
+    def test_matches_scipy_pava(self, draws):
+        # up to 60 draws over at most 6 distinct scores: heavy ties, and k = 1
+        # whenever the top score is 0
+        pts = dedup_weighted(*zip(*draws))
+        want = isotonic_regression(mean_labels(pts), weights=pts.weights).x
+        assert np.max(np.abs(fit_isotonic(pts) - want)) <= 1e-12
 
     def test_nondecreasing_and_level_set_means(self):
         rng = np.random.default_rng(5)
