@@ -5,7 +5,9 @@ default; a seeded shuffle on request).  For each fold, a scorer is trained
 on the complement and an interval calibrator is built from the fold's scores
 under that scorer, so no observation ever calibrates a scorer that saw it.
 A prediction computes K intervals and merges them with the minimax rule for
-the configured loss; one feature row takes a scalar interval query per fold.
+the configured loss.  One feature row is scored under every fold at once
+(`scorers.row_scorer`), takes a scalar interval query per fold, and merges
+as a (K, 1) column, with the bits that row has in any batch.
 """
 
 from __future__ import annotations
@@ -18,7 +20,7 @@ from venncal.data import Dataset
 from venncal.exceptions import DegenerateModelError
 from venncal.ivap import IvapCalibrator
 from venncal.merging import LOSSES, merge
-from venncal.scorers import ScorerSpec, scorer_from_dict, train_scorer
+from venncal.scorers import ScorerSpec, row_scorer, scorer_from_dict, train_scorer
 
 __all__ = ["FoldAssignment", "assign_folds", "fold_intervals", "CvapCalibrator"]
 
@@ -103,6 +105,7 @@ class CvapCalibrator:
         self.scorers = scorers
         self.rules = rules
         self.merge_loss = merge_loss
+        self._score_row = row_scorer(scorers)
 
     @classmethod
     def fit(cls, dataset: Dataset, n_folds: int = 5, spec: ScorerSpec | None = None,
@@ -145,9 +148,9 @@ class CvapCalibrator:
         return merge(lo, hi, self.merge_loss)
 
     def predict(self, x) -> float:
-        row = np.asarray(x, dtype=float)[None, :]
-        intervals = [rule.predict_interval(scorer.score_many(row)[0])
-                     for scorer, rule in zip(self.scorers, self.rules)]
+        """Merged probability of one feature row: the bits of a batch holding it."""
+        scores = self._score_row(np.asarray(x, dtype=float)[None, :])
+        intervals = [rule.predict_interval(s) for rule, s in zip(self.rules, scores)]
         lo = np.array([[iv.p0] for iv in intervals])
         hi = np.array([[iv.p1] for iv in intervals])
         return float(merge(lo, hi, self.merge_loss)[0])

@@ -230,11 +230,14 @@ def load_csv(path, label_column, *, header: bool = True,
             negative = distinct[0] if distinct[1] == positive_label else distinct[1]
             label_values = (negative, positive_label)
 
-    codes = list(map({label_values[0]: 0, label_values[1]: 1}.get, raw_labels))
-    if None in codes:
-        i = codes.index(None)
-        raise DataError(f"{path}: line {first + i + 1}: unknown label {raw_labels[i]!r}")
-    y = np.array(codes, dtype=np.int64)
+    if label_values == ("0", "1") and label_set <= {"0", "1"}:
+        y = _binary_digits(raw_labels)
+    else:
+        codes = list(map({label_values[0]: 0, label_values[1]: 1}.get, raw_labels))
+        if None in codes:
+            i = codes.index(None)
+            raise DataError(f"{path}: line {first + i + 1}: unknown label {raw_labels[i]!r}")
+        y = np.array(codes, dtype=np.int64)
 
     X = np.zeros((len(y), sum(col.width for col in columns)))
     offset = 0
@@ -409,6 +412,11 @@ def _read_score_table(path, expected_header: str) -> tuple[list[str], np.ndarray
     return fields, widths
 
 
+def _binary_digits(cells: list[str]) -> np.ndarray:
+    """Cells that are each "0" or "1" as int64 0s and 1s: one ASCII digit per cell."""
+    return np.frombuffer("".join(cells).encode(), np.uint8).astype(np.int64) - 48
+
+
 def read_calibration_scores(path) -> tuple[np.ndarray, np.ndarray]:
     fields, widths = _read_score_table(path, "score,label")
     # the first bad row is reported; within a row the field count is checked
@@ -418,8 +426,8 @@ def read_calibration_scores(path) -> tuple[np.ndarray, np.ndarray]:
     scores, bad_score = _floats(score_cells)
     n = len(label_cells)
     bad_score = n if bad_score is None else bad_score
-    if set(label_cells) <= {"0", "1"}:  # one ASCII digit per label
-        labels = np.frombuffer("".join(label_cells).encode(), np.uint8).astype(np.int64) - 48
+    if set(label_cells) <= {"0", "1"}:
+        labels = _binary_digits(label_cells)
         bad_label = n
     else:
         valid = list(map(("0", "1").__contains__, map(str.strip, label_cells)))

@@ -8,8 +8,12 @@ mean over k of p1_k + p0_k^2/2 - p1_k^2/2; it reduces to the arithmetic mean
 when every interval is degenerate (p0 = p1).
 
 `merge(p0, p1, loss)` is the one function that turns intervals into
-probabilities, for a single interval and for batches alike.
-`merged_interval` returns the endpoints of the merged interval instead.
+probabilities, for a single interval and for batches alike.  A pair of
+Python floats is merged in float arithmetic, whose + - * / round as numpy's
+do.  Means over the K intervals add them in order k = 0, 1, ..., K - 1 for
+every input shape, so a column's result does not depend on how many columns
+are merged with it.  `merged_interval` returns the endpoints of the merged
+interval instead.
 """
 
 from __future__ import annotations
@@ -24,35 +28,41 @@ LOSSES = ("log", "brier")
 # calibrator outputs can never reach it, but user-supplied batches might
 _EPS = 1e-300
 
+_RANGE = "interval endpoints must lie in [0, 1] with p0 <= p1"
+
 
 def merge(p0, p1, loss: str = "log"):
     """Minimax merge of K stacked intervals under `loss` ('log' or 'brier').
 
     `p0` and `p1` hold the lower and upper endpoints, 0 <= p0 <= p1 <= 1
-    (ValueError otherwise; p0 == p1 is allowed).  A 0-d pair is one
-    interval and (K,) inputs are K intervals; both give a float.  With 2-D
-    inputs the K axis is axis 0 and one merged probability is returned per
-    column.  Under log loss a single interval reduces to
+    (ValueError otherwise; p0 == p1 is allowed).  A pair of floats or a 0-d
+    pair is one interval and (K,) inputs are K intervals; all give a float.
+    With 2-D inputs the K axis is axis 0 and one merged probability is
+    returned per column.  Under log loss a single interval reduces to
     p1 / ((1 - p0) + p1), computed directly to avoid needless exp/log
     round-off; it lies strictly inside (0, 1) unless p0 = p1 = 0 or 1.
     """
     if loss not in LOSSES:
         raise ValueError(f"unknown loss {loss!r}")
+    if isinstance(p0, float) and isinstance(p1, float):
+        # a comparison with NaN is false, so NaN endpoints fail here too
+        if not 0.0 <= p0 <= p1 <= 1.0:
+            raise ValueError(_RANGE)
+        return float(_single(p0, p1, loss))
     p0 = np.asarray(p0, dtype=float)
     p1 = np.asarray(p1, dtype=float)
     if p0.shape != p1.shape:
         raise ValueError(f"shape mismatch: {p0.shape} vs {p1.shape}")
     if p0.size == 0:
         raise ValueError("empty interval batch")
-    # a comparison with NaN is false, so NaN endpoints fail here too
     if not ((0.0 <= p0) & (p0 <= p1) & (p1 <= 1.0)).all():
-        raise ValueError("interval endpoints must lie in [0, 1] with p0 <= p1")
+        raise ValueError(_RANGE)
     if loss == "brier":
-        out = p1 + 0.5 * p0 * p0 - 0.5 * p1 * p1
+        out = _single(p0, p1, loss)
         if out.ndim:
-            out = np.mean(out, axis=0)
+            out = _mean_over_k(out)
     elif p0.ndim == 0 or len(p0) == 1:
-        out = p1 / ((1.0 - p0) + p1)
+        out = _single(p0, p1, loss)
         if out.ndim:
             out = out[0]
     else:
@@ -61,10 +71,37 @@ def merge(p0, p1, loss: str = "log"):
     return float(out) if np.ndim(out) == 0 else out
 
 
+def _single(p0, p1, loss: str):
+    """Merge of each single interval: floats or arrays, elementwise."""
+    if loss == "brier":
+        return p1 + 0.5 * p0 * p0 - 0.5 * p1 * p1
+    return p1 / ((1.0 - p0) + p1)
+
+
+def _mean_over_k(x: np.ndarray):
+    """Mean over axis 0, its K rows added in order k = 0, 1, ... (x may be overwritten).
+
+    numpy's sum over axis 0 adds a (K, n > 1) array's rows in this order,
+    but sums a (K,) or (K, 1) array pairwise once K >= 8; a running sum
+    keeps the order there.  Many columns are summed into x[0] in place.
+    """
+    if x.ndim == 1 or x.shape[1] == 1:
+        return np.add.accumulate(x, axis=0)[-1] / len(x)
+    total = x[0]
+    for row in x[1:]:
+        total += row
+    return total / len(x)
+
+
+def _log_mean(x: np.ndarray):
+    """Mean over axis 0 of log(x), x floored at _EPS (x is overwritten)."""
+    np.maximum(x, _EPS, out=x)
+    return _mean_over_k(np.log(x, out=x))
+
+
 def _geometric_means(p0, p1) -> tuple[np.ndarray, np.ndarray]:
     """GM(1 - p0) and GM(p1) over the K axis 0."""
-    return (np.exp(np.mean(np.log(np.maximum(1.0 - p0, _EPS)), axis=0)),
-            np.exp(np.mean(np.log(np.maximum(p1, _EPS)), axis=0)))
+    return np.exp(_log_mean(1.0 - p0)), np.exp(_log_mean(np.array(p1, dtype=float)))
 
 
 def merged_interval(p0: np.ndarray, p1: np.ndarray) -> tuple[np.ndarray, np.ndarray]:

@@ -25,6 +25,7 @@ __all__ = [
     "ConstantScorer",
     "train_scorer",
     "scorer_from_dict",
+    "row_scorer",
 ]
 
 KINDS = ("logistic", "stump", "constant")
@@ -86,7 +87,7 @@ class LogisticScorer(_Scorer):
     def score_many(self, X) -> np.ndarray:
         X = _as_matrix(X)
         self._check_width(X)
-        return X @ self.weights + self.intercept
+        return _linear(X.T, self.weights, self.intercept, len(X))
 
     def probability_many(self, X) -> np.ndarray:
         return _sigmoid(self.score_many(X))
@@ -130,6 +131,39 @@ class ConstantScorer(_Scorer):
 
     def to_dict(self) -> dict:
         return {"kind": "constant", "value": self.value, "n_features": self.n_features}
+
+
+def _linear(columns, coefs, intercept, n: int) -> np.ndarray:
+    """0.0 + columns[0] * coefs[0] + columns[1] * coefs[1] + ... + intercept.
+
+    Each product and sum is rounded in that order, so an entry does not
+    depend on how many others are computed with it; BLAS's `X @ w` blocks
+    and fuses differently for different batch sizes once there are two
+    features or more.
+    """
+    total = np.zeros(n)
+    for column, coef in zip(columns, coefs):
+        total += column * coef
+    total += intercept
+    return total
+
+
+def row_scorer(scorers):
+    """A function of one (1, d) feature row giving its score under each scorer.
+
+    Logistic scorers are stacked: the row takes one `_linear` over the (d, K)
+    weight columns, with the bits of each scorer's `score_many`.
+    """
+    if not all(isinstance(s, LogisticScorer) for s in scorers):
+        return lambda row: [s.score_many(row)[0] for s in scorers]
+    first = scorers[0]
+    columns = np.array([s.weights for s in scorers]).T
+    intercepts = np.array([s.intercept for s in scorers])
+
+    def scores(row):
+        first._check_width(row)
+        return _linear(columns, row[0], intercepts, len(intercepts)).tolist()
+    return scores
 
 
 def _newton(X: np.ndarray, t: np.ndarray, ridge: float, b0: float, max_iter: int,

@@ -5,7 +5,7 @@ import pytest
 
 import venncal.cvap
 from venncal.cvap import CvapCalibrator, assign_folds
-from venncal.data import Dataset, generate_synthetic
+from venncal.data import Column, Dataset, generate_synthetic
 from venncal.exceptions import DegenerateModelError
 from venncal.ivap import IvapCalibrator
 from venncal.scorers import ScorerSpec, train_scorer
@@ -192,6 +192,22 @@ class TestScalarPredict:
             got = model.predict(x)
             assert type(got) is float
             assert np.array([got]).tobytes() == model.predict_many(x[None]).tobytes()
+
+    @pytest.mark.parametrize("d", [1, 3])
+    @pytest.mark.parametrize("n_folds", [2, 5, 8, 10])
+    @pytest.mark.parametrize("loss", ["log", "brier"])
+    def test_row_bits_do_not_depend_on_the_batch(self, d, n_folds, loss):
+        # numpy sums a (K, 1) batch pairwise from K = 8 on, a (K, n) one in order
+        rng = np.random.default_rng(17)
+        y = rng.integers(0, 2, size=400)
+        X = y[:, None] + rng.standard_normal((400, d))
+        ds = Dataset(X, y, tuple(Column(f"x{j}", "numeric") for j in range(d)))
+        model = CvapCalibrator.fit(ds, n_folds, ScorerSpec("logistic"), merge_loss=loss)
+        rows = rng.normal(0.5, 1.5, size=(60, d))
+        many = model.predict_many(rows)
+        for r, x in enumerate(rows):
+            got = np.array([model.predict(x)]).tobytes()
+            assert got == model.predict_many(x[None]).tobytes() == many[r:r + 1].tobytes()
 
     def test_nan_feature_rejected_like_batch(self):
         model = CvapCalibrator.fit(small_dataset(120, seed=2), 3, ScorerSpec("logistic"))

@@ -1,3 +1,6 @@
+import functools
+import operator
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -81,8 +84,18 @@ class TestMergeLog:
         ([[0.2, 0.5]], [[0.3, 0.4]], "log"),
         (0.2, 1.5, "log"),                # p1 above 1
         ([0.1, 0.2], [0.5, 1.5], "brier"),
+        (0.2, 1.5, "brier"),
+        (float("nan"), 0.5, "log"),
+        (float("nan"), 0.5, "brier"),
+        (0.2, float("nan"), "log"),
+        (0.6, 0.4, "log"),
+        (-0.1, 0.5, "brier"),
+        (0.2, 2.0, "log"),
+        (np.full((3, 4), 0.2), np.where(np.arange(12).reshape(3, 4) == 6, 1.5, 0.6), "log"),
+        (np.full((3, 4), 0.2), np.where(np.arange(12).reshape(3, 4) == 6, 1.5, 0.6), "brier"),
     ])
     def test_inverted_or_out_of_range_interval_rejected(self, p0, p1, loss):
+        # a pair of floats takes its own branch, with the batch path's message
         with pytest.raises(ValueError, match=r"must lie in \[0, 1\] with p0 <= p1"):
             merge(p0, p1, loss)
 
@@ -139,10 +152,19 @@ class TestMergeDispatch:
         rng = np.random.default_rng(10)
         p0 = rng.uniform(0.0, 0.5, size=200)
         p1 = p0 + rng.uniform(0.0, 0.5, size=200)
+        p0[:3], p1[:3] = (0.0, 0.0, 1.0), (0.0, 1.0, 1.0)
+        # the rounding of the stated formulas, which the written outputs depend on
+        want = {"log": p1 / ((1.0 - p0) + p1), "brier": p1 + 0.5 * p0 * p0 - 0.5 * p1 * p1}
         for loss in ("log", "brier"):
             batch = merge(p0[None, :], p1[None, :], loss)
+            assert batch.tobytes() == want[loss].tobytes()
             singles = np.array([merge(float(a), float(b), loss) for a, b in zip(p0, p1)])
             assert batch.tobytes() == singles.tobytes()
+            for a, b, single in zip(p0, p1, singles.tolist()):
+                # np.float64 is a float; a 0-d array and a (1,) batch take the array path
+                forms = (merge(a, b, loss), merge(np.array(a), np.array(b), loss),
+                         merge([a], [b], loss))
+                assert [f.hex() for f in forms] == [single.hex()] * 3
 
 
 @st.composite
@@ -170,6 +192,11 @@ def test_merge_within_endpoint_range(batch, loss):
         assert single.hex() == merge(p0[:1, j], p1[:1, j], loss).hex() == row[j].hex()
 
 
+def _mean_in_order(v):
+    """Mean of v, its entries added in index order: merge's order over the K axis."""
+    return functools.reduce(operator.add, v.tolist()) / len(v)
+
+
 def test_geometric_interval_narrower_than_arithmetic():
     # geometric means never exceed arithmetic ones, so the merged interval
     # (1 - GM(1-p0), GM(p1)) sits inside (AM(p0), AM(p1))
@@ -178,8 +205,8 @@ def test_geometric_interval_narrower_than_arithmetic():
         k = int(rng.integers(1, 11))
         p0 = rng.uniform(0.0, 0.9, size=k)
         p1 = p0 + rng.uniform(0.01, 1.0 - p0)
-        gm_hi = np.exp(np.mean(np.log(p1)))
-        gm_lo = 1.0 - np.exp(np.mean(np.log(1.0 - p0)))
+        gm_hi = np.exp(_mean_in_order(np.log(p1)))
+        gm_lo = 1.0 - np.exp(_mean_in_order(np.log(1.0 - p0)))
         assert merged_interval(p0, p1) == (gm_lo, gm_hi)
         assert gm_hi <= np.mean(p1) + 1e-12
         assert gm_lo >= np.mean(p0) - 1e-12

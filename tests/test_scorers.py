@@ -8,8 +8,10 @@ from venncal.exceptions import DegenerateModelError
 from venncal.scorers import (
     KINDS,
     ConstantScorer,
+    LogisticScorer,
     ScorerSpec,
     StumpScorer,
+    row_scorer,
     scorer_from_dict,
     train_scorer,
 )
@@ -167,6 +169,38 @@ class TestLogistic:
     def test_single_class_rejected(self):
         with pytest.raises(DegenerateModelError):
             train_scorer(ScorerSpec("logistic"), np.arange(4.0)[:, None], [1, 1, 1, 1])
+
+    def test_row_score_bits_do_not_depend_on_the_batch(self):
+        # BLAS's X @ w rounds a row differently in different batch sizes at d > 1
+        rng = np.random.default_rng(8)
+        scorer = LogisticScorer(rng.normal(size=3), float(rng.normal()), [])
+        X = rng.normal(size=(500, 3))
+        batch = scorer.score_many(X)
+        rows = np.array([scorer.score_many(x[None])[0] for x in X])
+        assert rows.tobytes() == batch.tobytes()
+        want = 0.0 + X[:, 0] * scorer.weights[0]
+        for j in (1, 2):
+            want = want + X[:, j] * scorer.weights[j]
+        assert batch.tobytes() == (want + scorer.intercept).tobytes()
+
+    @pytest.mark.parametrize("d", [1, 3, 8])
+    def test_stacked_row_scores_match_each_scorer(self, d):
+        rng = np.random.default_rng(d)
+        scorers = [LogisticScorer(rng.normal(size=d), float(rng.normal()), []) for _ in range(5)]
+        score_row = row_scorer(scorers)
+        for x in rng.normal(size=(300, d)):
+            got = score_row(x[None])
+            assert np.array(got).tobytes() == np.array([s.score_many(x[None])[0]
+                                                        for s in scorers]).tobytes()
+        with pytest.raises(ValueError, match="dimension"):
+            score_row(np.zeros((1, d + 1)))
+
+    def test_negative_zero_intercept_keeps_matmul_bits(self):
+        # the sum starts at +0.0, as X @ w does: -0.0 * 1 + -0.0 is +0.0, not -0.0
+        scorer = LogisticScorer(np.array([1.0]), -0.0, [])
+        X = np.array([[-0.0], [0.0], [2.5], [-1e-320]])
+        assert scorer.score_many(X).tobytes() == (X @ scorer.weights + -0.0).tobytes()
+        assert np.signbit(scorer.score_many(X[:1])[0]) == np.False_
 
     def test_sigmoid_bit_identical_to_masked_reference(self):
         from oracles import masked_sigmoid
