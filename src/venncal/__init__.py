@@ -12,7 +12,6 @@ from venncal.baselines import DirectIsotonic, PlattCalibrator
 from venncal.cvap import CvapCalibrator, FoldAssignment, assign_folds
 from venncal.data import (
     Dataset,
-    SplitSpec,
     generate_synthetic,
     load_csv,
     split_proper_calibration,
@@ -38,7 +37,6 @@ __all__ = [
     "PlattCalibrator",
     "ProbInterval",
     "ScorerSpec",
-    "SplitSpec",
     "WeightedPoints",
     "assign_folds",
     "dedup_weighted",

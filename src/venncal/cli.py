@@ -25,7 +25,6 @@ from venncal.baselines import DirectIsotonic, PlattCalibrator
 from venncal.cvap import CvapCalibrator, assign_folds, fold_intervals
 from venncal.data import (
     Dataset,
-    SplitSpec,
     apply_imputation,
     compute_imputation,
     generate_synthetic,
@@ -201,9 +200,9 @@ def _feature_inputs(methods, args, train_ds: Dataset, test_ds: Dataset, spec: Sc
             else:
                 if not args.ratio:
                     raise UsageError(f"method {method!r} needs --ratio (or --all-mode)")
-                split = SplitSpec(ratio=_parse_ratio(args.ratio),
-                                  permute=args.randomize_split, seed=_sub_seed(args.seed, 0))
-                proper, calibration = split_proper_calibration(train_ds, split)
+                proper, calibration = split_proper_calibration(
+                    train_ds, _parse_ratio(args.ratio),
+                    permute=args.randomize_split, seed=_sub_seed(args.seed, 0))
             scorer = train_scorer(spec, proper.X, proper.y)
             score = scorer.probability_many if args.sigmoid_scores else scorer.score_many
             scored = score(calibration.X), calibration.y, score(test_ds.X)

@@ -3,18 +3,19 @@
 CSV files are comma-separated with an optional header and quoted fields.
 Every reader tokenizes as `csv.reader` does and then parses a column at a
 time with float(); a field longer than `csv.field_size_limit()` is a
-DataError.  ASCII text without quotes or carriage returns is split at its
-newlines and commas, with the field counts found in its bytes; every other
-file goes through `csv.reader`.  Data, score and prediction files are
-written by `write_csv`, one column at a time.  Missing cells are empty
-strings or "?".  Feature columns are numeric when every non-missing cell
-parses as a float, nominal otherwise; nominal columns are one-hot encoded
-with lexicographically sorted categories, and a missing nominal cell is NaN
-across the whole indicator block.  Labels must take exactly two raw values;
-the lexicographically smaller one maps to 0 unless overridden.  Imputation
-statistics (column means and modes) are computed from the training dataset
-alone, so test rows can never contribute; no record of their source is
-kept.  A cell parsing to NaN is a DataError.
+DataError.  UTF-8 text without quotes or carriage returns is split at its
+newlines and commas, with the field counts found in its bytes; a file with
+either, a blank line or a field of more bytes than that limit goes through
+`csv.reader`.  Data, score and prediction files are written by `write_csv`,
+one column at a time.  Missing cells are empty strings or "?".  Feature
+columns are numeric when every non-missing cell parses as a float, nominal
+otherwise; nominal columns are one-hot encoded with lexicographically sorted
+categories, and a missing nominal cell is NaN across the whole indicator
+block.  Labels must take exactly two raw values; the lexicographically
+smaller one maps to 0 unless overridden.  Imputation statistics (column
+means and modes) are computed from the training dataset alone, so test rows
+can never contribute; no record of their source is kept.  A cell parsing to
+NaN is a DataError.
 """
 
 from __future__ import annotations
@@ -32,7 +33,6 @@ from venncal.exceptions import DataError
 __all__ = [
     "Column",
     "Dataset",
-    "SplitSpec",
     "load_csv",
     "compute_imputation",
     "apply_imputation",
@@ -107,12 +107,14 @@ def _read_table(path, strip: bool = False) -> tuple[list[str], np.ndarray]:
     order (stripped if `strip`), and the field count of each record."""
     with open(path, "rb") as fh:
         raw = fh.read()
-    # in ASCII text without quotes or carriage returns csv.reader's records are
-    # the lines, its fields are the parts between commas, and chars are bytes
-    plain = raw.isascii() and b'"' not in raw and b"\r" not in raw
+    # in UTF-8 text without quotes or carriage returns csv.reader's records are
+    # the lines, its fields are the parts between commas (no byte of a multibyte
+    # char is either), and a field has no fewer bytes than chars
+    plain = b'"' not in raw and b"\r" not in raw
     widths = _record_widths(raw) if plain else None
-    # the ASCII characters str.strip removes, \n and \r aside
-    strip = strip and (not plain or any(map(raw.__contains__, b"\t\x0b\x0c\x1c\x1d\x1e\x1f ")))
+    # str.strip removes these ASCII characters (\n and \r aside) and some non-ASCII ones
+    strip = strip and (not plain or not raw.isascii()
+                       or any(map(raw.__contains__, b"\t\x0b\x0c\x1c\x1d\x1e\x1f ")))
     text = raw.decode("utf-8")  # after the widths: their temporaries never overlap it
     del raw  # splitting the text is the peak
     if widths is None:
@@ -313,25 +315,16 @@ def subset(dataset: Dataset, rows) -> Dataset:
     return Dataset(dataset.X[rows], dataset.y[rows], dataset.columns, dataset.label_values)
 
 
-@dataclass(frozen=True)
-class SplitSpec:
-    """Proper-training / calibration split by a ratio.
+def split_proper_calibration(dataset: Dataset, ratio: tuple[int, int], *, permute: bool = False,
+                             seed: int | None = None) -> tuple[Dataset, Dataset]:
+    """Proper-training / calibration split by `ratio`.
 
     With ratio (a, b) the proper part gets ceil(a / (a + b) * n) rows.  The
     split is contiguous (prefix/suffix) unless `permute` is set, in which
-    case a seeded permutation is applied first.
+    case a permutation seeded with `seed` is applied first.
     """
-
-    ratio: tuple[int, int] | None = None
-    permute: bool = False
-    seed: int | None = None
-
-
-def split_proper_calibration(dataset: Dataset, spec: SplitSpec) -> tuple[Dataset, Dataset]:
-    if spec.ratio is None:
-        raise DataError("split needs a ratio")
     n = len(dataset)
-    a, b = spec.ratio
+    a, b = ratio
     if a < 1 or b < 1:
         raise DataError(f"invalid split ratio {a}:{b}")
     m = (a * n + (a + b) - 1) // (a + b)
@@ -339,8 +332,8 @@ def split_proper_calibration(dataset: Dataset, spec: SplitSpec) -> tuple[Dataset
     if m < 1 or k < 1:
         raise DataError(f"degenerate split: proper={m}, calibration={k}")
     order = np.arange(n)
-    if spec.permute:
-        rng = np.random.default_rng(spec.seed)
+    if permute:
+        rng = np.random.default_rng(seed)
         rng.shuffle(order)
     return subset(dataset, order[:m]), subset(dataset, order[m:])
 

@@ -121,23 +121,14 @@ def _graham_scan(xs: list, ys: list) -> tuple[list, list]:
     <= 0), so collinear interior points are dropped.  Returns the corner
     coordinates; both endpoints are always included.
     """
-    n = len(xs)
-    sx = [0.0] * n
-    sy = [0.0] * n
-    sx[0], sy[0] = xs[0], ys[0]
-    top = 0
-    for i in range(1, n):
-        px, py = xs[i], ys[i]
-        while top > 0:
-            bx, by = sx[top], sy[top]
-            ax, ay = sx[top - 1], sy[top - 1]
-            if (bx - ax) * (py - by) - (px - bx) * (by - ay) <= 0.0:
-                top -= 1
-            else:
-                break
-        top += 1
-        sx[top], sy[top] = px, py
-    del sx[top + 1:], sy[top + 1:]
+    sx, sy = xs[:1], ys[:1]
+    for px, py in zip(xs[1:], ys[1:]):
+        while len(sx) > 1 and ((sx[-1] - sx[-2]) * (py - sy[-1])
+                               - (px - sx[-1]) * (sy[-1] - sy[-2])) <= 0.0:
+            sx.pop()
+            sy.pop()
+        sx.append(px)
+        sy.append(py)
     return sx, sy
 
 

@@ -1,14 +1,14 @@
 """Independent reference implementations used to check the fast paths.
 
 Everything here is deliberately naive: exhaustive enumeration, insert-and-
-refit, a stable-sort dedup, the probability sweep one step at a time, grid
-search, a masked two-branch sigmoid, a two-branch log loss, an explicit
-search tree over an interval calibrator's tables, a batch query that answers
-in input order with `np.where`, and CSV readers and writers that go one
-cell and one row at a time through `csv.reader` and f-strings.  None of it
-shares code with the algorithms under test beyond `dedup_weighted` for input
-normalization and the `CurveScan`/`Dataset`/`Column` records the oracles
-return.
+refit, a stable-sort dedup, a lower hull by its definition, the probability
+sweep one step at a time, grid search, a masked two-branch sigmoid, a
+two-branch log loss, an explicit search tree over an interval calibrator's
+tables, a batch query that answers in input order with `np.where`, and CSV
+readers and writers that go one cell and one row at a time through
+`csv.reader` and f-strings.  None of it shares code with the algorithms
+under test beyond `dedup_weighted` for input normalization and the
+`CurveScan`/`Dataset`/`Column` records the oracles return.
 """
 
 import csv
@@ -79,6 +79,19 @@ def brute_force_isotonic(points: WeightedPoints) -> np.ndarray:
             best_sse = sse
             best = fit
     return best
+
+
+def brute_force_lower_hull(xs, ys) -> tuple[list, list]:
+    """Corners of the lower hull of a polyline with integer-valued coordinates
+    and x strictly increasing, by definition: an interior vertex is a corner
+    unless it lies on or above the chord between some vertex to its left and
+    some vertex to its right.  Compared exactly, in Python integers."""
+    n = len(xs)
+    x, y = [int(v) for v in xs], [int(v) for v in ys]
+    corners = [j for j in range(n) if j in (0, n - 1) or not any(
+        y[j] * (x[b] - x[a]) >= y[a] * (x[b] - x[j]) + y[b] * (x[j] - x[a])
+        for a in range(j) for b in range(j + 1, n))]
+    return [xs[j] for j in corners], [ys[j] for j in corners]
 
 
 def pooled_fit_at(scores, labels, s: float) -> float:

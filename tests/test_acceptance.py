@@ -24,7 +24,7 @@ from oracles import (
 )
 from venncal.baselines import DirectIsotonic, PlattCalibrator
 from venncal.cvap import CvapCalibrator
-from venncal.data import SplitSpec, generate_synthetic, split_proper_calibration
+from venncal.data import generate_synthetic, split_proper_calibration
 from venncal.exceptions import DegenerateModelError
 from venncal.isotonic import (
     dedup_weighted,
@@ -250,7 +250,7 @@ def test_criterion_09_directional_experiment():
         test = generate_synthetic(25000, seed=1000 + seed)
         model = CvapCalibrator.fit(train, 3, spec)
         rep_cvap = evaluate(model.predict_many(test.X), test.y)
-        proper, calib = split_proper_calibration(train, SplitSpec(ratio=(2, 1)))
+        proper, calib = split_proper_calibration(train, (2, 1))
         scorer = train_scorer(spec, proper.X, proper.y)
         iso = DirectIsotonic.fit(scorer.score_many(calib.X), calib.y)
         rep_iso = evaluate(iso.predict_many(scorer.score_many(test.X)), test.y)

@@ -209,7 +209,7 @@ class TestCalibrate:
 
     def test_feature_route_matches_library_pipeline(self, tmp_path):
         from venncal.cli import _sub_seed
-        from venncal.data import SplitSpec, load_csv, split_proper_calibration
+        from venncal.data import load_csv, split_proper_calibration
         from venncal.scorers import ScorerSpec, train_scorer
 
         train = tmp_path / "train.csv"
@@ -224,8 +224,8 @@ class TestCalibrate:
 
         train_ds = load_csv(train, "label")
         test_ds = load_csv(test, "label", like=train_ds)
-        split = SplitSpec(ratio=(2, 1), permute=True, seed=_sub_seed(13, 0))
-        proper, calib = split_proper_calibration(train_ds, split)
+        proper, calib = split_proper_calibration(train_ds, (2, 1), permute=True,
+                                                 seed=_sub_seed(13, 0))
         scorer = train_scorer(ScorerSpec("logistic"), proper.X, proper.y)
         rule = IvapCalibrator.fit(scorer.score_many(calib.X), calib.y)
         lo, hi = rule.predict_intervals(scorer.score_many(test_ds.X))

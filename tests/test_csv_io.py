@@ -81,6 +81,10 @@ DATASET_TEXTS = {
     "tab_after_label": "a,label\n1,0\n2,1\t\n",
     "unit_separator_category": "c,label\nx\x1f,0\nx,1\n",
     "ideographic_space_label": "a,label\n1,0\n2,1\u3000\n",
+    "nbsp_around_number": "a,label\n\u00a01.5\u00a0,0\n\u30002,1\n",
+    "next_line_around_number": "a,label\n\x851\x85,0\n2,1\n",
+    "non_ascii_category": "c,label\né,0\nü\u00a0,1\n\u00a0é,0\n",
+    "bom_ragged": "\ufeffa,label\n1,0\n2\n",
     "leading_newline": "\na,label\n1,0\n2,1\n",
     "lone_newline": "\n",
 }
@@ -146,6 +150,8 @@ CALIBRATION_TEXTS = [
     "0.5,1\n",
     "",
     "\ufeffscore,label\n0.5,1\n",
+    "score,label\n\u00a00.5\u3000,1\n0.25,\u00a00\n",
+    "score,label\n0.5,1\né,0\n",
     "score,label\n0.5\x00,1\n",
     "score,label\n0.5,1\n0.25,\n",           # an empty label cell
     "score,label\n0.5,\nabc,1\n",           # an empty label before a bad score
@@ -174,6 +180,7 @@ TEST_SCORE_TEXTS = [
     "score\n",
     "score,label\n1,0\n",
     "\ufeffscore\n1\n",
+    "score\n\u30001\u00a0\n2\né\n",
     "\nscore\n1\n",
     "\n",
 ]
@@ -197,6 +204,7 @@ PREDICTION_TEXTS = [
     "q\n0.5\n",
     "",
     "\ufeffp\n0.5\n",
+    "a,p\né,\u00a00.5\nü,0.25\n",
     "p\n0.5\n１\n",
     "a,p\n1, 0.5\n2,\n",
     "\np\n0.5\n",
@@ -240,12 +248,9 @@ def test_long_line_of_short_fields_matches_oracle(tmp_path, reader):
     assert_same(tmp_path, LONG_LINE_TEXTS[reader], reader, *READER_ARGS[reader])
 
 
-@pytest.mark.parametrize("reader", sorted(READER_ARGS))
-@pytest.mark.parametrize("extra", [0, 1])
-def test_field_at_and_over_the_limit_match_oracle(tmp_path, reader, extra):
+def assert_limit_case(tmp_path, reader, field, extra):
     # csv.reader's own error, with the line it names, is the oracle's outcome
     # for a field one character over the limit
-    field = "1" * (LIMIT + extra)
     header = {"load_csv": "a,label", "read_calibration_scores": "score,label"}.get(reader)
     text = (f"{header}\n1,0\n{field},1\n" if header else
             f"{'p' if reader == 'read_prediction_column' else 'score'}\n1\n{field}\n")
@@ -257,6 +262,20 @@ def test_field_at_and_over_the_limit_match_oracle(tmp_path, reader, extra):
         assert want == ("Error", f"field larger than field limit ({LIMIT})")
         want = ("DataError", f"{path}: line 3: {want[1]}")
     assert new == want
+
+
+@pytest.mark.parametrize("reader", sorted(READER_ARGS))
+@pytest.mark.parametrize("extra", [0, 1])
+def test_field_at_and_over_the_limit_match_oracle(tmp_path, reader, extra):
+    assert_limit_case(tmp_path, reader, "1" * (LIMIT + extra), extra)
+
+
+@pytest.mark.parametrize("reader", sorted(READER_ARGS))
+@pytest.mark.parametrize("extra", [0, 1])
+def test_two_byte_field_at_and_over_the_limit_match_oracle(tmp_path, reader, extra):
+    # the limit counts characters, not the bytes of a two-byte "é": at the
+    # limit the field has 2 * LIMIT bytes, and load_csv reads it as a category
+    assert_limit_case(tmp_path, reader, "é" * (LIMIT + extra), extra)
 
 
 def test_invalid_utf8_names_its_byte_offset(tmp_path):
@@ -271,11 +290,14 @@ def test_invalid_utf8_names_its_byte_offset(tmp_path):
 # ---- the tokenizer ---------------------------------------------------------
 
 FAST_ALPHABET = "01.,\n ab?-e"
-ANY_ALPHABET = FAST_ALPHABET + '"\r\x00\x1c '
+# non-ASCII text without quotes or carriage returns takes the byte path too
+UTF8_ALPHABET = FAST_ALPHABET + "\x00\x1c\x85\u00a0\u2028\u3000\ufeffé"
+ANY_ALPHABET = UTF8_ALPHABET + '"\r'
 
 
 @settings(max_examples=300, deadline=None)
 @given(st.one_of(st.text(alphabet=FAST_ALPHABET, max_size=60),
+                 st.text(alphabet=UTF8_ALPHABET, max_size=60),
                  st.text(alphabet=ANY_ALPHABET, max_size=60)))
 def test_tokenizer_matches_csv_reader(text):
     with tempfile.TemporaryDirectory() as tmp:
@@ -285,7 +307,10 @@ def test_tokenizer_matches_csv_reader(text):
         with open(path, newline="", encoding="utf-8") as fh:
             rows = list(csv.reader(fh))
         fields, widths = data._read_table(path)
-    assert fields == list(itertools.chain.from_iterable(rows))
+        stripped, _ = data._read_table(path, strip=True)
+    want = list(itertools.chain.from_iterable(rows))
+    assert fields == want
+    assert stripped == [f.strip() for f in want]
     assert widths.tolist() == [len(r) for r in rows]
 
 

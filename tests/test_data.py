@@ -5,7 +5,6 @@ import pytest
 
 import oracles
 from venncal.data import (
-    SplitSpec,
     apply_imputation,
     compute_imputation,
     generate_synthetic,
@@ -125,45 +124,43 @@ class TestImputation:
 class TestSplit:
     def test_ratio_four_one(self):
         ds = generate_synthetic(100, seed=0)
-        proper, calib = split_proper_calibration(ds, SplitSpec(ratio=(4, 1)))
+        proper, calib = split_proper_calibration(ds, (4, 1))
         assert (len(proper), len(calib)) == (80, 20)
 
     def test_ratio_one_nine(self):
         ds = generate_synthetic(10, seed=0)
-        proper, calib = split_proper_calibration(ds, SplitSpec(ratio=(1, 9)))
+        proper, calib = split_proper_calibration(ds, (1, 9))
         assert (len(proper), len(calib)) == (1, 9)
 
     def test_protocol_size_large(self):
         ds = generate_synthetic(32561, seed=0)
-        proper, calib = split_proper_calibration(ds, SplitSpec(ratio=(4, 1)))
+        proper, calib = split_proper_calibration(ds, (4, 1))
         assert len(proper) == 26049
 
     def test_contiguous_prefix(self):
         ds = generate_synthetic(10, seed=1)
-        proper, calib = split_proper_calibration(ds, SplitSpec(ratio=(1, 1)))
+        proper, calib = split_proper_calibration(ds, (1, 1))
         assert np.array_equal(proper.X[:, 0], ds.X[:5, 0])
         assert np.array_equal(calib.X[:, 0], ds.X[5:, 0])
 
     def test_partition_exact_under_permutation(self):
         ds = generate_synthetic(37, seed=2)
-        proper, calib = split_proper_calibration(
-            ds, SplitSpec(ratio=(2, 1), permute=True, seed=5))
+        proper, calib = split_proper_calibration(ds, (2, 1), permute=True, seed=5)
         merged = np.sort(np.concatenate([proper.X[:, 0], calib.X[:, 0]]))
         assert np.array_equal(merged, np.sort(ds.X[:, 0]))
 
     def test_same_seed_same_split(self):
         ds = generate_synthetic(50, seed=3)
-        a, _ = split_proper_calibration(ds, SplitSpec(ratio=(2, 1), permute=True, seed=9))
-        b, _ = split_proper_calibration(ds, SplitSpec(ratio=(2, 1), permute=True, seed=9))
+        a, _ = split_proper_calibration(ds, (2, 1), permute=True, seed=9)
+        b, _ = split_proper_calibration(ds, (2, 1), permute=True, seed=9)
         assert np.array_equal(a.X, b.X)
 
     def test_degenerate_rejected(self):
-        ds = generate_synthetic(5, seed=0)
         # 1:1 of one row gives the proper part the row and calibration none
         with pytest.raises(DataError, match="degenerate split: proper=1, calibration=0"):
-            split_proper_calibration(generate_synthetic(1, seed=0), SplitSpec(ratio=(1, 1)))
-        with pytest.raises(DataError):
-            split_proper_calibration(ds, SplitSpec())
+            split_proper_calibration(generate_synthetic(1, seed=0), (1, 1))
+        with pytest.raises(DataError, match="invalid split ratio 0:1"):
+            split_proper_calibration(generate_synthetic(5, seed=0), (0, 1))
 
 
 class TestSynthetic:

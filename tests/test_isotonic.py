@@ -4,11 +4,11 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from scipy.optimize import isotonic_regression
 
-from oracles import mean_labels, stable_dedup
+from oracles import brute_force_lower_hull, mean_labels, stable_dedup
 from venncal.isotonic import (
     WeightedPoints,
     _csd,
@@ -391,7 +391,31 @@ class TestSweepMatchesStepwise:
             assert_sweep_matches_stepwise(one_label_per_score(labels))
 
 
+@st.composite
+def integer_polylines(draw):
+    """1-33 vertices with integer coordinates and x strictly increasing, built
+    from runs of equal steps: collinear vertices and repeated slopes."""
+    xs, ys = [float(draw(st.integers(-5, 5)))], [float(draw(st.integers(-5, 5)))]
+    runs = st.tuples(st.integers(1, 3), st.integers(-3, 3), st.integers(1, 4))
+    for dx, dy, count in draw(st.lists(runs, max_size=8)):
+        for _ in range(count):
+            xs.append(xs[-1] + dx)
+            ys.append(ys[-1] + dy)
+    return xs, ys
+
+
 class TestLowerHull:
+    @settings(max_examples=300, deadline=None)
+    @given(integer_polylines())
+    @example(([2.0], [-1.0]))
+    @example(([0.0, 1.0], [3.0, -2.0]))
+    @example(([0.0, 1.0, 2.0, 3.0], [0.0, 1.0, 2.0, 3.0]))
+    def test_matches_brute_force(self, line):
+        xs, ys = line
+        want = brute_force_lower_hull(xs, ys)
+        assert _graham_scan(xs, ys) == want
+        assert _lower_hull(np.array(xs), np.array(ys)) == want
+
     @pytest.mark.parametrize("name", ["convex", "low_end", "random_walk"])
     def test_matches_graham_scan(self, name):
         n = 3000

@@ -331,6 +331,17 @@ def raise_halfway(curve):
     return curve[:i] + [(curve[i] + curve[i + 1]) / 2] + curve[i + 1:]
 
 
+@st.composite
+def calibration_sets(draw):
+    """1-40 calibration points: scores from a small integer range (ties) or
+    any finite float, labels 0 and 1."""
+    score = st.one_of(st.integers(-6, 6).map(float),
+                      st.floats(allow_nan=False, allow_infinity=False))
+    pairs = draw(st.lists(st.tuples(score, st.integers(0, 1)), min_size=1, max_size=40))
+    scores, labels = zip(*pairs)
+    return list(scores), list(labels)
+
+
 class TestSerialization:
     def test_round_trip_bit_exact(self):
         rng = np.random.default_rng(1)
@@ -383,6 +394,34 @@ class TestSerialization:
         IvapCalibrator.from_dict(record)
         record[field] = corrupt(record[field])
         with pytest.raises(ValueError, match=message):
+            IvapCalibrator.from_dict(record)
+
+    @settings(max_examples=200, deadline=None)
+    @given(calibration_sets())
+    def test_json_round_trip_is_bit_exact(self, case):
+        rule = IvapCalibrator.fit(*case)
+        loaded = IvapCalibrator.from_dict(json.loads(json.dumps(rule.to_dict())))
+        assert loaded.p0.tobytes() == rule.p0.tobytes()
+        assert loaded.p1.tobytes() == rule.p1.tobytes()
+        assert loaded.push_counts == rule.push_counts
+
+    @settings(max_examples=300, deadline=None)
+    @given(calibration_sets(), st.sampled_from(["p0", "p1", "weights", "label_sums"]),
+           st.integers(0, 10 ** 6), st.sampled_from([-1, 1]))
+    def test_one_field_perturbed_is_rejected(self, case, field, position, step):
+        # one ulp of a curve, or one unit of a weight or a label sum, each way.
+        # A weight or label sum moved within its range moves p0 or p1 at its
+        # score by a rational with a small denominator, far above an ulp.
+        # (A score enters no curve: one moved without breaking the order is
+        # the record of another valid rule.)
+        record = IvapCalibrator.fit(*case).to_dict()
+        values = record[field]
+        i = position % len(values)
+        if field in ("p0", "p1"):
+            values[i] = float(np.nextafter(values[i], step * math.inf))
+        else:
+            values[i] += step
+        with pytest.raises(ValueError):
             IvapCalibrator.from_dict(record)
 
     def test_format_guard(self, tmp_path):
