@@ -7,7 +7,8 @@ under that scorer, so no observation ever calibrates a scorer that saw it.
 A prediction computes K intervals and merges them with the minimax rule for
 the configured loss.  One feature row is scored under every fold at once
 (`scorers.row_scorer`), takes a scalar interval query per fold, and merges
-as a (K, 1) column, with the bits that row has in any batch.
+its K intervals as two lists of floats (`merge`'s row path), with the bits
+that row has in any batch.
 """
 
 from __future__ import annotations
@@ -151,9 +152,7 @@ class CvapCalibrator:
         """Merged probability of one feature row: the bits of a batch holding it."""
         scores = self._score_row(np.asarray(x, dtype=float)[None, :])
         intervals = [rule.predict_interval(s) for rule, s in zip(self.rules, scores)]
-        lo = np.array([[iv.p0] for iv in intervals])
-        hi = np.array([[iv.p1] for iv in intervals])
-        return float(merge(lo, hi, self.merge_loss)[0])
+        return merge([iv.p0 for iv in intervals], [iv.p1 for iv in intervals], self.merge_loss)
 
     # ---- serialization --------------------------------------------------
 

@@ -162,7 +162,7 @@ def _check_tables(scores, weights, label_sums, p0, p1) -> None:
     n = len(scores)
     if n == 0 or any(a.ndim != 1 or len(a) != n for a in (scores, weights, label_sums, p0, p1)):
         raise ValueError("scores, weights, label_sums, p0 and p1 need one equal, non-zero length")
-    if not (np.isfinite(scores).all() and (np.diff(scores) > 0).all()):
+    if not (np.isfinite(scores).all() and (scores[1:] > scores[:-1]).all()):
         raise ValueError("scores must be finite and strictly increasing")
     if not (np.isfinite(weights).all() and (weights >= 1).all()
             and (weights == np.floor(weights)).all()):

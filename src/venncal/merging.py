@@ -14,6 +14,13 @@ do.  Means over the K intervals add them in order k = 0, 1, ..., K - 1 for
 every input shape, so a column's result does not depend on how many columns
 are merged with it.  `merged_interval` returns the endpoints of the merged
 interval instead.
+
+One row of K >= 2 intervals given as two lists of floats (a cross
+calibrator's answer for one object) takes a row path with the bits of its
+(K, 1) column: the range check and the means are float arithmetic, but the
+2K logs are one `np.log` call and the two geometric means one `np.exp`
+call.  numpy's float64 log and exp may take SIMD paths that round
+differently from the math module's, so the row path keeps them.
 """
 
 from __future__ import annotations
@@ -36,7 +43,8 @@ def merge(p0, p1, loss: str = "log"):
 
     `p0` and `p1` hold the lower and upper endpoints, 0 <= p0 <= p1 <= 1
     (ValueError otherwise; p0 == p1 is allowed).  A pair of floats or a 0-d
-    pair is one interval and (K,) inputs are K intervals; all give a float.
+    pair is one interval, and (K,) inputs or two lists of K floats are K
+    intervals; all give a float.
     With 2-D inputs the K axis is axis 0 and one merged probability is
     returned per column.  Under log loss a single interval reduces to
     p1 / ((1 - p0) + p1), computed directly to avoid needless exp/log
@@ -49,6 +57,8 @@ def merge(p0, p1, loss: str = "log"):
         if not 0.0 <= p0 <= p1 <= 1.0:
             raise ValueError(_RANGE)
         return float(_single(p0, p1, loss))
+    if _is_float_row(p0, p1):
+        return _merge_row(p0, p1, loss)
     p0 = np.asarray(p0, dtype=float)
     p1 = np.asarray(p1, dtype=float)
     if p0.shape != p1.shape:
@@ -78,14 +88,33 @@ def _single(p0, p1, loss: str):
     return p1 / ((1.0 - p0) + p1)
 
 
-def _mean_over_k(x: np.ndarray):
+def _is_float_row(p0, p1) -> bool:
+    """True for two lists of K >= 2 floats each: one row of K intervals."""
+    return (isinstance(p0, list) and isinstance(p1, list) and len(p0) == len(p1) >= 2
+            and all(isinstance(v, float) for v in p0 + p1))
+
+
+def _merge_row(p0: list, p1: list, loss: str) -> float:
+    """Merge of one row of K >= 2 float intervals: the bits of its (K, 1) column."""
+    if not all(0.0 <= a <= b <= 1.0 for a, b in zip(p0, p1)):
+        raise ValueError(_RANGE)
+    k = len(p0)
+    if loss == "brier":
+        return float(_mean_over_k([_single(a, b, loss) for a, b in zip(p0, p1)]))
+    logs = np.log(np.maximum([1.0 - a for a in p0] + p1, _EPS)).tolist()
+    gm_q0, gm_p1 = np.exp([_mean_over_k(logs[:k]), _mean_over_k(logs[k:])]).tolist()
+    return gm_p1 / (gm_q0 + gm_p1)
+
+
+def _mean_over_k(x):
     """Mean over axis 0, its K rows added in order k = 0, 1, ... (x may be overwritten).
 
     numpy's sum over axis 0 adds a (K, n > 1) array's rows in this order,
     but sums a (K,) or (K, 1) array pairwise once K >= 8; a running sum
-    keeps the order there.  Many columns are summed into x[0] in place.
+    keeps the order there.  Many columns are summed into x[0] in place,
+    and a list of K floats is summed as floats.
     """
-    if x.ndim == 1 or x.shape[1] == 1:
+    if isinstance(x, np.ndarray) and (x.ndim == 1 or x.shape[1] == 1):
         return np.add.accumulate(x, axis=0)[-1] / len(x)
     total = x[0]
     for row in x[1:]:

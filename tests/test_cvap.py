@@ -194,10 +194,11 @@ class TestScalarPredict:
             assert np.array([got]).tobytes() == model.predict_many(x[None]).tobytes()
 
     @pytest.mark.parametrize("d", [1, 3])
-    @pytest.mark.parametrize("n_folds", [2, 5, 8, 10])
+    @pytest.mark.parametrize("n_folds", [2, 5, 8, 10, 17])
     @pytest.mark.parametrize("loss", ["log", "brier"])
     def test_row_bits_do_not_depend_on_the_batch(self, d, n_folds, loss):
-        # numpy sums a (K, 1) batch pairwise from K = 8 on, a (K, n) one in order
+        # numpy sums a (K, 1) batch pairwise from K = 8 on, a (K, n) one in
+        # order; a row's K intervals merge as two lists of floats
         rng = np.random.default_rng(17)
         y = rng.integers(0, 2, size=400)
         X = y[:, None] + rng.standard_normal((400, d))

@@ -6,7 +6,7 @@ import pickle
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from oracles import (
@@ -342,6 +342,24 @@ def calibration_sets(draw):
     return list(scores), list(labels)
 
 
+@settings(max_examples=150, deadline=None)
+@given(calibration_sets(), st.data())
+def test_intervals_are_the_insert_and_refit_intervals(case, data):
+    from oracles import refit_interval
+
+    scores, labels = case
+    rule = IvapCalibrator.fit(scores, labels)
+    # exact hits, ties, and scores between, below and above the calibration scores
+    query = st.one_of(st.sampled_from(scores), st.integers(-7, 7).map(float),
+                      st.floats(allow_nan=False, allow_infinity=False))
+    queries = data.draw(st.lists(query, min_size=1, max_size=4))
+    lo, hi = rule.predict_intervals(np.array(queries))
+    for q, l, h in zip(queries, lo.tolist(), hi.tolist()):
+        want = refit_interval(scores, labels, q)
+        assert (l, h) == want
+        assert dataclasses.astuple(rule.predict_interval(q)) == want
+
+
 class TestSerialization:
     def test_round_trip_bit_exact(self):
         rng = np.random.default_rng(1)
@@ -396,8 +414,12 @@ class TestSerialization:
         with pytest.raises(ValueError, match=message):
             IvapCalibrator.from_dict(record)
 
+    # scores whose difference overflows a float
+    SPAN = ([1.7976931348623157e308, -9.9792015476736e291], [0, 0])
+
     @settings(max_examples=200, deadline=None)
     @given(calibration_sets())
+    @example(SPAN)
     def test_json_round_trip_is_bit_exact(self, case):
         rule = IvapCalibrator.fit(*case)
         loaded = IvapCalibrator.from_dict(json.loads(json.dumps(rule.to_dict())))
@@ -408,6 +430,7 @@ class TestSerialization:
     @settings(max_examples=300, deadline=None)
     @given(calibration_sets(), st.sampled_from(["p0", "p1", "weights", "label_sums"]),
            st.integers(0, 10 ** 6), st.sampled_from([-1, 1]))
+    @example(SPAN, "p0", 0, 1)
     def test_one_field_perturbed_is_rejected(self, case, field, position, step):
         # one ulp of a curve, or one unit of a weight or a label sum, each way.
         # A weight or label sum moved within its range moves p0 or p1 at its
@@ -423,6 +446,12 @@ class TestSerialization:
             values[i] += step
         with pytest.raises(ValueError):
             IvapCalibrator.from_dict(record)
+
+    def test_scores_spanning_more_than_the_float_range_round_trip(self):
+        # comparing the loaded scores must not subtract them: 1e308 - (-1e308) overflows
+        rule = IvapCalibrator.fit([-1e308, 1e308, 1e308], [0, 1, 0])
+        loaded = IvapCalibrator.from_dict(json.loads(json.dumps(rule.to_dict())))
+        assert loaded.to_dict() == rule.to_dict()
 
     def test_format_guard(self, tmp_path):
         with pytest.raises(ValueError, match="record"):

@@ -1,4 +1,5 @@
 import functools
+import math
 import operator
 
 import numpy as np
@@ -221,3 +222,91 @@ def test_merged_interval_ends_cross_when_folds_disagree():
     assert hi / ((1.0 - lo) + hi) == pytest.approx(merge(p0, p1, "log"), abs=1e-15)
     with pytest.raises(ValueError, match="p0 <= p1"):
         merge(lo, hi, "log")
+
+
+# endpoints at the edges of [0, 1] and of its log floor
+EDGES = [0.0, 1.0, 5e-324, 1.0 - 2.0 ** -53]
+
+
+@st.composite
+def interval_rows(draw):
+    """One row of K = 1..17 intervals 0 <= p0 <= p1 <= 1 as two lists of floats,
+    edge values and p0 == p1 included."""
+    k = draw(st.integers(1, 17))
+    end = st.one_of(st.sampled_from(EDGES), st.floats(0.0, 1.0))
+    p0, p1 = [], []
+    for _ in range(k):
+        a, b = sorted((draw(end), draw(end)))
+        if draw(st.booleans()):
+            a = b = draw(st.sampled_from((a, b)))
+        p0.append(a)
+        p1.append(b)
+    return p0, p1
+
+
+@settings(max_examples=300, deadline=None)
+@given(interval_rows(), st.sampled_from(["log", "brier"]))
+def test_float_row_has_the_bits_of_its_column(row, loss):
+    p0, p1 = row
+    got = merge(p0, p1, loss)
+    assert type(got) is float
+    column = merge(np.array(p0)[:, None], np.array(p1)[:, None], loss)
+    assert got.hex() == column[0].hex()
+    # np.float64 entries are floats too
+    assert merge([np.float64(v) for v in p0], p1, loss).hex() == got.hex()
+
+
+@settings(max_examples=100, deadline=None)
+@given(interval_rows(), st.integers(0, 16), st.sampled_from([-0.25, 1.5, math.nan]),
+       st.booleans(), st.sampled_from(["log", "brier"]))
+def test_float_row_rejects_what_its_column_rejects(row, position, bad, upper, loss):
+    p0, p1 = row
+    i = position % len(p0)
+    (p1 if upper else p0)[i] = bad
+    for form in ((p0, p1), (np.array(p0)[:, None], np.array(p1)[:, None])):
+        with pytest.raises(ValueError, match=r"must lie in \[0, 1\] with p0 <= p1"):
+            merge(*form, loss)
+
+
+@pytest.mark.parametrize("p0, p1", [
+    ([0, 0], [1, 1]),                    # ints
+    ([0, 0.5], [1, 0.5]),                # ints among floats
+    ([True, False], [True, True]),
+    ([[0.2], [0.1]], [[0.4], [0.3]]),    # nested: a (2, 1) batch
+    ([[0.2, 0.3]], [[0.4, 0.5]]),        # nested: a (1, 2) batch
+    ((0.2, 0.1), (0.4, 0.3)),            # tuples
+    ([0.2], [0.4]),                      # one interval
+])
+@pytest.mark.parametrize("loss", ["log", "brier"])
+def test_other_lists_merge_as_their_arrays(p0, p1, loss):
+    got = merge(p0, p1, loss)
+    want = merge(np.asarray(p0, dtype=float), np.asarray(p1, dtype=float), loss)
+    assert type(got) is type(want)
+    assert np.asarray(got).tobytes() == np.asarray(want).tobytes()
+
+
+# finite values over the whole float range: most lie outside [0, 1]
+FINITE = st.one_of(
+    st.sampled_from([0.0, -0.0, 1.0, 5e-324, -5e-324, 2.2250738585072014e-308,
+                     1.0 - 2.0 ** -53, 1.0 + 2.0 ** -52, 1e308, -1e308]),
+    st.floats(0.0, 1.0),
+    st.floats(allow_nan=False, allow_infinity=False),
+)
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.integers(1, 6), st.integers(1, 4), st.data(), st.sampled_from(["log", "brier"]))
+def test_any_finite_endpoints_merge_into_unit_range_or_are_rejected(k, n, data, loss):
+    # a RuntimeWarning fails this test (the pytest filterwarnings setting)
+    ends = data.draw(arrays(float, (2, k, n), elements=FINITE))
+    if data.draw(st.booleans()):
+        ends.sort(axis=0)  # ordered pairs reach the range check's later terms
+    p0, p1 = ends
+    forms = [(p0, p1), (p0[:, 0].tolist(), p1[:, 0].tolist()), (float(p0[0, 0]), float(p1[0, 0]))]
+    for a, b in forms:
+        try:
+            out = merge(a, b, loss)
+        except ValueError as e:
+            assert str(e) == "interval endpoints must lie in [0, 1] with p0 <= p1"
+        else:
+            assert ((0.0 <= np.asarray(out)) & (np.asarray(out) <= 1.0)).all()
