@@ -11,7 +11,8 @@ Weng (2007).  The direct isotonic calibrator fits the plain isotonic
 regression and answers queries with a left-step lookup (the fitted value at
 the largest calibration score not exceeding the query, the first fitted value
 below all scores).  It has no regularization, so a test score below every
-calibration score can be assigned probability exactly 0.
+calibration score can be assigned probability exactly 0.  Both fits reject
+non-finite calibration scores, isotonic before it adds its dummy endpoints.
 """
 
 from __future__ import annotations
@@ -21,7 +22,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from venncal.exceptions import DegenerateModelError
-from venncal.isotonic import dedup_weighted, fit_isotonic
+from venncal.isotonic import calibration_set, dedup_weighted, fit_isotonic
 from venncal.scorers import _newton, _sigmoid
 
 __all__ = ["PlattCalibrator", "DirectIsotonic"]
@@ -51,16 +52,11 @@ class PlattCalibrator:
         `converged` is False if it stopped instead after 10,000 iterations or
         when no step decreased the objective.
         """
-        s = np.asarray(scores, dtype=float)
-        y = np.asarray(labels, dtype=float)
+        s, y = calibration_set(scores, labels)
         if len(s) != len(y) or len(s) == 0:
             raise ValueError("scores and labels must be nonempty and equal length")
-        if not np.isfinite(s).all():
-            raise ValueError("calibration scores must be finite")
         k_pos = int(np.sum(y == 1.0))
-        k_neg = int(np.sum(y == 0.0))
-        if k_pos + k_neg != len(y):
-            raise ValueError("labels must be 0 or 1")
+        k_neg = len(y) - k_pos
         if k_pos == 0 or k_neg == 0:
             raise DegenerateModelError("sigmoid calibrator needs both classes present")
         t = np.where(y == 1.0, (k_pos + 1.0) / (k_pos + 2.0), 1.0 / (k_neg + 2.0))
@@ -91,12 +87,9 @@ class DirectIsotonic:
         With `dummy_endpoints`, two synthetic observations are appended
         first: score -inf labelled 1 and score +inf labelled 0.  That keeps
         every prediction strictly inside (0, 1) at the price of biasing the
-        extreme steps; off by default.  Labels must be 0 or 1.
+        extreme steps; off by default.  Scores must be finite, labels 0 or 1.
         """
-        s = np.asarray(scores, dtype=float)
-        y = np.asarray(labels, dtype=float)
-        if y.size and not np.isin(y, (0.0, 1.0)).all():
-            raise ValueError("labels must be 0 or 1")
+        s, y = calibration_set(scores, labels)
         if dummy_endpoints:
             s = np.concatenate([[-np.inf], s, [np.inf]])
             y = np.concatenate([[1.0], y, [0.0]])

@@ -113,7 +113,9 @@ def cmd_synth(args) -> int:
 
 def _n_folds(args) -> int:
     """Fold count for cvap and --tune: --folds, else the --ratio parts summed, else 5."""
-    return args.folds or (sum(_parse_ratio(args.ratio)) if args.ratio else 5)
+    if args.folds is not None:
+        return args.folds
+    return sum(_parse_ratio(args.ratio)) if args.ratio else 5
 
 
 def _tuned_ridge(train_ds: Dataset, n_folds: int, spec: ScorerSpec) -> float:
@@ -229,7 +231,7 @@ def _score_file_inputs(method: str, args):
             raise UsageError("cvap on score files needs one --calib-scores file per fold")
         if not args.scores_in or len(args.scores_in) != len(args.calib_scores):
             raise UsageError("cvap needs one --scores-in file per fold, aligned by row")
-        if args.folds and args.folds != len(args.calib_scores):
+        if args.folds is not None and args.folds != len(args.calib_scores):
             raise UsageError("--folds disagrees with the number of score files")
         return fold_intervals(_score_file_folds(args.calib_scores, args.scores_in))
 
@@ -291,7 +293,7 @@ def cmd_evaluate(args) -> int:
 def cmd_compare(args) -> int:
     if not args.ratio and not args.all_mode:
         raise UsageError("compare needs --ratio (or --all-mode with --folds)")
-    if args.all_mode and not args.folds:
+    if args.all_mode and args.folds is None:
         raise UsageError("compare with --all-mode needs --folds for the cross method")
     train_ds, test_ds = _load_feature_data(args)
     spec = _tuned_spec(args, train_ds)

@@ -1,7 +1,9 @@
 """Weighted isotonic regression on the real line via convex-minorant geometry.
 
-`dedup_weighted` makes the one sort: a default-kind argsort, then a `!=` pass
-for block starts and `np.add.reduceat`; a 0.0/-0.0 tie keeps its first zero.
+`calibration_set` is every calibrator's one check of its inputs (finite
+scores, 0/1 labels).  `dedup_weighted` makes the one sort: a default-kind
+argsort, then a `!=` pass for block starts and `np.add.reduceat`; a
+0.0/-0.0 tie keeps its first zero.
 
 The cumulative sum diagram (CSD) of a sorted, weighted score sequence is the
 polyline whose i-th vertex is (cumulative weight, cumulative label sum).  The
@@ -32,6 +34,7 @@ import numpy as np
 __all__ = [
     "WeightedPoints",
     "CurveScan",
+    "calibration_set",
     "dedup_weighted",
     "fit_isotonic",
     "lower_prob_scan",
@@ -73,6 +76,17 @@ class CurveScan:
     den: np.ndarray
     corner_pushes: int
     sweep_pushes: int
+
+
+def calibration_set(scores, labels) -> tuple[np.ndarray, np.ndarray]:
+    """Float arrays of the calibration set; ValueError unless scores are finite, labels 0/1."""
+    s = np.asarray(scores, dtype=float)
+    y = np.asarray(labels, dtype=float)
+    if not np.isfinite(s).all():
+        raise ValueError("calibration scores must be finite")
+    if not np.isin(y, (0.0, 1.0)).all():
+        raise ValueError("labels must be 0 or 1")
+    return s, y
 
 
 def dedup_weighted(scores, labels) -> WeightedPoints:

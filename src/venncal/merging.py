@@ -10,10 +10,10 @@ when every interval is degenerate (p0 = p1).
 `merge(p0, p1, loss)` is the one function that turns intervals into
 probabilities, for a single interval and for batches alike.  A pair of
 Python floats is merged in float arithmetic, whose + - * / round as numpy's
-do.  Means over the K intervals add them in order k = 0, 1, ..., K - 1 for
-every input shape, so a column's result does not depend on how many columns
-are merged with it.  `merged_interval` returns the endpoints of the merged
-interval instead.
+do.  Means over the K intervals are one running sum, in order k = 0, 1,
+..., K - 1, for lists and every array shape alike, so a column's result does
+not depend on how many columns are merged with it.  `merged_interval`
+returns the endpoints of the merged interval instead.
 
 One row of K >= 2 intervals given as two lists of floats (a cross
 calibrator's answer for one object) takes a row path with the bits of its
@@ -67,14 +67,10 @@ def merge(p0, p1, loss: str = "log"):
         raise ValueError("empty interval batch")
     if not ((0.0 <= p0) & (p0 <= p1) & (p1 <= 1.0)).all():
         raise ValueError(_RANGE)
-    if loss == "brier":
+    if loss == "brier" or p0.ndim == 0 or len(p0) == 1:
         out = _single(p0, p1, loss)
         if out.ndim:
-            out = _mean_over_k(out)
-    elif p0.ndim == 0 or len(p0) == 1:
-        out = _single(p0, p1, loss)
-        if out.ndim:
-            out = out[0]
+            out = out[0] if len(out) == 1 else _mean_over_k(out)  # one row: no copy
     else:
         gm_q0, gm_p1 = _geometric_means(p0, p1)
         out = gm_p1 / (gm_q0 + gm_p1)
@@ -109,13 +105,9 @@ def _merge_row(p0: list, p1: list, loss: str) -> float:
 def _mean_over_k(x):
     """Mean over axis 0, its K rows added in order k = 0, 1, ... (x may be overwritten).
 
-    numpy's sum over axis 0 adds a (K, n > 1) array's rows in this order,
-    but sums a (K,) or (K, 1) array pairwise once K >= 8; a running sum
-    keeps the order there.  Many columns are summed into x[0] in place,
-    and a list of K floats is summed as floats.
+    One running sum for a list and a (K,), (K, 1) or (K, n) array, into x[0]
+    in place for an array; numpy's sum adds a (K,) pairwise once K >= 8.
     """
-    if isinstance(x, np.ndarray) and (x.ndim == 1 or x.shape[1] == 1):
-        return np.add.accumulate(x, axis=0)[-1] / len(x)
     total = x[0]
     for row in x[1:]:
         total += row

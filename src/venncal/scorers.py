@@ -230,7 +230,12 @@ def _train_stump(X: np.ndarray, y: np.ndarray) -> StumpScorer:
             continue
         ones_left = np.cumsum(ys)[cut - 1]
         zeros_left = cut - ones_left
-        thresholds = 0.5 * (xs[cut - 1] + xs[cut])
+        left, right = xs[cut - 1], xs[cut]
+        with np.errstate(over="ignore"):
+            thresholds = 0.5 * (left + right)
+        # the features are finite, so an inf is an overflowed sum: halve first there
+        over = np.isinf(thresholds)
+        thresholds[over] = 0.5 * left[over] + 0.5 * right[over]
         err_high1 = ones_left + (n_zeros - zeros_left)
         err_high0 = zeros_left + (n_ones - ones_left)
         for t in range(len(cut)):

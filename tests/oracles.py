@@ -414,7 +414,7 @@ def load_csv(path, label_column, *, header: bool = True,
         if positive_label is not None:
             if positive_label not in distinct:
                 raise DataError(f"{path}: positive label {positive_label!r} not among {distinct!r}")
-            negative = distinct[0] if distinct[1] == positive_label else distinct[1]
+            negative = label_values[0] if label_values[1] == positive_label else label_values[1]
             label_values = (negative, positive_label)
 
     label_map = {label_values[0]: 0, label_values[1]: 1}

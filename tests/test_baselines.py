@@ -181,6 +181,12 @@ class TestDirectIsotonic:
         with pytest.raises(ValueError, match="labels must be 0 or 1"):
             DirectIsotonic.fit([1.0, 2.0, 3.0], labels, dummy_endpoints=dummy)
 
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    @pytest.mark.parametrize("dummy", [False, True])
+    def test_non_finite_calibration_score_rejected(self, bad, dummy):
+        with pytest.raises(ValueError, match="^calibration scores must be finite$"):
+            DirectIsotonic.fit([1.0, bad, 3.0], [0, 1, 1], dummy_endpoints=dummy)
+
     def test_boolean_labels_accepted(self):
         m = DirectIsotonic.fit([1, 2, 3], np.array([False, True, True]))
         assert m.fitted.tolist() == [0.0, 1.0, 1.0]

@@ -274,6 +274,8 @@ class TestCalibrate:
         ("isotonic", [0.1, 0.5, 0.9, 0.2], [0.5, float("nan")], "test scores must not be NaN"),
         ("underlying", None, [0.5, float("nan")],
          "underlying scores must already be probabilities in [0, 1]"),
+        ("isotonic", [0.1, float("inf"), 0.9, 0.2], [0.5], "calibration scores must be finite"),
+        ("isotonic", [0.1, float("-inf"), 0.9, 0.2], [0.5], "calibration scores must be finite"),
     ])
     def test_non_finite_score_is_data_error(self, tmp_path, capsys, method, cal, test, message):
         args = ["calibrate", "--method", method, "--scores-in", tmp_path / "test.csv",
@@ -351,6 +353,15 @@ class TestCalibrate:
                        "--out", tmp_path / "p.csv") == 2
         assert capsys.readouterr().err == (
             "usage error: method 'ivap' needs --ratio (or --all-mode)\n")
+        assert not (tmp_path / "p.csv").exists()
+
+    def test_zero_folds_is_data_error(self, tmp_path, capsys):
+        # --folds 0 is a fold count, not "unset": it fails as --folds 1 does
+        data = tmp_path / "data.csv"
+        write_dataset_csv(data, generate_synthetic(60, seed=1))
+        assert run_cli("calibrate", "--method", "cvap", "--train", data, "--test", data,
+                       "--folds", 0, "--out", tmp_path / "p.csv") == 3
+        assert capsys.readouterr().err == "data error: need at least 2 folds, got 0\n"
         assert not (tmp_path / "p.csv").exists()
 
 
@@ -480,6 +491,14 @@ class TestCompare:
                     flag, tmp_path / "s.csv", "--out", out)
         assert exc.value.code == 2
         assert f"unrecognized arguments: {flag}" in capsys.readouterr().err
+        assert list(tmp_path.glob("t.csv*")) == []
+
+    def test_all_mode_with_zero_folds_is_data_error(self, tmp_path, capsys):
+        train, test = self.make_files(tmp_path, 100, 20)
+        out = tmp_path / "t.csv"
+        assert run_cli("compare", "--train", train, "--test", test, "--all-mode",
+                       "--folds", 0, "--out", out) == 3
+        assert capsys.readouterr().err == "data error: need at least 2 folds, got 0\n"
         assert list(tmp_path.glob("t.csv*")) == []
 
     def test_degenerate_model_exit_code(self, tmp_path):

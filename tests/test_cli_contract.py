@@ -1,0 +1,125 @@
+"""The CLI's promises, run through `main(argv)`: every modelling flag reruns
+byte-identically, and every misuse exits 2, 3 or 4 with one prefixed line."""
+
+import pytest
+
+from venncal.cli import main
+
+ERROR_PREFIXES = ("usage error: ", "data error: ", "file error: ", "degenerate model: ")
+
+
+def run(*args):
+    return main([str(a) for a in args])
+
+
+@pytest.fixture(scope="module")
+def data(tmp_path_factory):
+    """Synthetic train/test files, with header and without."""
+    root = tmp_path_factory.mktemp("data")
+    files = {}
+    for name, n, seed in (("train", 240, 1), ("test", 60, 2)):
+        path = root / f"{name}.csv"
+        assert run("synth", "--n", n, "--seed", seed, "--out", path) == 0
+        files[name] = path
+        bare = root / f"{name}_bare.csv"
+        bare.write_text(path.read_text().split("\n", 1)[1])
+        files[f"{name}_bare"] = bare
+    return files
+
+
+# every modelling flag at least once; --pred-column is run by the evaluate test
+GRID = [
+    ["calibrate", "--method", "ivap", "--ratio", "2:1", "--tune"],
+    ["calibrate", "--method", "cvap", "--folds", 3, "--randomize-folds", "--merge", "brier",
+     "--intervals"],
+    ["calibrate", "--method", "isotonic", "--ratio", "1:1", "--dummy-endpoints"],
+    ["calibrate", "--method", "platt", "--ratio", "2:1", "--no-header", "--label-column", "col1"],
+    ["calibrate", "--method", "ivap", "--ratio", "2:1", "--scorer", "stump"],
+    ["calibrate", "--method", "cvap", "--folds", 3, "--scorer", "constant"],
+    ["calibrate", "--method", "underlying", "--ratio", "2:1", "--learning-rate", 0.5,
+     "--max-iter", 50, "--ridge", 0.01],
+    ["compare", "--all-mode", "--folds", 3, "--merge", "brier", "--tune"],
+]
+
+
+@pytest.mark.parametrize("argv", GRID, ids=lambda v: " ".join(map(str, v[2:])))
+def test_flag_reruns_are_byte_identical(tmp_path, data, argv):
+    bare = "--no-header" in argv
+    files = ["--train", data["train_bare" if bare else "train"],
+             "--test", data["test_bare" if bare else "test"]]
+    outputs = []
+    for run_no in (1, 2):
+        out = tmp_path / f"run{run_no}.csv"
+        assert run(*argv, *files, "--out", out) == 0
+        outputs.append([p.read_bytes() for p in sorted(tmp_path.glob(f"run{run_no}.csv*"))])
+    assert len(outputs[0]) == (3 if argv[0] == "compare" else 2)
+    assert outputs[0] == outputs[1]
+
+
+def test_pred_column_reruns_are_byte_identical(tmp_path, data, capsys):
+    pred = tmp_path / "p.csv"
+    assert run("calibrate", "--method", "ivap", "--ratio", "2:1", "--intervals",
+               "--train", data["train"], "--test", data["test"], "--out", pred) == 0
+    reports = []
+    for column in ("p1", "p1", "p"):
+        out = tmp_path / "report.json"
+        assert run("evaluate", "--pred", pred, "--truth", data["test"],
+                   "--pred-column", column, "--out", out) == 0
+        reports.append((capsys.readouterr().out, out.read_bytes()))
+    assert reports[0] == reports[1] != reports[2]
+
+
+@pytest.fixture
+def misuse_files(tmp_path, data):
+    ones = tmp_path / "ones.csv"
+    ones.write_text("x,label\n1.0,1\n2.0,1\n")
+    yes = tmp_path / "yes.csv"
+    yes.write_text("x,label\n1.0,yes\n2.0,yes\n")
+    pred = tmp_path / "pred.csv"
+    pred.write_text("p\n0.5\n0.5\n")
+    return {**data, "ones": ones, "yes": yes, "pred": pred, "missing": tmp_path / "no.csv"}
+
+
+FEATURES = ["--train", "{train}", "--test", "{test}"]
+MISUSE = [
+    pytest.param(["calibrate", "--method", "ivap", *FEATURES, "--ratio", "2"], 2,
+                 "usage error: --ratio must look like M:K, got '2'", id="ratio-one-part"),
+    pytest.param(["calibrate", "--method", "ivap", *FEATURES, "--ratio", "a:b"], 2,
+                 "usage error: --ratio must hold integers, got 'a:b'", id="ratio-not-integers"),
+    pytest.param(["calibrate", "--method", "ivap", *FEATURES, "--ratio", "0:1"], 2,
+                 "usage error: --ratio parts must be positive, got '0:1'", id="ratio-zero-part"),
+    pytest.param(["compare", *FEATURES], 2,
+                 "usage error: compare needs --ratio (or --all-mode with --folds)",
+                 id="compare-without-ratio"),
+    pytest.param(["compare", *FEATURES, "--all-mode"], 2,
+                 "usage error: compare with --all-mode needs --folds for the cross method",
+                 id="all-mode-without-folds"),
+    pytest.param(["calibrate", "--method", "ivap", "--train", "{missing}", "--test", "{test}",
+                  "--ratio", "2:1"], 3, "file error: ", id="missing-input-file"),
+    pytest.param(["calibrate", "--method", "cvap", *FEATURES, "--folds", 0], 3,
+                 "data error: need at least 2 folds, got 0", id="calibrate-zero-folds"),
+    pytest.param(["compare", *FEATURES, "--all-mode", "--folds", 0], 3,
+                 "data error: need at least 2 folds, got 0", id="compare-zero-folds"),
+    pytest.param(["evaluate", "--pred", "{pred}", "--truth", "{ones}", "--positive-label", "0"],
+                 3, "data error: ", id="one-class-file-other-positive-label"),
+    pytest.param(["evaluate", "--pred", "{pred}", "--truth", "{yes}", "--positive-label", "yes"],
+                 3, "data error: ", id="one-class-file-not-0-or-1"),
+    pytest.param(["calibrate", "--method", "ivap", "--train", "{ones}", "--test", "{ones}",
+                  "--ratio", "1:1"], 4, "degenerate model: ", id="one-class-training-file"),
+]
+
+
+@pytest.mark.parametrize("argv, code, start", MISUSE)
+def test_misuse_exits_with_one_prefixed_line(tmp_path, misuse_files, capsys, argv, code, start):
+    argv = [str(a).format(**misuse_files) for a in argv]
+    assert run(*argv, "--out", tmp_path / "out.csv") == code
+    captured = capsys.readouterr()
+    assert captured.err.startswith(start) and captured.err.startswith(ERROR_PREFIXES)
+    assert captured.err.count("\n") == 1 and captured.err.endswith("\n")
+    assert not (tmp_path / "out.csv").exists()
+
+
+def test_one_class_positive_label_file_evaluates(misuse_files, capsys):
+    assert run("evaluate", "--pred", misuse_files["pred"], "--truth", misuse_files["ones"],
+               "--positive-label", "1") == 0
+    assert capsys.readouterr().out.splitlines()[0] == "n          2"

@@ -83,6 +83,13 @@ class TestStump:
         b = train_scorer(ScorerSpec("stump"), X[perm], y[perm])
         assert (a.feature, a.threshold, a.high_is_one) == (b.feature, b.threshold, b.high_is_one)
 
+    def test_threshold_between_huge_features_does_not_overflow(self):
+        # 1e308 + 1.5e308 overflows; the threshold halves each side instead
+        X = np.array([[1e308], [1.5e308], [-1e308], [0.0]])
+        scorer = train_scorer(ScorerSpec("stump"), X, [0, 1, 0, 0])
+        assert scorer.threshold == 1.25e308
+        assert scorer.score_many(X).tolist() == [0, 1, 0, 0]
+
     def test_constant_features_rejected(self):
         with pytest.raises(DegenerateModelError):
             train_scorer(ScorerSpec("stump"), np.ones((5, 2)), [0, 1, 0, 1, 0])
