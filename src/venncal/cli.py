@@ -6,7 +6,7 @@ prediction file against labels, and `compare` runs every method on the same
 split and emits a methods-by-losses table.  Every run that writes
 predictions also writes a `<out>.manifest.json` recording the settings and
 package version, and all output is deterministic: identical flags produce
-byte-identical files.
+byte-identical files.  `--tune` trains its folds with cvap's `fold_scorers`.
 
 Exit codes: 0 success, 2 usage error, 3 data error, 4 degenerate model.
 """
@@ -22,7 +22,7 @@ import numpy as np
 
 import venncal
 from venncal.baselines import DirectIsotonic, PlattCalibrator
-from venncal.cvap import CvapCalibrator, assign_folds, fold_intervals
+from venncal.cvap import CvapCalibrator, assign_folds, fold_intervals, fold_scorers
 from venncal.data import (
     Dataset,
     apply_imputation,
@@ -118,27 +118,14 @@ def _n_folds(args) -> int:
     return sum(_parse_ratio(args.ratio)) if args.ratio else 5
 
 
-def _tuned_ridge(train_ds: Dataset, n_folds: int, spec: ScorerSpec) -> float:
-    """Pick the ridge coefficient minimizing cumulative Brier loss over contiguous folds."""
-    folds = assign_folds(len(train_ds), n_folds)
-    best = None
-    for ridge in TUNE_RIDGE_GRID:
-        candidate = replace(spec, ridge=ridge)
-        total = 0.0
-        try:
-            for k in range(n_folds):
-                rest = folds.complement(k)
-                fold = folds.indices(k)
-                scorer = train_scorer(candidate, train_ds.X[rest], train_ds.y[rest])
-                p = scorer.probability_many(train_ds.X[fold])
-                total += float(np.sum(4.0 * (train_ds.y[fold] - p) ** 2))
-        except DegenerateModelError:
-            continue
-        if best is None or total < best[0]:
-            best = (total, ridge)
-    if best is None:
-        raise DegenerateModelError("ridge tuning failed on every fold")
-    return best[1]
+def _tuned_ridge(ds: Dataset, n_folds: int, spec: ScorerSpec) -> float:
+    """The first grid ridge of least cumulative Brier loss over contiguous folds."""
+    folds = assign_folds(len(ds), n_folds)
+
+    def cumulative_brier(ridge: float) -> float:
+        return sum(float(np.sum(4.0 * (ds.y[fold] - s.probability_many(ds.X[fold])) ** 2))
+                   for fold, s in fold_scorers(ds, folds, replace(spec, ridge=ridge)))
+    return min(TUNE_RIDGE_GRID, key=cumulative_brier)
 
 
 def _tuned_spec(args, train_ds: Dataset) -> ScorerSpec:
@@ -338,7 +325,8 @@ def _add_common_model_flags(sub) -> None:
     sub.add_argument("--randomize-split", action="store_true")
     sub.add_argument("--randomize-folds", action="store_true")
     sub.add_argument("--sigmoid-scores", action="store_true",
-                     help="calibrate sigmoid outputs instead of raw linear scores")
+                     help="platt, isotonic and ivap calibrate sigmoid outputs instead of raw "
+                          "linear scores; cvap ignores it")
     sub.add_argument("--dummy-endpoints", action="store_true",
                      help="regularize direct isotonic with two synthetic extreme points")
     sub.add_argument("--tune", action="store_true",

@@ -1,9 +1,10 @@
 """Cross calibration: K fold-wise interval calibrators merged minimax-optimally.
 
 The training set is split into K folds of near-equal size (contiguous by
-default; a seeded shuffle on request).  For each fold, a scorer is trained
-on the complement and an interval calibrator is built from the fold's scores
-under that scorer, so no observation ever calibrates a scorer that saw it.
+default; a seeded shuffle on request).  For each fold, `fold_scorers` (which
+the CLI's ridge search shares) trains a scorer on the complement, and an
+interval calibrator is built from the fold's scores under that scorer, so no
+observation ever calibrates a scorer that saw it.
 A prediction computes K intervals and merges them with the minimax rule for
 the configured loss.  One feature row is scored under every fold at once
 (`scorers.row_scorer`), takes a scalar interval query per fold, and merges
@@ -23,7 +24,7 @@ from venncal.ivap import IvapCalibrator
 from venncal.merging import LOSSES, merge
 from venncal.scorers import ScorerSpec, row_scorer, scorer_from_dict, train_scorer
 
-__all__ = ["FoldAssignment", "assign_folds", "fold_intervals", "CvapCalibrator"]
+__all__ = ["FoldAssignment", "assign_folds", "fold_scorers", "fold_intervals", "CvapCalibrator"]
 
 
 @dataclass(frozen=True)
@@ -68,6 +69,17 @@ def assign_folds(n: int, n_folds: int, mode: str = "contiguous",
         rng = np.random.default_rng(seed)
         rng.shuffle(fold_of)
     return FoldAssignment(n_folds, fold_of, mode, seed)
+
+
+def fold_scorers(dataset: Dataset, folds: FoldAssignment, spec: ScorerSpec):
+    """Yield (fold k's rows, a scorer trained on the rest) for k = 0..K-1, one fold at a time."""
+    for k in range(folds.n_folds):
+        rest = folds.complement(k)
+        y_rest = dataset.y[rest]
+        if y_rest.min() == y_rest.max():
+            raise DegenerateModelError(
+                f"degenerate fold {k}: proper training part has a single class")
+        yield folds.indices(k), train_scorer(spec, dataset.X[rest], y_rest)
 
 
 def fold_intervals(pairs) -> tuple[np.ndarray, np.ndarray]:
@@ -118,25 +130,15 @@ class CvapCalibrator:
         a single class; a silent fallback would corrupt comparisons.
         """
         _check_merge_loss(merge_loss)
-        spec = spec or ScorerSpec()
         folds = assign_folds(len(dataset), n_folds, mode, seed)
-        scorers = []
-        rules = []
-        for k in range(n_folds):
-            fold_idx = folds.indices(k)
-            rest_idx = folds.complement(k)
-            y_rest = dataset.y[rest_idx]
+        scorers, rules = [], []
+        for k, (fold_idx, scorer) in enumerate(fold_scorers(dataset, folds, spec or ScorerSpec())):
             y_fold = dataset.y[fold_idx]
-            if y_rest.min() == y_rest.max():
-                raise DegenerateModelError(
-                    f"degenerate fold {k}: proper training part has a single class")
             if y_fold.min() == y_fold.max():
                 raise DegenerateModelError(
                     f"degenerate fold {k}: calibration part has a single class")
-            scorer = train_scorer(spec, dataset.X[rest_idx], y_rest)
-            rule = IvapCalibrator.fit(scorer.score_many(dataset.X[fold_idx]), y_fold)
             scorers.append(scorer)
-            rules.append(rule)
+            rules.append(IvapCalibrator.fit(scorer.score_many(dataset.X[fold_idx]), y_fold))
         return cls(folds, scorers, rules, merge_loss)
 
     def predict_intervals_many(self, X) -> tuple[np.ndarray, np.ndarray]:

@@ -217,9 +217,8 @@ def _train_logistic(spec: ScorerSpec, X: np.ndarray, y: np.ndarray) -> LogisticS
 
 def _train_stump(X: np.ndarray, y: np.ndarray) -> StumpScorer:
     n, d = X.shape
-    n_ones = int(np.sum(y))
-    n_zeros = n - n_ones
-    best = None  # (errors, feature, threshold, orientation_rank)
+    n_zeros = n - int(np.sum(y))
+    candidates = []  # each feature's best (errors, feature, threshold, rank); rank 0: high is 1
     for j in range(d):
         xj = X[:, j]
         order = np.argsort(xj, kind="stable")
@@ -236,18 +235,15 @@ def _train_stump(X: np.ndarray, y: np.ndarray) -> StumpScorer:
         # the features are finite, so an inf is an overflowed sum: halve first there
         over = np.isinf(thresholds)
         thresholds[over] = 0.5 * left[over] + 0.5 * right[over]
-        err_high1 = ones_left + (n_zeros - zeros_left)
-        err_high0 = zeros_left + (n_ones - ones_left)
-        for t in range(len(cut)):
-            for rank, (err, high) in enumerate(((err_high1[t], True), (err_high0[t], False))):
-                cand = (int(err), j, float(thresholds[t]), rank)
-                if best is None or cand < best:
-                    best = cand
-                    best_high = high
-    if best is None:
+        wrong = ones_left + (n_zeros - zeros_left)  # errors if the high side is 1; n - wrong if 0
+        errors = np.concatenate((wrong, n - wrong))
+        # stable: equal (errors, threshold) go to rank 0, then to the earliest cut
+        i = np.lexsort((np.tile(thresholds, 2), errors))[0]
+        candidates.append((int(errors[i]), j, float(thresholds[i % len(cut)]), int(i >= len(cut))))
+    if not candidates:
         raise DegenerateModelError("stump scorer found no usable split (all features constant)")
-    _, feature, threshold, _ = best
-    return StumpScorer(feature, threshold, best_high, d)
+    _, feature, threshold, rank = min(candidates)
+    return StumpScorer(feature, threshold, rank == 0, d)
 
 
 def train_scorer(spec: ScorerSpec, X, y):

@@ -2,13 +2,14 @@
 
 Everything here is deliberately naive: exhaustive enumeration, insert-and-
 refit, a stable-sort dedup, a lower hull by its definition, the probability
-sweep one step at a time, grid search, a masked two-branch sigmoid, a
-two-branch log loss, an explicit search tree over an interval calibrator's
-tables, a batch query that answers in input order with `np.where`, and CSV
-readers and writers that go one cell and one row at a time through
-`csv.reader` and f-strings.  None of it shares code with the algorithms
-under test beyond `dedup_weighted` for input normalization and the
-`CurveScan`/`Dataset`/`Column` records the oracles return.
+sweep one step at a time, grid search, a stump search over every cut, a
+masked two-branch sigmoid, a two-branch log loss, an explicit search tree
+over an interval calibrator's tables, a batch query that answers in input
+order with `np.where`, and CSV readers and writers that go one cell and one
+row at a time through `csv.reader` and f-strings.  None of it shares code
+with the algorithms under test beyond `dedup_weighted` for input
+normalization and the `CurveScan`/`Dataset`/`Column` records the oracles
+return.
 """
 
 import csv
@@ -204,6 +205,40 @@ def grid_platt(scores, labels) -> tuple[float, float, float]:
         lo_a, hi_a = best[0] - 2 * step, min(best[0] + 2 * step, -1e-3)
         lo_b, hi_b = best[1] - 2 * step, best[1] + 2 * step
     return best
+
+
+def brute_force_stump(X, y) -> tuple[int, float, bool]:
+    """(feature, threshold, high_is_one) of the first least-error stump, every cut tried.
+
+    A cut falls between two adjacent distinct values a < b of one feature,
+    at 0.5 * (a + b), or at 0.5 * a + 0.5 * b where that sum overflows.
+    Its errors count the rows on each side of the cut, not of the rounded
+    threshold.  Candidates (errors, feature, threshold, rank), rank 0 meaning
+    the high side is 1, are taken in order of feature, cut and rank, and
+    one replaces the best only if it is strictly smaller.
+    """
+    labels = [int(v) for v in y]
+    n_ones = sum(labels)
+    n_zeros = len(labels) - n_ones
+    best = None
+    for j in range(len(X[0])):
+        rows = sorted(zip((float(row[j]) for row in X), labels), key=lambda r: r[0])
+        for t in range(1, len(rows)):
+            a, b = rows[t - 1][0], rows[t][0]
+            if a == b:
+                continue
+            threshold = 0.5 * (a + b)
+            if math.isinf(threshold):
+                threshold = 0.5 * a + 0.5 * b
+            ones_left = sum(label for _, label in rows[:t])
+            zeros_left = t - ones_left
+            for rank, errors in enumerate((ones_left + n_zeros - zeros_left,
+                                           zeros_left + n_ones - ones_left)):
+                candidate = (errors, j, threshold, rank)
+                if best is None or candidate < best:
+                    best = candidate
+    _, feature, threshold, rank = best
+    return feature, threshold, rank == 0
 
 
 def masked_sigmoid(z: np.ndarray) -> np.ndarray:

@@ -114,6 +114,12 @@ class TestPlatt:
         with pytest.raises(DegenerateModelError):
             PlattCalibrator.fit([1, 2, 3], [1, 1, 1])
 
+    @pytest.mark.parametrize("scores, labels", [([], []), ([0.1, 0.9], [0]), ([0.5], [0, 1])])
+    def test_empty_or_mismatched_input_rejected(self, scores, labels):
+        with pytest.raises(ValueError,
+                           match="^scores and labels must be nonempty and equal length$"):
+            PlattCalibrator.fit(scores, labels)
+
     @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
     def test_non_finite_calibration_score_rejected(self, bad):
         # a non-finite score makes the objective NaN, which would stop the fit

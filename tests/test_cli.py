@@ -8,10 +8,13 @@ import numpy as np
 import pytest
 
 import oracles
-from venncal.cli import build_parser, main
+import venncal.cvap
+from venncal.cli import TUNE_RIDGE_GRID, _tuned_ridge, build_parser, main
+from venncal.cvap import assign_folds
 from venncal.data import generate_synthetic
 from venncal.ivap import IvapCalibrator
 from venncal.merging import merge, merged_interval
+from venncal.scorers import ScorerSpec, train_scorer
 
 
 def run_cli(*args):
@@ -511,6 +514,53 @@ class TestCompare:
         code = run_cli("compare", "--train", train, "--test", test, "--ratio", "1:5",
                        "--out", tmp_path / "t.csv")
         assert code == 4
+
+
+class TestTune:
+    @staticmethod
+    def brier_totals(ds, n_folds):
+        """Each grid ridge's cumulative Brier loss over contiguous folds, as a plain loop."""
+        folds = assign_folds(len(ds), n_folds)
+        totals = []
+        for ridge in TUNE_RIDGE_GRID:
+            total = 0.0
+            for k in range(n_folds):
+                rest, fold = folds.complement(k), folds.indices(k)
+                scorer = train_scorer(ScorerSpec(ridge=ridge), ds.X[rest], ds.y[rest])
+                p = scorer.probability_many(ds.X[fold])
+                total += float(np.sum(4.0 * (ds.y[fold] - p) ** 2))
+            totals.append(total)
+        return totals
+
+    @pytest.mark.parametrize("n, seed, n_folds, ridge", [
+        (200, 5, 4, 1e-6), (12, 0, 3, 1e-4), (60, 1, 3, 1e-2), (12, 3, 3, 1.0)])
+    def test_picks_the_least_cumulative_brier_loss(self, n, seed, n_folds, ridge):
+        ds = generate_synthetic(n, seed)
+        totals = self.brier_totals(ds, n_folds)
+        assert TUNE_RIDGE_GRID[totals.index(min(totals))] == ridge
+        assert _tuned_ridge(ds, n_folds, ScorerSpec()) == ridge
+
+    def test_tie_keeps_the_first_grid_value(self):
+        # the constant scorer ignores the ridge, so every grid value scores alike
+        ds = generate_synthetic(40, 2)
+        assert _tuned_ridge(ds, 4, ScorerSpec("constant")) == TUNE_RIDGE_GRID[0]
+
+    def test_fits_contiguous_folds_through_cvap(self, tmp_path, monkeypatch):
+        seen = []
+
+        def spy(spec, X, y):
+            seen.append((spec.ridge, X.copy()))
+            return train_scorer(spec, X, y)
+        monkeypatch.setattr(venncal.cvap, "train_scorer", spy)
+        ds = generate_synthetic(90, 6)
+        write_dataset_csv(tmp_path / "train.csv", ds)
+        assert run_cli("calibrate", "--method", "ivap", "--ratio", "2:1", "--tune",
+                       "--randomize-folds", "--train", tmp_path / "train.csv",
+                       "--test", tmp_path / "train.csv", "--out", tmp_path / "p.csv") == 0
+        folds = assign_folds(90, 3)
+        assert [ridge for ridge, _ in seen] == [r for r in TUNE_RIDGE_GRID for _ in range(3)]
+        for i, (_, X) in enumerate(seen):
+            assert np.array_equal(X, ds.X[folds.complement(i % 3)])
 
 
 def test_module_entry_point_runs():

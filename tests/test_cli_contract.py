@@ -1,6 +1,8 @@
 """The CLI's promises, run through `main(argv)`: every modelling flag reruns
 byte-identically, and every misuse exits 2, 3 or 4 with one prefixed line."""
 
+import json
+
 import pytest
 
 from venncal.cli import main
@@ -77,7 +79,10 @@ def misuse_files(tmp_path, data):
     yes.write_text("x,label\n1.0,yes\n2.0,yes\n")
     pred = tmp_path / "pred.csv"
     pred.write_text("p\n0.5\n0.5\n")
-    return {**data, "ones": ones, "yes": yes, "pred": pred, "missing": tmp_path / "no.csv"}
+    sorted_labels = tmp_path / "sorted.csv"
+    sorted_labels.write_text("x,label\n" + "".join(f"{i}.5,{i // 4}\n" for i in range(8)))
+    return {**data, "ones": ones, "yes": yes, "pred": pred, "sorted": sorted_labels,
+            "missing": tmp_path / "no.csv"}
 
 
 FEATURES = ["--train", "{train}", "--test", "{test}"]
@@ -106,6 +111,11 @@ MISUSE = [
                  3, "data error: ", id="one-class-file-not-0-or-1"),
     pytest.param(["calibrate", "--method", "ivap", "--train", "{ones}", "--test", "{ones}",
                   "--ratio", "1:1"], 4, "degenerate model: ", id="one-class-training-file"),
+    # two contiguous folds of sorted labels: fold 0's complement holds only 1s
+    pytest.param(["calibrate", "--method", "ivap", "--train", "{sorted}", "--test", "{test}",
+                  "--ratio", "1:1", "--tune"], 4,
+                 "degenerate model: degenerate fold 0: proper training part has a single class\n",
+                 id="tune-single-class-fold-complement"),
 ]
 
 
@@ -123,3 +133,34 @@ def test_one_class_positive_label_file_evaluates(misuse_files, capsys):
     assert run("evaluate", "--pred", misuse_files["pred"], "--truth", misuse_files["ones"],
                "--positive-label", "1") == 0
     assert capsys.readouterr().out.splitlines()[0] == "n          2"
+
+
+def test_underlying_score_file_is_written_unchanged(tmp_path):
+    scores = ["0.0", "1.0", "0.25", "5e-324", "0.30000000000000004", "0.9999999999999999"]
+    (tmp_path / "s.csv").write_text("score\n" + "\n".join(scores) + "\n")
+    argv = ["calibrate", "--method", "underlying", "--scores-in", tmp_path / "s.csv"]
+    outputs = []
+    for run_no in (1, 2):
+        out = tmp_path / f"run{run_no}.csv"
+        assert run(*argv, "--out", out) == 0
+        manifest = tmp_path / f"run{run_no}.csv.manifest.json"
+        outputs.append((out.read_bytes(), manifest.read_bytes()))
+    assert outputs[0] == outputs[1]
+    assert outputs[0][0].decode() == "p\n" + "".join(f"{float(s)!r}\n" for s in scores)
+    manifest = json.loads(outputs[0][1])
+    assert manifest["command"] == "calibrate"
+    assert manifest["settings"]["method"] == "underlying"
+    assert manifest["settings"]["scores_in"] == [str(tmp_path / "s.csv")]
+    assert manifest["settings"]["calib_scores"] is None
+
+
+def test_sigmoid_scores_feeds_the_split_methods_only(tmp_path, data):
+    predictions = {}
+    for method, flags in (("cvap", ["--folds", 3]), ("platt", ["--ratio", "2:1"])):
+        for sigmoid in ([], ["--sigmoid-scores"]):
+            out = tmp_path / f"{method}{len(sigmoid)}.csv"
+            assert run("calibrate", "--method", method, *flags, *sigmoid, "--train", data["train"],
+                       "--test", data["test"], "--out", out) == 0
+            predictions[method, bool(sigmoid)] = out.read_bytes()
+    assert predictions["cvap", True] == predictions["cvap", False]
+    assert predictions["platt", True] != predictions["platt", False]

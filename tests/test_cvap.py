@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 import venncal.cvap
-from venncal.cvap import CvapCalibrator, assign_folds
+from venncal.cvap import CvapCalibrator, assign_folds, fold_scorers
 from venncal.data import Column, Dataset, generate_synthetic
 from venncal.exceptions import DegenerateModelError
 from venncal.ivap import IvapCalibrator
@@ -44,10 +44,12 @@ class TestAssignFolds:
             assert np.sum(folds.sizes()) == n
 
     def test_invalid_counts_rejected(self):
-        with pytest.raises(ValueError):
+        with pytest.raises(ValueError, match="^need at least 2 folds, got 1$"):
             assign_folds(5, 1)
-        with pytest.raises(ValueError):
+        with pytest.raises(ValueError, match="^cannot split 3 observations into 4 folds$"):
             assign_folds(3, 4)
+        with pytest.raises(ValueError, match="^unknown fold mode 'shuffled'$"):
+            assign_folds(5, 2, mode="shuffled")
 
 
 def small_dataset(n=200, seed=0):
@@ -82,6 +84,10 @@ class TestBuild:
         sizes = [int(np.sum(r.points.weights)) for r in model.rules]
         assert sizes == [100, 100]
 
+    def test_five_contiguous_folds_by_default(self):
+        model = CvapCalibrator.fit(small_dataset(53), spec=ScorerSpec("constant"))
+        assert np.array_equal(model.folds.fold_of, assign_folds(53, 5).fold_of)
+
     def test_scorers_never_see_their_fold(self, monkeypatch):
         ds = small_dataset(90, seed=4)
         seen = spy_on_train_scorer(monkeypatch)
@@ -101,7 +107,8 @@ class TestBuild:
         X = np.arange(6, dtype=float)[:, None]
         y = np.array([0, 1, 0, 1, 0, 1])
         ds = Dataset(X, y, ())
-        with pytest.raises(DegenerateModelError, match="degenerate fold"):
+        with pytest.raises(DegenerateModelError,
+                           match="^degenerate fold 0: calibration part has a single class$"):
             CvapCalibrator.fit(ds, 6, ScorerSpec("constant"))
 
     def test_single_class_complement_rejected(self):
@@ -109,8 +116,35 @@ class TestBuild:
         y = np.array([0, 0, 1, 1])
         ds = Dataset(X, y, ())
         # fold 0 = {0,1} leaves complement {2,3} single-class
-        with pytest.raises(DegenerateModelError, match="degenerate fold"):
+        with pytest.raises(DegenerateModelError,
+                           match="^degenerate fold 0: proper training part has a single class$"):
             CvapCalibrator.fit(ds, 2, ScorerSpec("constant"))
+
+
+class TestFoldScorers:
+    @pytest.mark.parametrize("mode", ["contiguous", "randomized"])
+    def test_yields_each_fold_with_its_complements_scorer(self, monkeypatch, mode):
+        ds = small_dataset(50, seed=3)
+        folds = assign_folds(len(ds), 4, mode, seed=2)
+        seen = spy_on_train_scorer(monkeypatch)
+        pairs = list(fold_scorers(ds, folds, ScorerSpec("constant")))
+        assert_trained_on_complements(seen, ds, folds)
+        for k, (rows, scorer) in enumerate(pairs):
+            assert np.array_equal(rows, folds.indices(k))
+            assert scorer.value == float(np.mean(ds.y[folds.complement(k)]))
+
+    def test_trains_one_fold_at_a_time(self, monkeypatch):
+        # fold 1's complement {0, 1, 4, 5} is all ones: fold 0 is trained and
+        # yielded first, and the error names fold 1
+        ds = Dataset(np.arange(6, dtype=float)[:, None], np.array([1, 1, 0, 0, 1, 1]), ())
+        seen = spy_on_train_scorer(monkeypatch)
+        pairs = fold_scorers(ds, assign_folds(6, 3), ScorerSpec("logistic"))
+        rows, _ = next(pairs)
+        assert rows.tolist() == [0, 1] and len(seen) == 1
+        with pytest.raises(DegenerateModelError,
+                           match="^degenerate fold 1: proper training part has a single class$"):
+            next(pairs)
+        assert len(seen) == 1
 
 
 class TestPredict:
@@ -249,15 +283,21 @@ class TestSerialization:
         (lambda d: d["fold_of"].__setitem__(0, 1),
          r"rules calibrated on \[54, 53, 53\] rows for folds of \[53, 54, 53\]"),
         (lambda d: d.update(merge_loss="hinge"), "unknown merge loss 'hinge'"),
+        (lambda d: d.update(format="venncal.ivap"),
+         "^not a cross-calibrator record: 'venncal.ivap'$"),
+        (lambda d: d.update(version=2), "^unsupported version 2$"),
         (lambda d: d["rules"][1]["scores"].reverse(), "strictly increasing"),
         (lambda d: d["scorers"].__setitem__(0, {"kind": "stump", "feature": 3, "threshold": 0.0,
                                                 "high_is_one": True, "n_features": 1}),
          "stump feature 3 is not one of 1 features"),
+        (lambda d: d["scorers"].__setitem__(2, {"kind": "forest"}),
+         "^unknown scorer kind 'forest'$"),
         (lambda d: d["scorers"].__setitem__(1, {"kind": "constant", "value": 0.5,
                                                 "n_features": 2}),
          r"fold scorers expect \[1, 2, 1\] features"),
     ], ids=["n_folds", "scorers", "rules", "fold_of_range", "fold_sizes", "merge_loss",
-            "nested_rule", "stump_feature", "scorer_widths"])
+            "format", "version", "nested_rule", "stump_feature", "scorer_kind",
+            "scorer_widths"])
     def test_corrupt_record_rejected(self, corrupt, message):
         model = CvapCalibrator.fit(small_dataset(160, seed=8), 3, ScorerSpec("logistic"))
         record = model.to_dict()

@@ -131,6 +131,13 @@ class TestImputation:
         filled = apply_imputation(ds, values)
         assert filled.X[3, 0] == 2.0
 
+    @pytest.mark.parametrize("values", [(), (1.0, 2.0)])
+    def test_values_for_another_layout_rejected(self, tmp_path, values):
+        ds = load_csv(write(tmp_path, "a,label\n1,0\n?,1\n"), "label")
+        with pytest.raises(DataError,
+                           match="^imputation statistics do not match the column layout$"):
+            apply_imputation(ds, values)
+
 
 class TestSplit:
     def test_ratio_four_one(self):

@@ -64,6 +64,11 @@ class TestDedup:
         with pytest.raises(ValueError, match="length mismatch"):
             dedup_weighted([1, 2], [0])
 
+    @pytest.mark.parametrize("scores, labels", [([[1.0, 2.0]], [0, 1]), ([1.0, 2.0], [[0, 1]])])
+    def test_two_dimensional_input_rejected(self, scores, labels):
+        with pytest.raises(ValueError, match="^scores and labels must be one-dimensional$"):
+            dedup_weighted(scores, labels)
+
     def test_nan_rejected(self):
         with pytest.raises(ValueError, match="NaN"):
             dedup_weighted([1, float("nan")], [0, 1])

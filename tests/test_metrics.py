@@ -91,6 +91,10 @@ class TestEvaluate:
         with pytest.raises(ValueError):
             evaluate([0.5], [0, 1])
 
+    def test_empty_set_rejected(self):
+        with pytest.raises(ValueError, match="^empty evaluation set$"):
+            evaluate([], [])
+
     @pytest.mark.parametrize("bad", [math.nan, -0.1, 1.5])
     def test_probability_outside_unit_interval_rejected(self, bad):
         with pytest.raises(ValueError, match="probabilities out of range"):

@@ -1,7 +1,10 @@
 import numpy as np
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 from scipy.optimize import minimize
 
+import oracles
 from venncal.cli import TUNE_RIDGE_GRID
 from venncal.data import generate_synthetic
 from venncal.exceptions import DegenerateModelError
@@ -17,6 +20,16 @@ from venncal.scorers import (
 )
 
 
+# stump features: few values (ties everywhere), signed zeros and the least
+# subnormals, values whose midpoints overflow, and all of them together
+STUMP_VALUES = [
+    [-1.0, 0.0, 1.0, 2.0],
+    [0.0, -0.0, 5e-324, -5e-324],
+    [1e308, -1e308, 1.5e308, -1.5e308, 1.7976931348623157e308, -1.7976931348623157e308, 0.0],
+]
+STUMP_VALUES.append(sorted({v for values in STUMP_VALUES for v in values}))
+
+
 class TestSpec:
     def test_bad_values_rejected(self):
         with pytest.raises(ValueError):
@@ -27,6 +40,16 @@ class TestSpec:
             ScorerSpec(max_iter=0)
         with pytest.raises(ValueError):
             ScorerSpec(ridge=0)
+
+
+@pytest.mark.parametrize("kind", KINDS)
+@pytest.mark.parametrize("X, y, message", [
+    (np.zeros((0, 2)), [], "^empty training set$"),
+    (np.zeros((3, 2)), [0, 1], "^X and y must have the same number of rows$"),
+])
+def test_empty_or_mismatched_rows_rejected(kind, X, y, message):
+    with pytest.raises(ValueError, match=message):
+        train_scorer(ScorerSpec(kind), X, y)
 
 
 @pytest.mark.parametrize("kind", KINDS)
@@ -93,6 +116,30 @@ class TestStump:
     def test_constant_features_rejected(self):
         with pytest.raises(DegenerateModelError):
             train_scorer(ScorerSpec("stump"), np.ones((5, 2)), [0, 1, 0, 1, 0])
+
+    @settings(max_examples=400, deadline=None)
+    @given(st.sampled_from(STUMP_VALUES).flatmap(lambda values: st.tuples(
+        st.lists(st.lists(st.sampled_from(values), min_size=3, max_size=3),
+                 min_size=2, max_size=12),
+        st.integers(1, 3))), st.data())
+    def test_matches_exhaustive_first_minimum(self, table, data):
+        rows, d = table
+        X = np.array(rows)[:, :d]
+        y = data.draw(st.lists(st.integers(0, 1), min_size=len(X), max_size=len(X)))
+        assume((X != X[0]).any())
+        scorer = train_scorer(ScorerSpec("stump"), X, y)
+        feature, threshold, high_is_one = oracles.brute_force_stump(X, y)
+        assert (scorer.feature, scorer.high_is_one) == (feature, high_is_one)
+        assert scorer.threshold.hex() == threshold.hex()
+
+    @pytest.mark.parametrize("y, high_is_one", [([0, 0, 1, 1], True), ([1, 0, 1, 0], False),
+                                                ([0, 1, 0, 1], True)])
+    def test_equal_candidates_keep_the_first(self, y, high_is_one):
+        # the cuts -5e-324 | 0.0 and 0.0 | 5e-324 have thresholds -0.0 and 0.0,
+        # which compare equal, and each orientation errs as often at both
+        X = np.array([[-5e-324], [0.0], [0.0], [5e-324]])
+        scorer = train_scorer(ScorerSpec("stump"), X, y)
+        assert (scorer.threshold.hex(), scorer.high_is_one) == ((-0.0).hex(), high_is_one)
 
 
 class TestLogistic:
