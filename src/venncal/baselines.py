@@ -6,13 +6,14 @@ cross-entropy against regularized targets (k+ + 1)/(k+ + 2) for label-1 and
 At the optimum the predictions match the targets' sum and their score-weighted
 sum; single predictions can fall outside (1/(k- + 2), (k+ + 1)/(k+ + 2)), as
 criterion 11b in README shows.  The fit is the logistic scorer's damped-Newton
-solver (`scorers._newton`) on z = -(a*s + b) with ridge 0, as in Lin, Lin &
-Weng (2007).  The direct isotonic calibrator fits the plain isotonic
-regression and answers queries with a left-step lookup (the fitted value at
-the largest calibration score not exceeding the query, the first fitted value
-below all scores).  It has no regularization, so a test score below every
-calibration score can be assigned probability exactly 0.  Both fits reject
-non-finite calibration scores, isotonic before it adds its dummy endpoints.
+solver (`scorers._newton`) on z = -(a*s + b) with ridge 0, each line search
+starting at the full Newton step, as in Lin, Lin & Weng (2007).  The direct
+isotonic calibrator fits the plain isotonic regression and answers queries
+with a left-step lookup (the fitted value at the largest calibration score
+not exceeding the query, the first fitted value below all scores).  It has
+no regularization, so a test score below every calibration score can be
+assigned probability exactly 0.  Both fits reject non-finite calibration
+scores, isotonic before it adds its dummy endpoints.
 """
 
 from __future__ import annotations
@@ -47,9 +48,10 @@ class PlattCalibrator:
         """Fit (a, b) with the damped-Newton solver the logistic scorer uses.
 
         Scores must be finite; labels must be 0 or 1.  Starts from a = 0 and
-        the prior-matching intercept b = log((k- + 1) / (k+ + 1)); stops once
-        the norm of the gradient of the summed cross-entropy is below 1e-8.
-        `converged` is False if it stopped instead after 10,000 iterations or
+        the prior-matching intercept b = log((k- + 1) / (k+ + 1)), and starts
+        each line search at the full Newton step; stops once the norm of the
+        gradient of the summed cross-entropy is below 1e-8.  `converged` is
+        False if it stopped instead after `_MAX_ITER` (10,000) iterations or
         when no step decreased the objective.
         """
         s, y = calibration_set(scores, labels)
@@ -63,7 +65,7 @@ class PlattCalibrator:
 
         # with z = -(a s + b) the objective is n times the logistic loss against targets t
         c0 = float(np.log((k_pos + 1.0) / (k_neg + 1.0)))
-        w, c, _, converged = _newton(s[:, None], t, 0.0, c0, _MAX_ITER, 1.0, _GRAD_TOL / len(s))
+        w, c, _, converged = _newton(s[:, None], t, 0.0, c0, _MAX_ITER, _GRAD_TOL / len(s))
         return cls(0.0 - float(w[0]), 0.0 - c, k_pos, k_neg, converged)  # 0.0 - x: never -0.0
 
     def predict_many(self, scores) -> np.ndarray:

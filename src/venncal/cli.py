@@ -128,11 +128,16 @@ def _tuned_ridge(ds: Dataset, n_folds: int, spec: ScorerSpec) -> float:
     return min(TUNE_RIDGE_GRID, key=cumulative_brier)
 
 
+def _check_tune(args) -> None:
+    if args.tune and args.scorer != "logistic":
+        raise UsageError(f"--tune searches the logistic scorer's ridge; "
+                         f"--scorer {args.scorer} has none")
+
+
 def _tuned_spec(args, train_ds: Dataset) -> ScorerSpec:
     """The scorer spec from the flags, with the ridge grid-searched under --tune."""
-    spec = ScorerSpec(kind=args.scorer, learning_rate=args.learning_rate,
-                      max_iter=args.max_iter, ridge=args.ridge)
-    if args.tune and args.scorer == "logistic":
+    spec = ScorerSpec(kind=args.scorer, ridge=args.ridge)
+    if args.tune:
         spec = replace(spec, ridge=_tuned_ridge(train_ds, _n_folds(args), spec))
     return spec
 
@@ -237,6 +242,7 @@ def _score_file_inputs(method: str, args):
 def cmd_calibrate(args) -> int:
     if args.intervals and args.method not in ("ivap", "cvap"):
         raise UsageError("--intervals is only available for ivap and cvap")
+    _check_tune(args)
     if args.calib_scores is not None or args.scores_in is not None:
         if args.train or args.test:
             raise UsageError("calibrate takes --train/--test or score files, not both")
@@ -282,6 +288,7 @@ def cmd_compare(args) -> int:
         raise UsageError("compare needs --ratio (or --all-mode with --folds)")
     if args.all_mode and args.folds is None:
         raise UsageError("compare with --all-mode needs --folds for the cross method")
+    _check_tune(args)
     train_ds, test_ds = _load_feature_data(args)
     spec = _tuned_spec(args, train_ds)
     rows = [(method, evaluate(_calibrate(method, args, inputs)[0], test_ds.y))
@@ -315,10 +322,8 @@ def _add_common_model_flags(sub) -> None:
     sub.add_argument("--ratio", default=None, help="proper:calibration split, e.g. 2:1")
     sub.add_argument("--folds", type=int, default=None, help="fold count for the cross method")
     sub.add_argument("--merge", choices=LOSSES, default="log")
-    sub.add_argument("--scorer", choices=KINDS, default="logistic")
-    sub.add_argument("--learning-rate", type=float, default=1.0)
-    sub.add_argument("--max-iter", type=int, default=1000)
-    sub.add_argument("--ridge", type=float, default=1e-4)
+    sub.add_argument("--scorer", choices=KINDS, default=ScorerSpec.kind)
+    sub.add_argument("--ridge", type=float, default=ScorerSpec.ridge)
     sub.add_argument("--all-mode", action="store_true",
                      help="use the full training set as both proper and calibration parts")
     sub.add_argument("--seed", type=int, default=0)

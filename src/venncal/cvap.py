@@ -52,6 +52,11 @@ class FoldAssignment:
         return np.bincount(self.fold_of, minlength=self.n_folds)
 
 
+def _check_fold_mode(mode) -> None:
+    if mode not in ("contiguous", "randomized"):
+        raise ValueError(f"unknown fold mode {mode!r}")
+
+
 def assign_folds(n: int, n_folds: int, mode: str = "contiguous",
                  seed: int | None = None) -> FoldAssignment:
     """Assign n observations to K folds; 2 <= K <= n required."""
@@ -59,8 +64,7 @@ def assign_folds(n: int, n_folds: int, mode: str = "contiguous",
         raise ValueError(f"need at least 2 folds, got {n_folds}")
     if n_folds > n:
         raise ValueError(f"cannot split {n} observations into {n_folds} folds")
-    if mode not in ("contiguous", "randomized"):
-        raise ValueError(f"unknown fold mode {mode!r}")
+    _check_fold_mode(mode)
     base, extra = divmod(n, n_folds)
     sizes = np.full(n_folds, base, dtype=np.int64)
     sizes[:extra] += 1
@@ -183,10 +187,15 @@ class CvapCalibrator:
                 and len(d["scorers"]) == len(d["rules"]) == n_folds):
             raise ValueError(f"{n_folds!r} folds with {len(d['scorers'])} scorers "
                              f"and {len(d['rules'])} rules")
-        fold_of = np.asarray(d["fold_of"], dtype=np.int64)
-        if fold_of.ndim != 1 or not ((fold_of >= 0) & (fold_of < n_folds)).all():
+        fold_of = np.asarray(d["fold_of"])
+        if (fold_of.ndim != 1 or fold_of.dtype.kind not in "iu"
+                or not ((fold_of >= 0) & (fold_of < n_folds)).all()):
             raise ValueError(f"fold_of must assign every row to one of {n_folds} folds")
-        folds = FoldAssignment(n_folds, fold_of, d["fold_mode"], d["fold_seed"])
+        _check_fold_mode(d["fold_mode"])
+        seed = d["fold_seed"]
+        if not (seed is None or isinstance(seed, int) and not isinstance(seed, bool)):
+            raise ValueError(f"fold_seed must be an integer or null, got {seed!r}")
+        folds = FoldAssignment(n_folds, fold_of.astype(np.int64), d["fold_mode"], seed)
         scorers = [scorer_from_dict(s) for s in d["scorers"]]
         widths = [s.n_features for s in scorers]
         if len(set(widths)) != 1:

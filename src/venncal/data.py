@@ -282,13 +282,10 @@ def compute_imputation(dataset: Dataset) -> tuple:
             observed = block[~np.isnan(block[:, 0]), 0]
             values.append(float(np.mean(observed)) if len(observed) else 0.0)
         else:
-            mask = ~np.isnan(block[:, 0])
-            if not mask.any():
-                values.append(col.categories[0] if col.categories else "")
-                continue
-            counts = block[mask].sum(axis=0)
+            counts = block[~np.isnan(block[:, 0])].sum(axis=0)
             # argmax takes the first maximum; categories are sorted, so ties
-            # resolve to the lexicographically smallest category
+            # resolve to the lexicographically smallest category (the first
+            # one when no row is observed)
             values.append(col.categories[int(np.argmax(counts))])
     return tuple(values)
 

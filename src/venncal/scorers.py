@@ -6,8 +6,10 @@ trained by damped Newton steps (its score is the raw linear predictor, not the
 squashed probability; calibration is invariant to monotone transforms and
 raw scores avoid saturation), a one-feature decision stump, and a constant
 scorer emitting the empirical positive rate.  All training is deterministic
-given the spec and the data.  The sigmoid baseline in `baselines` fits its
-two parameters with the same Newton solver.
+given the spec and the data; the ridge is the only setting.  Each Newton
+line search starts at the full step, and the logistic fit stops at a
+gradient norm of 1e-8 or after `_MAX_ITER` iterations.  The sigmoid baseline
+in `baselines` fits its two parameters with the same Newton solver.
 """
 
 from __future__ import annotations
@@ -29,24 +31,19 @@ __all__ = [
 ]
 
 KINDS = ("logistic", "stump", "constant")
+_MAX_ITER = 1000  # the logistic scorer's cap on Newton iterations
 
 
 @dataclass(frozen=True)
 class ScorerSpec:
-    """Scorer kind plus hyperparameters (only logistic uses them)."""
+    """Scorer kind plus the logistic scorer's ridge coefficient (the others ignore it)."""
 
     kind: str = "logistic"
-    learning_rate: float = 1.0
-    max_iter: int = 1000
     ridge: float = 1e-4
 
     def __post_init__(self):
         if self.kind not in KINDS:
             raise ValueError(f"unknown scorer kind {self.kind!r}")
-        if self.learning_rate <= 0:
-            raise ValueError("learning_rate must be positive")
-        if self.max_iter <= 0:
-            raise ValueError("max_iter must be positive")
         if self.ridge <= 0:
             raise ValueError("ridge must be positive")
 
@@ -78,7 +75,7 @@ class LogisticScorer(_Scorer):
     weights: np.ndarray
     intercept: float
     loss_history: list[float]
-    converged: bool = True  # False if training stopped at max_iter or without a descent step
+    converged: bool = True  # False if stopped at the iteration cap or with no descent step left
 
     @property
     def n_features(self) -> int:
@@ -166,11 +163,11 @@ def row_scorer(scorers):
     return scores
 
 
-def _newton(X: np.ndarray, t: np.ndarray, ridge: float, b0: float, max_iter: int,
-            first_step: float, tol: float):
+def _newton(X: np.ndarray, t: np.ndarray, ridge: float, b0: float, max_iter: int, tol: float):
     """Minimize mean(softplus(z) - t z) + ridge |w|^2 / 2, z = X w + b, from w = 0, b = b0.
 
-    Stops once the gradient norm is below `tol`.  Returns (w, b, loss history, converged).
+    Each line search starts at the full Newton step.  Stops once the gradient
+    norm is below `tol`.  Returns (w, b, loss history, converged).
     """
     n, d = X.shape
     w, b = np.zeros(d), b0
@@ -196,7 +193,7 @@ def _newton(X: np.ndarray, t: np.ndarray, ridge: float, b0: float, max_iter: int
             direction = -g
         slope = np.dot(g, direction)
         flat = -slope < 1e-15 * abs(history[-1])  # below the loss's rounding: take it
-        step = first_step
+        step = 1.0
         while step >= 1e-20:  # backtracking Armijo line search
             val = loss(w + step * direction[:d], b + step * direction[d])
             if flat or val <= history[-1] + 1e-4 * step * slope:
@@ -212,7 +209,7 @@ def _newton(X: np.ndarray, t: np.ndarray, ridge: float, b0: float, max_iter: int
 def _train_logistic(spec: ScorerSpec, X: np.ndarray, y: np.ndarray) -> LogisticScorer:
     if len(np.unique(y)) < 2:
         raise DegenerateModelError("logistic scorer needs both classes present")
-    return LogisticScorer(*_newton(X, y, spec.ridge, 0.0, spec.max_iter, spec.learning_rate, 1e-8))
+    return LogisticScorer(*_newton(X, y, spec.ridge, 0.0, _MAX_ITER, 1e-8))
 
 
 def _train_stump(X: np.ndarray, y: np.ndarray) -> StumpScorer:
@@ -267,13 +264,21 @@ def scorer_from_dict(d: dict):
     """Rebuild a trained scorer from its serialized form."""
     kind = d.get("kind")
     if kind == "logistic":
-        return LogisticScorer(np.asarray(d["weights"], dtype=float),
-                              float(d["intercept"]), [])
+        weights, intercept = np.asarray(d["weights"], dtype=float), float(d["intercept"])
+        if not (np.isfinite(weights).all() and np.isfinite(intercept)):
+            raise ValueError("logistic weights and intercept must be finite")
+        return LogisticScorer(weights, intercept, [])
     if kind == "stump":
         feature, n_features = int(d["feature"]), int(d["n_features"])
         if not 0 <= feature < n_features:
             raise ValueError(f"stump feature {feature} is not one of {n_features} features")
-        return StumpScorer(feature, float(d["threshold"]), bool(d["high_is_one"]), n_features)
+        threshold = float(d["threshold"])
+        if not np.isfinite(threshold):
+            raise ValueError(f"stump threshold {threshold!r} is not finite")
+        return StumpScorer(feature, threshold, bool(d["high_is_one"]), n_features)
     if kind == "constant":
-        return ConstantScorer(float(d["value"]), int(d["n_features"]))
+        value = float(d["value"])
+        if not 0.0 <= value <= 1.0:
+            raise ValueError(f"constant scorer value {value!r} is not in [0, 1]")
+        return ConstantScorer(value, int(d["n_features"]))
     raise ValueError(f"unknown scorer kind {kind!r}")

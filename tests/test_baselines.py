@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+from venncal import baselines
 from venncal.baselines import DirectIsotonic, PlattCalibrator
 from venncal.exceptions import DegenerateModelError
 from venncal.metrics import evaluate
@@ -76,7 +77,7 @@ class TestPlatt:
         assert m.predict_many([1.0])[0] == pytest.approx(0.5, abs=1e-9)
         assert not np.signbit(m.a)
         # away from the start the Hessian is singular at ridge 0; targets 4/5, 1/4 average 0.58
-        for c in (1.0, -3.0):
+        for c in (1.0, -3.0, 100.0):
             m = PlattCalibrator.fit([c] * 5, [0, 1, 1, 1, 0])
             assert m.converged
             assert m.predict_many([c])[0] == pytest.approx(0.58, abs=1e-8)
@@ -106,9 +107,31 @@ class TestPlatt:
         k_pos, k_neg = int(y.sum()), int(len(y) - y.sum())
         t = np.where(y == 1, (k_pos + 1) / (k_pos + 2), 1 / (k_neg + 2))
         _, _, history, converged = _newton(s[:, None], t, 0.0, np.log((k_pos + 1) / (k_neg + 1)),
-                                           10_000, 1.0, 1e-8 / len(s))
+                                           10_000, 1e-8 / len(s))
         assert converged
         assert len(history) - 1 <= 8
+
+    def test_fit_that_cannot_move_keeps_the_prior_start(self):
+        # at five equal scores of 1e30 no step from the start lowers the rounded
+        # objective: the fit stops there and predicts (k+ + 1) / (k+ + k- + 2)
+        m = PlattCalibrator.fit([1e30] * 5, [1, 0, 0, 0, 0])
+        assert not m.converged and m.a == 0.0
+        assert m.predict_many([0.0, 1e30]) == pytest.approx([2 / 7] * 2, rel=1e-15)
+
+    def test_overflowing_scores_stop_at_the_cap(self, monkeypatch):
+        # a slope step overflows the objective at these scores, so the gradient
+        # never falls below the tolerance and the fit runs to its cap
+        iterations = []
+
+        def counting_newton(*args):
+            result = _newton(*args)
+            iterations.append(len(result[2]) - 1)
+            return result
+
+        monkeypatch.setattr(baselines, "_newton", counting_newton)
+        with np.errstate(all="ignore"):
+            m = PlattCalibrator.fit([1e308, -1e308, 0.5, 1e308, -0.25, -1e308], [1, 0, 1, 0, 0, 1])
+        assert not m.converged and iterations == [10_000]
 
     def test_single_class_rejected(self):
         with pytest.raises(DegenerateModelError):

@@ -38,8 +38,7 @@ GRID = [
     ["calibrate", "--method", "platt", "--ratio", "2:1", "--no-header", "--label-column", "col1"],
     ["calibrate", "--method", "ivap", "--ratio", "2:1", "--scorer", "stump"],
     ["calibrate", "--method", "cvap", "--folds", 3, "--scorer", "constant"],
-    ["calibrate", "--method", "underlying", "--ratio", "2:1", "--learning-rate", 0.5,
-     "--max-iter", 50, "--ridge", 0.01],
+    ["calibrate", "--method", "underlying", "--ratio", "2:1", "--ridge", 0.01],
     ["compare", "--all-mode", "--folds", 3, "--merge", "brier", "--tune"],
 ]
 
@@ -116,6 +115,15 @@ MISUSE = [
                   "--ratio", "1:1", "--tune"], 4,
                  "degenerate model: degenerate fold 0: proper training part has a single class\n",
                  id="tune-single-class-fold-complement"),
+    # raised before the (missing) training file is opened
+    pytest.param(["calibrate", "--method", "ivap", "--train", "{missing}", "--test", "{test}",
+                  "--ratio", "2:1", "--scorer", "stump", "--tune"], 2,
+                 "usage error: --tune searches the logistic scorer's ridge; "
+                 "--scorer stump has none\n", id="tune-with-stump-scorer"),
+    pytest.param(["compare", "--train", "{missing}", "--test", "{test}", "--all-mode",
+                  "--folds", 3, "--scorer", "constant", "--tune"], 2,
+                 "usage error: --tune searches the logistic scorer's ridge; "
+                 "--scorer constant has none\n", id="tune-with-constant-scorer"),
 ]
 
 

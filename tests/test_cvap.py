@@ -295,9 +295,17 @@ class TestSerialization:
         (lambda d: d["scorers"].__setitem__(1, {"kind": "constant", "value": 0.5,
                                                 "n_features": 2}),
          r"fold scorers expect \[1, 2, 1\] features"),
+        (lambda d: d["fold_of"].__setitem__(0, 0.5), "one of 3 folds"),
+        (lambda d: d.update(fold_mode="banana"), "^unknown fold mode 'banana'$"),
+        (lambda d: d.update(fold_seed=[1, 2]),
+         r"^fold_seed must be an integer or null, got \[1, 2\]$"),
+        (lambda d: d.update(fold_seed=True), "^fold_seed must be an integer or null, got True$"),
+        (lambda d: d["scorers"][1].update(intercept=float("nan")),
+         "^logistic weights and intercept must be finite$"),
     ], ids=["n_folds", "scorers", "rules", "fold_of_range", "fold_sizes", "merge_loss",
             "format", "version", "nested_rule", "stump_feature", "scorer_kind",
-            "scorer_widths"])
+            "scorer_widths", "fold_of_fraction", "fold_mode", "fold_seed_list",
+            "fold_seed_bool", "scorer_values"])
     def test_corrupt_record_rejected(self, corrupt, message):
         model = CvapCalibrator.fit(small_dataset(160, seed=8), 3, ScorerSpec("logistic"))
         record = model.to_dict()

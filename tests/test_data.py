@@ -121,6 +121,8 @@ class TestImputation:
         ds = load_csv(path, "label")
         values = compute_imputation(subset(ds, [0, 1]))
         assert values == ("a",)
+        # no row observed: every count is 0, so the first category again
+        assert compute_imputation(subset(ds, [2])) == ("a",)
 
     def test_statistics_ignore_other_rows(self, tmp_path):
         # test rows differ wildly; training-derived statistics must not move

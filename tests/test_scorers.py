@@ -5,7 +5,8 @@ from hypothesis import strategies as st
 from scipy.optimize import minimize
 
 import oracles
-from venncal.cli import TUNE_RIDGE_GRID
+from venncal import scorers
+from venncal.cli import TUNE_RIDGE_GRID, build_parser
 from venncal.data import generate_synthetic
 from venncal.exceptions import DegenerateModelError
 from venncal.scorers import (
@@ -35,11 +36,14 @@ class TestSpec:
         with pytest.raises(ValueError):
             ScorerSpec(kind="forest")
         with pytest.raises(ValueError):
-            ScorerSpec(learning_rate=0)
-        with pytest.raises(ValueError):
-            ScorerSpec(max_iter=0)
-        with pytest.raises(ValueError):
             ScorerSpec(ridge=0)
+
+    def test_defaults_are_stated_once(self):
+        assert ScorerSpec() == ScorerSpec("logistic", 1e-4)
+        parser = build_parser()
+        for argv in (["calibrate", "--method", "ivap", "--out", "o"], ["compare", "--out", "o"]):
+            args = parser.parse_args(argv)
+            assert (args.scorer, args.ridge) == ("logistic", 1e-4)
 
 
 @pytest.mark.parametrize("kind", KINDS)
@@ -50,6 +54,18 @@ class TestSpec:
 def test_empty_or_mismatched_rows_rejected(kind, X, y, message):
     with pytest.raises(ValueError, match=message):
         train_scorer(ScorerSpec(kind), X, y)
+
+
+@pytest.mark.parametrize("kind", KINDS)
+def test_one_dimensional_features_are_one_column(kind):
+    ds = generate_synthetic(200, seed=6)
+    x = ds.X[:, 0]
+    flat = train_scorer(ScorerSpec(kind), x, ds.y)
+    column = train_scorer(ScorerSpec(kind), x[:, None], ds.y)
+    assert flat.to_dict() == column.to_dict()
+    for scorer in (flat, column):
+        for X in (x, x[:, None]):
+            assert scorer.score_many(X).tobytes() == column.score_many(x[:, None]).tobytes()
 
 
 @pytest.mark.parametrize("kind", KINDS)
@@ -152,11 +168,17 @@ class TestLogistic:
         assert scorer.intercept == pytest.approx(-w / 2, abs=0.1)
 
     def test_monotone_descent(self):
+        # on the second, nearly separable set some full Newton steps raise the
+        # loss, and the line search must shorten them
         ds = generate_synthetic(500, seed=3)
-        scorer = train_scorer(ScorerSpec("logistic"), ds.X, ds.y)
-        hist = np.asarray(scorer.loss_history)
-        assert len(hist) > 1
-        assert np.all(np.diff(hist) < 0)
+        rng = np.random.default_rng(75)
+        x = rng.normal(size=(30, 1)) * 100
+        labels = (x[:, 0] + 10 * rng.normal(size=30) > 0).astype(float)
+        for X, y, ridge in ((ds.X, ds.y, 1e-4), (x, labels, 1e-6)):
+            scorer = train_scorer(ScorerSpec("logistic", ridge=ridge), X, y)
+            hist = np.asarray(scorer.loss_history)
+            assert scorer.converged and len(hist) > 1
+            assert np.all(np.diff(hist) < 0)
 
     def test_deterministic(self):
         ds = generate_synthetic(300, seed=9)
@@ -169,20 +191,47 @@ class TestLogistic:
         ds = generate_synthetic(400, seed=10)
         rng = np.random.default_rng(0)
         perm = rng.permutation(len(ds))
-        a = train_scorer(ScorerSpec("logistic", max_iter=5000), ds.X, ds.y)
-        b = train_scorer(ScorerSpec("logistic", max_iter=5000), ds.X[perm], ds.y[perm])
+        a = train_scorer(ScorerSpec("logistic"), ds.X, ds.y)
+        b = train_scorer(ScorerSpec("logistic"), ds.X[perm], ds.y[perm])
         assert np.allclose(a.weights, b.weights, atol=1e-9)
         assert abs(a.intercept - b.intercept) <= 1e-9
 
-    def test_converged_flag(self):
+    def test_converged_flag(self, monkeypatch):
         ds = generate_synthetic(500, seed=3)
         assert train_scorer(ScorerSpec("logistic"), ds.X, ds.y).converged
-        stopped = train_scorer(ScorerSpec("logistic", max_iter=1), ds.X, ds.y)
+        monkeypatch.setattr(scorers, "_MAX_ITER", 1)
+        stopped = train_scorer(ScorerSpec("logistic"), ds.X, ds.y)
         assert not stopped.converged
         assert len(stopped.loss_history) == 2
 
+    def test_no_descent_step_left_is_not_converged(self):
+        # at a feature of 1e20 no step from the zero start lowers the rounded
+        # loss, so training stops there, long before the iteration cap
+        scorer = train_scorer(ScorerSpec("logistic"), np.full((4, 1), 1e20), [0, 0, 0, 1])
+        assert not scorer.converged
+        assert scorer.loss_history == [np.log(2.0)]
+        assert scorer.weights.tolist() == [0.0] and scorer.intercept == 0.0
+
+    def test_overflowing_features_stop_at_the_cap(self):
+        # a weight step overflows the loss at this scale, so only the intercept
+        # moves, the gradient never falls below the tolerance, and training runs
+        # to its 1000-iteration cap
+        ds = generate_synthetic(300, seed=4)
+        with np.errstate(all="ignore"):
+            scorer = train_scorer(ScorerSpec("logistic"), ds.X * 1e200, ds.y)
+        assert not scorer.converged
+        assert len(scorer.loss_history) == 1001 and scorer.weights.tolist() == [0.0]
+
+    def test_converges_far_from_the_origin(self):
+        # near the optimum the rounded loss cannot see some of these steps (it
+        # stays equal), and the line search must still take them
+        X = np.array([[-18, -18], [-21, -22], [-19, -18], [-20, -18], [-18, -20],
+                      [-20, -19], [-21, -18], [-21, -21], [-20, -20]]) * 1e5
+        scorer = train_scorer(ScorerSpec("logistic", ridge=1e-6), X, [1, 1, 0, 1, 1, 1, 0, 1, 1])
+        assert scorer.converged
+
     def test_near_separable_converges(self):
-        # plain gradient descent stopped here at max_iter = 1000 with loss 0.0524
+        # nearly separable labels: the optimum lies at large weights, on a nearly flat loss
         rng = np.random.default_rng(0)
         X = rng.standard_normal((20_000, 5))
         y = (X @ np.arange(1.0, 6.0) > 0).astype(float)
@@ -212,6 +261,7 @@ class TestLogistic:
         assert scorer.converged
         assert loss <= ref.fun + 1e-12
         assert np.linalg.norm(grad) < 1e-8
+        assert scorer.loss_history[-1] == pytest.approx(loss, rel=1e-12)
 
     def test_raw_linear_score(self):
         from venncal.scorers import LogisticScorer
@@ -291,6 +341,32 @@ class TestSerialization:
         clone = scorer_from_dict(scorer.to_dict())
         assert clone.converged and clone.loss_history == []
         assert set(scorer.to_dict()) == {"kind", "weights", "intercept"}
+
+    @pytest.mark.parametrize("record, message", [
+        ({"kind": "logistic", "weights": [1.0, np.inf], "intercept": 0.0},
+         "^logistic weights and intercept must be finite$"),
+        ({"kind": "logistic", "weights": [1.0], "intercept": np.nan},
+         "^logistic weights and intercept must be finite$"),
+        ({"kind": "stump", "feature": 0, "threshold": np.nan, "high_is_one": True,
+          "n_features": 1}, "^stump threshold nan is not finite$"),
+        ({"kind": "stump", "feature": 0, "threshold": -np.inf, "high_is_one": True,
+          "n_features": 1}, "^stump threshold -inf is not finite$"),
+        ({"kind": "constant", "value": np.nan, "n_features": 1},
+         r"^constant scorer value nan is not in \[0, 1\]$"),
+        ({"kind": "constant", "value": 1.5, "n_features": 1},
+         r"^constant scorer value 1.5 is not in \[0, 1\]$"),
+        ({"kind": "constant", "value": -0.25, "n_features": 1},
+         r"^constant scorer value -0.25 is not in \[0, 1\]$"),
+    ], ids=["weight_inf", "intercept_nan", "threshold_nan", "threshold_inf", "constant_nan",
+            "constant_above_one", "constant_below_zero"])
+    def test_corrupt_record_rejected(self, record, message):
+        with pytest.raises(ValueError, match=message):
+            scorer_from_dict(record)
+
+    @pytest.mark.parametrize("label", [0, 1])
+    def test_constant_at_either_end_loads(self, label):
+        scorer = train_scorer(ScorerSpec("constant"), np.zeros((3, 1)), [label] * 3)
+        assert scorer_from_dict(scorer.to_dict()) == scorer == ConstantScorer(float(label), 1)
 
     def test_width_is_a_constructor_field(self):
         # a stump on feature 0 of 3 and a constant of width 3 reject 2-column
