@@ -128,10 +128,14 @@ def _tuned_ridge(ds: Dataset, n_folds: int, spec: ScorerSpec) -> float:
     return min(TUNE_RIDGE_GRID, key=cumulative_brier)
 
 
-def _check_tune(args) -> None:
+def _check_scorer_flags(args) -> None:
+    """Reject scorer flags that the chosen scorer would silently ignore."""
     if args.tune and args.scorer != "logistic":
         raise UsageError(f"--tune searches the logistic scorer's ridge; "
                          f"--scorer {args.scorer} has none")
+    if args.sigmoid_scores and args.scorer != "logistic":
+        raise UsageError(f"--sigmoid-scores squashes the logistic scorer's scores; "
+                         f"--scorer {args.scorer} scores in [0, 1] already")
 
 
 def _tuned_spec(args, train_ds: Dataset) -> ScorerSpec:
@@ -242,10 +246,12 @@ def _score_file_inputs(method: str, args):
 def cmd_calibrate(args) -> int:
     if args.intervals and args.method not in ("ivap", "cvap"):
         raise UsageError("--intervals is only available for ivap and cvap")
-    _check_tune(args)
+    _check_scorer_flags(args)
     if args.calib_scores is not None or args.scores_in is not None:
         if args.train or args.test:
             raise UsageError("calibrate takes --train/--test or score files, not both")
+        if args.tune:
+            raise UsageError("--tune trains a scorer; score files bring their own scores")
         inputs = _score_file_inputs(args.method, args)
     else:
         if not args.train or not args.test:
@@ -288,7 +294,7 @@ def cmd_compare(args) -> int:
         raise UsageError("compare needs --ratio (or --all-mode with --folds)")
     if args.all_mode and args.folds is None:
         raise UsageError("compare with --all-mode needs --folds for the cross method")
-    _check_tune(args)
+    _check_scorer_flags(args)
     train_ds, test_ds = _load_feature_data(args)
     spec = _tuned_spec(args, train_ds)
     rows = [(method, evaluate(_calibrate(method, args, inputs)[0], test_ds.y))
@@ -330,8 +336,8 @@ def _add_common_model_flags(sub) -> None:
     sub.add_argument("--randomize-split", action="store_true")
     sub.add_argument("--randomize-folds", action="store_true")
     sub.add_argument("--sigmoid-scores", action="store_true",
-                     help="platt, isotonic and ivap calibrate sigmoid outputs instead of raw "
-                          "linear scores; cvap ignores it")
+                     help="platt, isotonic and ivap calibrate the logistic scorer's sigmoid "
+                          "outputs instead of its raw linear scores; cvap ignores it")
     sub.add_argument("--dummy-endpoints", action="store_true",
                      help="regularize direct isotonic with two synthetic extreme points")
     sub.add_argument("--tune", action="store_true",

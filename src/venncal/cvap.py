@@ -6,8 +6,9 @@ the CLI's ridge search shares) trains a scorer on the complement, and an
 interval calibrator is built from the fold's scores under that scorer, so no
 observation ever calibrates a scorer that saw it.
 A prediction computes K intervals and merges them with the minimax rule for
-the configured loss.  One feature row is scored under every fold at once
-(`scorers.row_scorer`), takes a scalar interval query per fold, and merges
+the configured loss.  One feature row is scored under every fold in float
+arithmetic (`scorers.row_scorer`), takes one bisection per fold over that
+fold's list tables (`IvapCalibrator._pair`, no interval objects), and merges
 its K intervals as two lists of floats (`merge`'s row path), with the bits
 that row has in any batch.
 """
@@ -157,8 +158,8 @@ class CvapCalibrator:
     def predict(self, x) -> float:
         """Merged probability of one feature row: the bits of a batch holding it."""
         scores = self._score_row(np.asarray(x, dtype=float)[None, :])
-        intervals = [rule.predict_interval(s) for rule, s in zip(self.rules, scores)]
-        return merge([iv.p0 for iv in intervals], [iv.p1 for iv in intervals], self.merge_loss)
+        p0, p1 = map(list, zip(*(rule._pair(s) for rule, s in zip(self.rules, scores))))
+        return merge(p0, p1, self.merge_loss)
 
     # ---- serialization --------------------------------------------------
 

@@ -9,14 +9,20 @@ right neighbour; outside the score range the missing side falls back to the
 boundary conventions 0 and 1.  This reproduces, for every s, the isotonic
 fit at s of the calibration set with (s, 0) respectively (s, 1) appended.
 The tables are stored padded, lower = [0] + p0 and upper = p1 + [1]; a batch
-is sorted once, searched once on the keys, and read from the padded tables;
-a single score takes one `searchsorted` on the keys and reads the same tables.
+is sorted once, searched once on the keys, and read from the padded tables.
+A single score takes one `bisect` on the keys and reads the same tables held
+as Python lists, with the bits of the batch query and no numpy call.  The
+lists are built on the first single-score query, never by `fit`, `from_dict`,
+`to_dict` or a batch query, so a rule that only answers batches holds no
+second copy of its tables.
 """
 
 from __future__ import annotations
 
 import math
+from bisect import bisect_left
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
@@ -43,7 +49,9 @@ class ProbInterval:
 class IvapCalibrator:
     """Calibration rule mapping any test score to a probability interval.
 
-    Immutable after construction; concurrent queries need no locking.
+    Immutable after construction; concurrent queries need no locking (two
+    threads racing to the first single-score query at worst build equal
+    lists twice).
     """
 
     FORMAT = "venncal.ivap"
@@ -95,20 +103,28 @@ class IvapCalibrator:
         lo[order] = self._lower[i]
         return lo.reshape(s.shape), hi.reshape(s.shape)
 
-    def predict_interval(self, score: float) -> ProbInterval:
-        """Interval of one score: one binary search, the same bits as the batch path."""
+    @cached_property
+    def _lists(self) -> tuple[list, list, list]:
+        """The keys and the padded tables as Python lists, for single scores."""
+        return self.points.scores.tolist(), self._lower.tolist(), self._upper.tolist()
+
+    def _pair(self, score) -> tuple[float, float]:
+        """(p0, p1) of one score as two floats: one bisection of the key list."""
         s = float(score)
         if not math.isfinite(s):
             raise ValueError("test scores must be finite")
-        keys = self.points.scores
-        i = keys.searchsorted(s)
+        keys, lower, upper = self._lists
+        i = bisect_left(keys, s)
         hit = i < len(keys) and keys[i] == s
-        return ProbInterval(float(self._lower[i + hit]), float(self._upper[i]))
+        return lower[i + hit], upper[i]
+
+    def predict_interval(self, score: float) -> ProbInterval:
+        """Interval of one score: one binary search, the same bits as the batch path."""
+        return ProbInterval(*self._pair(score))
 
     def predict(self, score: float, loss: str = "log") -> float:
         """Single precise probability for one test score."""
-        interval = self.predict_interval(score)
-        return merge(interval.p0, interval.p1, loss)
+        return merge(*self._pair(score), loss)
 
     def predict_many(self, scores, loss: str = "log") -> np.ndarray:
         lo, hi = self.predict_intervals(scores)
@@ -154,9 +170,10 @@ def _check_tables(scores, weights, label_sums, p0, p1) -> None:
         raise ValueError("scores, weights, label_sums, p0 and p1 need one equal, non-zero length")
     if not (np.isfinite(scores).all() and (scores[1:] > scores[:-1]).all()):
         raise ValueError("scores must be finite and strictly increasing")
-    if not (np.isfinite(weights).all() and (weights >= 1).all()
+    # bounded before `from_dict` casts them to int64, which warns above 2^63
+    if not (((weights >= 1) & (weights <= 2.0 ** 53)).all()
             and (weights == np.floor(weights)).all()):
-        raise ValueError("weights must be positive integers")
+        raise ValueError("weights must be positive integers of at most 2^53")
     if not ((label_sums >= 0) & (label_sums <= weights)).all():
         raise ValueError("label sums must lie between 0 and the weight")
     if not ((p0 >= 0) & (p0 < p1) & (p1 <= 1)).all():

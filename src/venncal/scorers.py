@@ -148,18 +148,27 @@ def _linear(columns, coefs, intercept, n: int) -> np.ndarray:
 def row_scorer(scorers):
     """A function of one (1, d) feature row giving its score under each scorer.
 
-    Logistic scorers are stacked: the row takes one `_linear` over the (d, K)
-    weight columns, with the bits of each scorer's `score_many`.
+    Logistic weights are stacked once as nested lists of Python floats, and a
+    row is scored in float arithmetic: 0.0 + x[0] * w[0] + x[1] * w[1] + ...
+    + b, one IEEE product and sum at a time in `_linear`'s order, so each
+    score has the bits of that scorer's `score_many`.  (The sum is an explicit
+    loop: Python 3.12's `sum` of floats compensates its round-off.)
     """
     if not all(isinstance(s, LogisticScorer) for s in scorers):
         return lambda row: [s.score_many(row)[0] for s in scorers]
     first = scorers[0]
-    columns = np.array([s.weights for s in scorers]).T
-    intercepts = np.array([s.intercept for s in scorers])
+    stacked = [(s.weights.tolist(), float(s.intercept)) for s in scorers]
 
     def scores(row):
         first._check_width(row)
-        return _linear(columns, row[0], intercepts, len(intercepts)).tolist()
+        x = row[0].tolist()
+        out = []
+        for weights, intercept in stacked:
+            total = 0.0
+            for xj, wj in zip(x, weights):
+                total += xj * wj
+            out.append(total + intercept)
+        return out
     return scores
 
 

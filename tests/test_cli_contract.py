@@ -124,6 +124,19 @@ MISUSE = [
                   "--folds", 3, "--scorer", "constant", "--tune"], 2,
                  "usage error: --tune searches the logistic scorer's ridge; "
                  "--scorer constant has none\n", id="tune-with-constant-scorer"),
+    pytest.param(["calibrate", "--method", "platt", "--train", "{missing}", "--test", "{test}",
+                  "--ratio", "2:1", "--scorer", "stump", "--sigmoid-scores"], 2,
+                 "usage error: --sigmoid-scores squashes the logistic scorer's scores; "
+                 "--scorer stump scores in [0, 1] already\n", id="sigmoid-with-stump-scorer"),
+    pytest.param(["compare", "--train", "{missing}", "--test", "{test}", "--ratio", "2:1",
+                  "--scorer", "constant", "--sigmoid-scores"], 2,
+                 "usage error: --sigmoid-scores squashes the logistic scorer's scores; "
+                 "--scorer constant scores in [0, 1] already\n", id="sigmoid-with-constant-scorer"),
+    # the score files are never opened either
+    pytest.param(["calibrate", "--method", "ivap", "--calib-scores", "{missing}",
+                  "--scores-in", "{missing}", "--tune"], 2,
+                 "usage error: --tune trains a scorer; score files bring their own scores\n",
+                 id="tune-with-score-files"),
 ]
 
 

@@ -360,6 +360,56 @@ def test_intervals_are_the_insert_and_refit_intervals(case, data):
         assert dataclasses.astuple(rule.predict_interval(q)) == want
 
 
+@st.composite
+def rules_and_scalar_queries(draw):
+    """A fitted or a loaded rule, and queries at, next to, between and outside its keys."""
+    scores, labels = draw(calibration_sets())
+    rule = IvapCalibrator.fit(scores, labels)
+    if draw(st.booleans()):
+        rule = IvapCalibrator.from_dict(json.loads(json.dumps(rule.to_dict())))
+    key = st.sampled_from(rule.points.scores.tolist())
+    neighbour = st.tuples(key, st.sampled_from([-math.inf, math.inf])).map(
+        lambda pair: math.nextafter(*pair)).filter(math.isfinite)
+    query = st.one_of(key, neighbour, st.sampled_from([0.0, -0.0]),
+                      st.sampled_from([-1.7976931348623157e308, 1.7976931348623157e308]),
+                      st.integers(-7, 7).map(float),
+                      st.floats(allow_nan=False, allow_infinity=False))
+    return rule, draw(st.lists(query, min_size=1, max_size=12))
+
+
+@settings(max_examples=300, deadline=None)
+@given(rules_and_scalar_queries())
+@example((IvapCalibrator.fit([0.0], [1]), [-0.0, 0.0, -5e-324, 5e-324]))  # k = 1, signed zeros
+def test_bisection_of_the_list_tables_has_the_batch_bits(case):
+    rule, queries = case
+    lo, hi = rule.predict_intervals(np.array(queries))
+    pairs = np.array([rule._pair(q) for q in queries])
+    assert pairs[:, 0].tobytes() == lo.tobytes()
+    assert pairs[:, 1].tobytes() == hi.tobytes()
+    intervals = [dataclasses.astuple(rule.predict_interval(q)) for q in queries]
+    assert np.array(intervals).tobytes() == pairs.tobytes()
+    for loss in ("log", "brier"):
+        singles = np.array([rule.predict(q, loss) for q in queries])
+        assert singles.tobytes() == rule.predict_many(queries, loss).tobytes()
+
+
+def test_only_a_single_score_query_builds_the_list_tables():
+    # a rule that answers only batches (k = 1e6 in the benchmark) must not
+    # carry a second, list copy of its tables
+    rng = np.random.default_rng(4)
+    rule = IvapCalibrator.fit(rng.normal(size=50), rng.integers(0, 2, size=50))
+    queries = rng.normal(size=20)
+    rule.predict_intervals(queries)
+    rule.predict_many(queries, "brier")
+    loaded = IvapCalibrator.from_dict(rule.to_dict())
+    loaded.predict_intervals(queries)
+    assert "_lists" not in vars(rule) and "_lists" not in vars(loaded)
+    rule.predict_interval(0.3)
+    loaded.predict(0.3)
+    assert "_lists" in vars(rule) and "_lists" in vars(loaded)
+    assert loaded.to_dict() == rule.to_dict()
+
+
 class TestSerialization:
     def test_round_trip_bit_exact(self):
         rng = np.random.default_rng(1)

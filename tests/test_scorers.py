@@ -1,3 +1,5 @@
+import math
+
 import numpy as np
 import pytest
 from hypothesis import assume, given, settings
@@ -299,12 +301,32 @@ class TestLogistic:
         with pytest.raises(ValueError, match="dimension"):
             score_row(np.zeros((1, d + 1)))
 
+    @settings(max_examples=200, deadline=None)
+    @given(st.data())
+    def test_float_row_scores_have_the_batch_bits(self, data):
+        d = data.draw(st.integers(1, 17))
+        k = data.draw(st.integers(2, 10))
+        special = st.sampled_from([0.0, -0.0, 5e-324, -5e-324, 2.2250738585072014e-308,
+                                   1e154, -1e154])
+        value = st.one_of(special, st.floats(-1e3, 1e3),
+                          st.floats(allow_nan=False, allow_infinity=False))
+        vector = st.lists(value, min_size=d, max_size=d)
+        scorers = [LogisticScorer(np.array(data.draw(vector)), data.draw(value), [])
+                   for _ in range(k)]
+        X = np.array(data.draw(st.lists(vector, min_size=1, max_size=4)))
+        with np.errstate(over="ignore", invalid="ignore"):  # products may overflow
+            batch = np.array([s.score_many(X) for s in scorers])
+        score_row = row_scorer(scorers)
+        for r in range(len(X)):
+            assert np.array(score_row(X[r:r + 1])).tobytes() == batch[:, r].tobytes()
+
     def test_negative_zero_intercept_keeps_matmul_bits(self):
         # the sum starts at +0.0, as X @ w does: -0.0 * 1 + -0.0 is +0.0, not -0.0
         scorer = LogisticScorer(np.array([1.0]), -0.0, [])
         X = np.array([[-0.0], [0.0], [2.5], [-1e-320]])
         assert scorer.score_many(X).tobytes() == (X @ scorer.weights + -0.0).tobytes()
         assert np.signbit(scorer.score_many(X[:1])[0]) == np.False_
+        assert math.copysign(1.0, row_scorer([scorer, scorer])(X[:1])[0]) == 1.0
 
     def test_sigmoid_bit_identical_to_masked_reference(self):
         from oracles import masked_sigmoid
