@@ -252,6 +252,8 @@ def cmd_calibrate(args) -> int:
             raise UsageError("calibrate takes --train/--test or score files, not both")
         if args.tune:
             raise UsageError("--tune trains a scorer; score files bring their own scores")
+        if args.sigmoid_scores:
+            raise UsageError("--sigmoid-scores squashes a scorer's output; score files have none")
         inputs = _score_file_inputs(args.method, args)
     else:
         if not args.train or not args.test:

@@ -7,10 +7,10 @@ interval calibrator is built from the fold's scores under that scorer, so no
 observation ever calibrates a scorer that saw it.
 A prediction computes K intervals and merges them with the minimax rule for
 the configured loss.  One feature row is scored under every fold in float
-arithmetic (`scorers.row_scorer`), takes one bisection per fold over that
-fold's list tables (`IvapCalibrator._pair`, no interval objects), and merges
-its K intervals as two lists of floats (`merge`'s row path), with the bits
-that row has in any batch.
+arithmetic (`scorers.row_scorer`) and bisects each fold's list tables once
+(`IvapCalibrator._pair`): under log loss they hold the log-merge terms, added
+in fold order and ended by one `np.exp` call, and under Brier loss the K
+single merges are averaged, so the row has the bits it has in any batch.
 """
 
 from __future__ import annotations
@@ -22,7 +22,7 @@ import numpy as np
 from venncal.data import Dataset
 from venncal.exceptions import DegenerateModelError
 from venncal.ivap import IvapCalibrator
-from venncal.merging import LOSSES, merge
+from venncal.merging import LOSSES, _mean_over_k, _single, merge
 from venncal.scorers import ScorerSpec, row_scorer, scorer_from_dict, train_scorer
 
 __all__ = ["FoldAssignment", "assign_folds", "fold_scorers", "fold_intervals", "CvapCalibrator"]
@@ -157,9 +157,18 @@ class CvapCalibrator:
 
     def predict(self, x) -> float:
         """Merged probability of one feature row: the bits of a batch holding it."""
-        scores = self._score_row(np.asarray(x, dtype=float)[None, :])
-        p0, p1 = map(list, zip(*(rule._pair(s) for rule, s in zip(self.rules, scores))))
-        return merge(p0, p1, self.merge_loss)
+        if (row := np.asarray(x, dtype=float)).ndim != 1:
+            raise ValueError(f"predict takes one feature row of shape (d,), got shape {row.shape}")
+        folds = zip(self.rules, self._score_row(row[None, :]))
+        if self.merge_loss == "brier":
+            return _mean_over_k([_single(*rule._pair(s), "brier") for rule, s in folds])
+        sum_q0 = sum_p1 = -0.0  # -0.0 + x is x: the sums start at fold 0's terms
+        for rule, s in folds:  # in order k = 0..K-1, as `merge` sums a batch
+            log_q0, log_p1 = rule._pair(s, log=True)
+            sum_q0 += log_q0
+            sum_p1 += log_p1
+        gm_q0, gm_p1 = np.exp((sum_q0 / len(self.rules), sum_p1 / len(self.rules))).tolist()
+        return gm_p1 / (gm_q0 + gm_p1)
 
     # ---- serialization --------------------------------------------------
 

@@ -79,12 +79,8 @@ class Dataset:
         return len(self.y)
 
     def column_slices(self) -> list[slice]:
-        out = []
-        offset = 0
-        for col in self.columns:
-            out.append(slice(offset, offset + col.width))
-            offset += col.width
-        return out
+        ends = np.cumsum([0, *(col.width for col in self.columns)]).tolist()
+        return [slice(a, b) for a, b in zip(ends, ends[1:])]
 
 
 # ---- CSV tables: a record's line number in messages is its 1-based index
@@ -167,12 +163,8 @@ def load_csv(path, label_column, *, header: bool = True,
     fields, widths = _read_table(path, strip=True)
     if not len(widths):
         raise DataError(f"{path}: empty file")
-    if header:
-        names = fields[:widths[0]]
-        first = 1
-    else:
-        names = [f"col{i}" for i in range(widths[0])]
-        first = 0
+    first = int(header)
+    names = fields[:widths[0]] if header else [f"col{i}" for i in range(widths[0])]
     if len(widths) == first:
         raise DataError(f"{path}: no data rows")
 

@@ -11,10 +11,10 @@ fit at s of the calibration set with (s, 0) respectively (s, 1) appended.
 The tables are stored padded, lower = [0] + p0 and upper = p1 + [1]; a batch
 is sorted once, searched once on the keys, and read from the padded tables.
 A single score takes one `bisect` on the keys and reads the same tables held
-as Python lists, with the bits of the batch query and no numpy call.  The
-lists are built on the first single-score query, never by `fit`, `from_dict`,
-`to_dict` or a batch query, so a rule that only answers batches holds no
-second copy of its tables.
+as Python lists, with the bits of the batch query and no numpy call (a cross
+calibrator's log-loss row reads their log-merge terms).  Each set of three
+lists, keys and two tables, is built and range-checked on the first query
+that reads it, never by `fit`, `from_dict`, `to_dict` or a batch query.
 """
 
 from __future__ import annotations
@@ -33,7 +33,7 @@ from venncal.isotonic import (
     lower_prob_scan,
     upper_prob_scan,
 )
-from venncal.merging import merge
+from venncal.merging import merge, row_tables
 
 __all__ = ["ProbInterval", "IvapCalibrator"]
 
@@ -106,14 +106,19 @@ class IvapCalibrator:
     @cached_property
     def _lists(self) -> tuple[list, list, list]:
         """The keys and the padded tables as Python lists, for single scores."""
-        return self.points.scores.tolist(), self._lower.tolist(), self._upper.tolist()
+        return self.points.scores.tolist(), *row_tables(self._lower, self._upper)
 
-    def _pair(self, score) -> tuple[float, float]:
-        """(p0, p1) of one score as two floats: one bisection of the key list."""
+    @cached_property
+    def _log_lists(self) -> tuple[list, list, list]:
+        """The keys and the tables' log-merge terms as lists, for CVAP rows under log loss."""
+        return self.points.scores.tolist(), *row_tables(self._lower, self._upper, log=True)
+
+    def _pair(self, score, log: bool = False) -> tuple[float, float]:
+        """(p0, p1) of one score, or (`log`) their log-merge terms: one bisection of the keys."""
         s = float(score)
         if not math.isfinite(s):
             raise ValueError("test scores must be finite")
-        keys, lower, upper = self._lists
+        keys, lower, upper = self._log_lists if log else self._lists
         i = bisect_left(keys, s)
         hit = i < len(keys) and keys[i] == s
         return lower[i + hit], upper[i]

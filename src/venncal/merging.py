@@ -10,17 +10,16 @@ when every interval is degenerate (p0 = p1).
 `merge(p0, p1, loss)` is the one function that turns intervals into
 probabilities, for a single interval and for batches alike.  A pair of
 Python floats is merged in float arithmetic, whose + - * / round as numpy's
-do.  Means over the K intervals are one running sum, in order k = 0, 1,
-..., K - 1, for lists and every array shape alike, so a column's result does
-not depend on how many columns are merged with it.  `merged_interval`
-returns the endpoints of the merged interval instead.
+do; anything else (lists too) as arrays.  Means over the K intervals are one
+running sum, in order k = 0, 1, ..., K - 1, so a column's result does not
+depend on how many columns are merged with it.  `merged_interval` returns
+the endpoints of the merged interval instead.
 
-One row of K >= 2 intervals given as two lists of floats (a cross
-calibrator's answer for one object) takes a row path with the bits of its
-(K, 1) column: the range check and the means are float arithmetic, but the
-2K logs are one `np.log` call and the two geometric means one `np.exp`
-call.  numpy's float64 log and exp may take SIMD paths that round
-differently from the math module's, so the row path keeps them.
+The log merge reads an interval only through log(max(1 - p0, eps)) and
+log(max(p1, eps)).  `row_tables` takes them once over an interval
+calibrator's padded tables, so a cross calibrator's row (one interval per
+fold) is merged from K table entries and one `np.exp` call, with the bits of
+its batch column (numpy's log and exp may round unlike the math module's).
 """
 
 from __future__ import annotations
@@ -57,8 +56,6 @@ def merge(p0, p1, loss: str = "log"):
         if not 0.0 <= p0 <= p1 <= 1.0:
             raise ValueError(_RANGE)
         return float(_single(p0, p1, loss))
-    if _is_float_row(p0, p1):
-        return _merge_row(p0, p1, loss)
     p0 = np.asarray(p0, dtype=float)
     p1 = np.asarray(p1, dtype=float)
     if p0.shape != p1.shape:
@@ -84,24 +81,6 @@ def _single(p0, p1, loss: str):
     return p1 / ((1.0 - p0) + p1)
 
 
-def _is_float_row(p0, p1) -> bool:
-    """True for two lists of K >= 2 floats each: one row of K intervals."""
-    return (isinstance(p0, list) and isinstance(p1, list) and len(p0) == len(p1) >= 2
-            and all(isinstance(v, float) for v in p0 + p1))
-
-
-def _merge_row(p0: list, p1: list, loss: str) -> float:
-    """Merge of one row of K >= 2 float intervals: the bits of its (K, 1) column."""
-    if not all(0.0 <= a <= b <= 1.0 for a, b in zip(p0, p1)):
-        raise ValueError(_RANGE)
-    k = len(p0)
-    if loss == "brier":
-        return float(_mean_over_k([_single(a, b, loss) for a, b in zip(p0, p1)]))
-    logs = np.log(np.maximum([1.0 - a for a in p0] + p1, _EPS)).tolist()
-    gm_q0, gm_p1 = np.exp([_mean_over_k(logs[:k]), _mean_over_k(logs[k:])]).tolist()
-    return gm_p1 / (gm_q0 + gm_p1)
-
-
 def _mean_over_k(x):
     """Mean over axis 0, its K rows added in order k = 0, 1, ... (x may be overwritten).
 
@@ -114,15 +93,28 @@ def _mean_over_k(x):
     return total / len(x)
 
 
-def _log_mean(x: np.ndarray):
-    """Mean over axis 0 of log(x), x floored at _EPS (x is overwritten)."""
+def _floored_log(x: np.ndarray) -> np.ndarray:
+    """log(max(x, _EPS)), in place (x is overwritten)."""
     np.maximum(x, _EPS, out=x)
-    return _mean_over_k(np.log(x, out=x))
+    return np.log(x, out=x)
 
 
 def _geometric_means(p0, p1) -> tuple[np.ndarray, np.ndarray]:
     """GM(1 - p0) and GM(p1) over the K axis 0."""
-    return np.exp(_log_mean(1.0 - p0)), np.exp(_log_mean(np.array(p1, dtype=float)))
+    return (np.exp(_mean_over_k(_floored_log(1.0 - p0))),
+            np.exp(_mean_over_k(_floored_log(np.array(p1, dtype=float)))))
+
+
+def row_tables(lower: np.ndarray, upper: np.ndarray, log: bool = False) -> tuple[list, list]:
+    """Padded tables as lists, or (`log`) their log-merge terms log(max(1 - lower, eps)) and
+    log(max(upper, eps)); ValueError unless each (lower[i + hit], upper[i]) is an interval."""
+    # pairs (lower[i], upper[i]) and, on a hit, (lower[i + 1], upper[i]); NaN compares false
+    if not ((lower <= upper).all() and (lower[1:] <= upper[:-1]).all()
+            and (0.0 <= lower).all() and (upper <= 1.0).all()):
+        raise ValueError(_RANGE)
+    if log:
+        return _floored_log(1.0 - lower).tolist(), _floored_log(np.array(upper)).tolist()
+    return lower.tolist(), upper.tolist()
 
 
 def merged_interval(p0: np.ndarray, p1: np.ndarray) -> tuple[np.ndarray, np.ndarray]:

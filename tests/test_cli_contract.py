@@ -137,6 +137,11 @@ MISUSE = [
                   "--scores-in", "{missing}", "--tune"], 2,
                  "usage error: --tune trains a scorer; score files bring their own scores\n",
                  id="tune-with-score-files"),
+    pytest.param(["calibrate", "--method", "ivap", "--calib-scores", "{missing}",
+                  "--scores-in", "{missing}", "--sigmoid-scores"], 2,
+                 "usage error: --sigmoid-scores squashes a scorer's output; "
+                 "score files have none\n",
+                 id="sigmoid-with-score-files"),
 ]
 
 

@@ -1,7 +1,10 @@
 import json
+import math
 
 import numpy as np
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
 import venncal.cvap
 from venncal.cvap import CvapCalibrator, assign_folds, fold_scorers
@@ -264,6 +267,122 @@ class TestScalarPredict:
         monkeypatch.setattr(CvapCalibrator, "predict_many", batch_path)
         assert (rule.predict_interval(0.3), rule.predict(0.3),
                 model.predict(np.array([0.3]))) == expected
+
+    @pytest.mark.parametrize("kind", ["logistic", "stump", "constant"])
+    @pytest.mark.parametrize("x", [np.float64(0.3), np.array(0.3), np.array([[0.3]]),
+                                   [[0.3]], np.zeros((2, 1)), np.zeros((1, 1, 1))])
+    def test_a_row_must_have_shape_d(self, kind, x):
+        model = CvapCalibrator.fit(small_dataset(120, seed=2), 3, ScorerSpec(kind))
+        with pytest.raises(ValueError, match=r"^predict takes one feature row of shape \(d,\), "
+                                             r"got shape \("):
+            model.predict(x)
+        assert model.predict([0.3]) == model.predict(np.array([0.3]))
+
+
+@st.composite
+def models_and_rows(draw):
+    """A fitted or JSON-loaded cross calibrator on a drawn dataset (K = 2..10, any
+    scorer kind, either loss), and rows: training rows, which hit their own fold's
+    calibration scores, rows far out on both sides of fold 0's keys, and any rows."""
+    kind = draw(st.sampled_from(["logistic", "stump", "constant"]))
+    n_folds, d = draw(st.integers(2, 10)), draw(st.integers(1, 3))
+    n = draw(st.integers(2 * n_folds, 5 * n_folds))
+    feature = st.one_of(st.integers(-3, 3).map(float), st.floats(-10.0, 10.0))
+    X = np.array(draw(st.lists(st.lists(feature, min_size=d, max_size=d), min_size=n, max_size=n)))
+    y = np.array(draw(st.lists(st.integers(0, 1), min_size=n, max_size=n)))
+    mode = draw(st.sampled_from(["contiguous", "randomized"]))
+    for k in range(n_folds):  # both classes in every fold, so in every complement
+        y[assign_folds(n, n_folds, mode, seed=5).indices(k)[:2]] = (0, 1)
+    ds = Dataset(X, y, tuple(Column(f"x{j}", "numeric") for j in range(d)))
+    loss = draw(st.sampled_from(["log", "brier"]))
+    try:
+        model = CvapCalibrator.fit(ds, n_folds, ScorerSpec(kind), mode, 5, loss)
+    except DegenerateModelError:  # a stump with no cut left in some complement
+        assume(False)
+    if draw(st.booleans()):
+        model = CvapCalibrator.from_dict(json.loads(json.dumps(model.to_dict())))
+    rows = [X[i] for i in draw(st.lists(st.integers(0, n - 1), min_size=1, max_size=6))]
+    if kind == "logistic":
+        outward = 1e6 * np.sign(model.scorers[0].weights)
+        rows += [outward, -outward]
+    rows += draw(st.lists(st.lists(feature, min_size=d, max_size=d).map(np.array), max_size=4))
+    return model, np.array(rows)
+
+
+@settings(max_examples=200, deadline=None)
+@given(models_and_rows())
+def test_a_row_has_the_bits_of_its_batch_entry(case):
+    model, rows = case
+    many = model.predict_many(rows)
+    for r, x in enumerate(rows):
+        got = model.predict(x)
+        assert type(got) is float
+        assert np.array([got]).tobytes() == model.predict_many(x[None]).tobytes()
+        assert np.array([got]).tobytes() == many[r:r + 1].tobytes()
+
+
+def test_only_a_log_loss_row_query_builds_the_log_tables():
+    # a fold rule under log loss holds three lists, the keys and the two log
+    # tables; a standalone rule's single-score calls never build the log tables
+    ds = small_dataset(120, seed=2)
+    X = np.linspace(-3, 3, 7)[:, None]
+    model = CvapCalibrator.fit(ds, 3, ScorerSpec("logistic"))
+    model.predict_many(X)
+    loaded = CvapCalibrator.from_dict(model.to_dict())
+    loaded.predict_intervals_many(X)
+    rules = model.rules + loaded.rules
+    assert not any({"_lists", "_log_lists"} & set(vars(rule)) for rule in rules)
+    standalone = IvapCalibrator.fit(ds.X[:40, 0], ds.y[:40])
+    standalone.predict_interval(0.3)
+    standalone.predict(0.3, "log")
+    standalone.predict(0.3, "brier")
+    assert "_lists" in vars(standalone) and "_log_lists" not in vars(standalone)
+    model.predict(X[0])
+    loaded.predict(X[0])
+    for rule in rules:
+        assert "_log_lists" in vars(rule) and "_lists" not in vars(rule)
+        assert [len(table) for table in rule._log_lists] == [len(rule), len(rule) + 1,
+                                                              len(rule) + 1]
+    brier = CvapCalibrator(model.folds, model.scorers,
+                           [IvapCalibrator(rule.points) for rule in model.rules], "brier")
+    brier.predict(X[0])
+    assert all("_lists" in vars(rule) and "_log_lists" not in vars(rule) for rule in brier.rules)
+
+
+def _tables_of(rule, break_them):
+    """Overwrite a rule's padded tables in place: valid ones, then `break_them`."""
+    n = len(rule) + 1
+    rule._lower[:] = np.linspace(0.0, 0.5, n)
+    rule._upper[:] = np.linspace(0.5, 1.0, n)
+    if break_them is not None:
+        break_them(rule._lower, rule._upper)
+
+
+@pytest.mark.parametrize("break_them", [
+    None,
+    lambda lower, upper: lower.__setitem__(0, -0.25),
+    lambda lower, upper: upper.__setitem__(-1, 1.5),
+    lambda lower, upper: upper.__setitem__(-1, 0.25),         # above every key: p0 > p1
+    lambda lower, upper: upper.__setitem__(0, lower[1] / 2),  # a hit of key 0: p0 > p1
+    lambda lower, upper: lower.__setitem__(1, math.nan),
+    lambda lower, upper: upper.__setitem__(0, math.nan),
+], ids=["valid", "p0-below-0", "p1-above-1", "crossed-pair", "crossed-hit-pair", "nan-p0",
+        "nan-p1"])
+@pytest.mark.parametrize("loss", ["log", "brier"])
+def test_tables_that_break_the_range_check_fail_the_first_row(break_them, loss):
+    model = CvapCalibrator.fit(small_dataset(120, seed=2), 3, ScorerSpec("logistic"),
+                               merge_loss=loss)
+    rule = model.rules[1]
+    _tables_of(rule, break_them)
+    x = np.array([0.3])
+    lists = "_log_lists" if loss == "log" else "_lists"
+    if break_them is None:  # valid tables answer as a batch does
+        assert np.array([model.predict(x)]).tobytes() == model.predict_many(x[None]).tobytes()
+        return
+    for _ in range(2):
+        with pytest.raises(ValueError, match=r"^interval endpoints must lie in \[0, 1\]"):
+            model.predict(x)
+        assert lists not in vars(rule)
 
 
 class TestSerialization:

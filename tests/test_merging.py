@@ -8,7 +8,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
-from venncal.merging import merge, merged_interval
+from venncal.merging import merge, merged_interval, row_tables
 
 
 class TestMergeLog:
@@ -68,6 +68,10 @@ class TestMergeLog:
             merge([], [], "log")
         with pytest.raises(ValueError):
             merge([0.1, 0.2], [0.4], "log")
+        # one float and one list is not a pair of floats: the shapes differ
+        for p0, p1 in ((0.1, [0.4]), ([0.1], 0.4)):
+            with pytest.raises(ValueError, match=r"^shape mismatch"):
+                merge(p0, p1, "log")
         with pytest.raises(ValueError):
             merge([-0.1], [0.5], "log")
         nan = float("nan")
@@ -310,3 +314,26 @@ def test_any_finite_endpoints_merge_into_unit_range_or_are_rejected(k, n, data, 
             assert str(e) == "interval endpoints must lie in [0, 1] with p0 <= p1"
         else:
             assert ((0.0 <= np.asarray(out)) & (np.asarray(out) <= 1.0)).all()
+
+
+# padded tables of k = 1..4 keys, with entries outside [0, 1] and NaN among them
+TABLE_ENTRY = st.sampled_from([0.0, 0.25, 0.5, 1.0, -0.25, 1.5, math.nan])
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.integers(2, 5).flatmap(lambda n: st.tuples(
+    st.lists(TABLE_ENTRY, min_size=n, max_size=n), st.lists(TABLE_ENTRY, min_size=n, max_size=n))))
+def test_row_tables_reject_exactly_the_tables_with_a_bad_readable_pair(tables):
+    # a query reads (lower[i], upper[i]), or (lower[i + 1], upper[i]) on a hit of key i
+    lower, upper = map(np.array, tables)
+    reads = [(i, 0) for i in range(len(lower))] + [(i, 1) for i in range(len(lower) - 1)]
+    if not all(0.0 <= lower[i + hit] <= upper[i] <= 1.0 for i, hit in reads):
+        for log in (False, True):
+            with pytest.raises(ValueError, match=r"^interval endpoints must lie in \[0, 1\]"):
+                row_tables(lower, upper, log)
+        return
+    assert row_tables(lower, upper) == (lower.tolist(), upper.tolist())
+    # the log terms of the batch merge, floored at 1e-300 (a cross calibrator's row
+    # has its batch bits: tests/test_cvap.py)
+    assert row_tables(lower, upper, log=True) == (np.log(np.maximum(1.0 - lower, 1e-300)).tolist(),
+                                                  np.log(np.maximum(upper, 1e-300)).tolist())
