@@ -6,24 +6,26 @@ the CLI's ridge search shares) trains a scorer on the complement, and an
 interval calibrator is built from the fold's scores under that scorer, so no
 observation ever calibrates a scorer that saw it.
 A prediction computes K intervals and merges them with the minimax rule for
-the configured loss.  One feature row is scored under every fold in float
-arithmetic (`scorers.row_scorer`) and bisects each fold's list tables once
-(`IvapCalibrator._pair`): under log loss they hold the log-merge terms, added
-in fold order and ended by one `np.exp` call, and under Brier loss the K
-single merges are averaged, so the row has the bits it has in any batch.
+the configured loss.  A single row is one loop over per-fold row tables built
+on the first row: a fold scores it (logistic: in float arithmetic), bisects
+the keys and reads two entries, log-merge terms summed in fold order under
+log loss or intervals whose merges are averaged, with the bits of any batch.
 """
 
 from __future__ import annotations
 
+from bisect import bisect_left
 from dataclasses import dataclass
+from functools import cached_property
+from math import isfinite
 
 import numpy as np
 
 from venncal.data import Dataset
 from venncal.exceptions import DegenerateModelError
 from venncal.ivap import IvapCalibrator
-from venncal.merging import LOSSES, _mean_over_k, _single, merge
-from venncal.scorers import ScorerSpec, row_scorer, scorer_from_dict, train_scorer
+from venncal.merging import LOSSES, _single, merge, row_tables
+from venncal.scorers import LogisticScorer, ScorerSpec, scorer_from_dict, train_scorer
 
 __all__ = ["FoldAssignment", "assign_folds", "fold_scorers", "fold_intervals", "CvapCalibrator"]
 
@@ -111,7 +113,7 @@ class CvapCalibrator:
 
     Immutable after construction; fold models are independent, so queries
     are safe to run concurrently and the merge is a pure function of the K
-    intervals.
+    intervals (racing first rows at worst build equal row tables twice).
     """
 
     FORMAT = "venncal.cvap"
@@ -123,7 +125,6 @@ class CvapCalibrator:
         self.scorers = scorers
         self.rules = rules
         self.merge_loss = merge_loss
-        self._score_row = row_scorer(scorers)
 
     @classmethod
     def fit(cls, dataset: Dataset, n_folds: int = 5, spec: ScorerSpec | None = None,
@@ -155,19 +156,47 @@ class CvapCalibrator:
         lo, hi = self.predict_intervals_many(X)
         return merge(lo, hi, self.merge_loss)
 
+    @cached_property
+    def _row_tables(self) -> list[tuple]:
+        """Per fold (scorer, weights, intercept, keys, lower, upper), lists for single rows: a
+        logistic scorer's weights and intercept (None for other kinds), the rule's keys closed
+        by +inf and its tables, or their log-merge terms, range-checked by `row_tables`."""
+        log = self.merge_loss == "log"
+        tables = []
+        for scorer, rule in zip(self.scorers, self.rules):
+            weights = intercept = None
+            if isinstance(scorer, LogisticScorer):
+                weights, intercept = scorer.weights.tolist(), float(scorer.intercept)
+            tables.append((scorer, weights, intercept,
+                           *row_tables(rule.points.scores, rule._lower, rule._upper, log)))
+        return tables
+
     def predict(self, x) -> float:
         """Merged probability of one feature row: the bits of a batch holding it."""
         if (row := np.asarray(x, dtype=float)).ndim != 1:
             raise ValueError(f"predict takes one feature row of shape (d,), got shape {row.shape}")
-        folds = zip(self.rules, self._score_row(row[None, :]))
-        if self.merge_loss == "brier":
-            return _mean_over_k([_single(*rule._pair(s), "brier") for rule, s in folds])
-        sum_q0 = sum_p1 = -0.0  # -0.0 + x is x: the sums start at fold 0's terms
-        for rule, s in folds:  # in order k = 0..K-1, as `merge` sums a batch
-            log_q0, log_p1 = rule._pair(s, log=True)
-            sum_q0 += log_q0
-            sum_p1 += log_p1
-        gm_q0, gm_p1 = np.exp((sum_q0 / len(self.rules), sum_p1 / len(self.rules))).tolist()
+        self.scorers[0]._check_width(len(row))
+        tables = self._row_tables
+        x = row.tolist()
+        log = self.merge_loss == "log"
+        sum_lo = sum_hi = -0.0  # -0.0 + t is t: the sums start at fold 0's terms
+        for scorer, weights, intercept, keys, lower, upper in tables:  # k = 0..K-1, as a batch
+            if weights is None:
+                s = float(scorer.score_many(row[None, :])[0])
+            else:  # 0.0 + x[0] * w[0] + ... + b rounded term by term, as `_linear` does
+                s = 0.0  # (an explicit loop: Python 3.12's `sum` of floats compensates)
+                for xj, wj in zip(x, weights):
+                    s += xj * wj
+                s += intercept
+            if not isfinite(s):
+                raise ValueError("test scores must be finite")
+            i = bisect_left(keys, s)  # a finite score lands on a key or on the sentinel
+            lo, hi = lower[i + (keys[i] == s)], upper[i]
+            sum_lo += lo if log else _single(lo, hi, "brier")  # Brier: sum_hi goes unread
+            sum_hi += hi
+        if not log:
+            return sum_lo / len(tables)
+        gm_q0, gm_p1 = np.exp((sum_lo / len(tables), sum_hi / len(tables))).tolist()
         return gm_p1 / (gm_q0 + gm_p1)
 
     # ---- serialization --------------------------------------------------

@@ -10,11 +10,11 @@ boundary conventions 0 and 1.  This reproduces, for every s, the isotonic
 fit at s of the calibration set with (s, 0) respectively (s, 1) appended.
 The tables are stored padded, lower = [0] + p0 and upper = p1 + [1]; a batch
 is sorted once, searched once on the keys, and read from the padded tables.
-A single score takes one `bisect` on the keys and reads the same tables held
-as Python lists, with the bits of the batch query and no numpy call (a cross
-calibrator's log-loss row reads their log-merge terms).  Each set of three
-lists, keys and two tables, is built and range-checked on the first query
-that reads it, never by `fit`, `from_dict`, `to_dict` or a batch query.
+A single score takes one `bisect` on the keys (closed by +inf) and reads the
+same tables held as Python lists, with the bits of the batch query and no
+numpy call.  The three lists are built and range-checked on the first
+single-score query, never by `fit`, `from_dict`, `to_dict`, a batch query or
+a cross calibrator, which builds its own row tables from each fold rule's.
 """
 
 from __future__ import annotations
@@ -105,23 +105,17 @@ class IvapCalibrator:
 
     @cached_property
     def _lists(self) -> tuple[list, list, list]:
-        """The keys and the padded tables as Python lists, for single scores."""
-        return self.points.scores.tolist(), *row_tables(self._lower, self._upper)
+        """The keys, closed by +inf, and the padded tables as Python lists."""
+        return row_tables(self.points.scores, self._lower, self._upper)
 
-    @cached_property
-    def _log_lists(self) -> tuple[list, list, list]:
-        """The keys and the tables' log-merge terms as lists, for CVAP rows under log loss."""
-        return self.points.scores.tolist(), *row_tables(self._lower, self._upper, log=True)
-
-    def _pair(self, score, log: bool = False) -> tuple[float, float]:
-        """(p0, p1) of one score, or (`log`) their log-merge terms: one bisection of the keys."""
+    def _pair(self, score) -> tuple[float, float]:
+        """(p0, p1) of one score: one bisection of the keys."""
         s = float(score)
         if not math.isfinite(s):
             raise ValueError("test scores must be finite")
-        keys, lower, upper = self._log_lists if log else self._lists
-        i = bisect_left(keys, s)
-        hit = i < len(keys) and keys[i] == s
-        return lower[i + hit], upper[i]
+        keys, lower, upper = self._lists
+        i = bisect_left(keys, s)  # a finite score lands on a key or on the sentinel
+        return lower[i + (keys[i] == s)], upper[i]
 
     def predict_interval(self, score: float) -> ProbInterval:
         """Interval of one score: one binary search, the same bits as the batch path."""

@@ -17,9 +17,9 @@ the endpoints of the merged interval instead.
 
 The log merge reads an interval only through log(max(1 - p0, eps)) and
 log(max(p1, eps)).  `row_tables` takes them once over an interval
-calibrator's padded tables, so a cross calibrator's row (one interval per
-fold) is merged from K table entries and one `np.exp` call, with the bits of
-its batch column (numpy's log and exp may round unlike the math module's).
+calibrator's padded tables, so a cross calibrator's log-loss row is merged
+from K table entries and one `np.exp` call, with the bits of its batch
+column (numpy's log and exp may round unlike the math module's).
 """
 
 from __future__ import annotations
@@ -105,16 +105,17 @@ def _geometric_means(p0, p1) -> tuple[np.ndarray, np.ndarray]:
             np.exp(_mean_over_k(_floored_log(np.array(p1, dtype=float)))))
 
 
-def row_tables(lower: np.ndarray, upper: np.ndarray, log: bool = False) -> tuple[list, list]:
-    """Padded tables as lists, or (`log`) their log-merge terms log(max(1 - lower, eps)) and
-    log(max(upper, eps)); ValueError unless each (lower[i + hit], upper[i]) is an interval."""
+def row_tables(keys, lower: np.ndarray, upper: np.ndarray, log: bool = False) -> tuple:
+    """Lists: keys closed by +inf (no finite score passes it) and the padded tables, or
+    (`log`) log(max(1 - lower, eps)) and log(max(upper, eps)); ValueError unless each
+    (lower[i + hit], upper[i]) is an interval."""
     # pairs (lower[i], upper[i]) and, on a hit, (lower[i + 1], upper[i]); NaN compares false
     if not ((lower <= upper).all() and (lower[1:] <= upper[:-1]).all()
             and (0.0 <= lower).all() and (upper <= 1.0).all()):
         raise ValueError(_RANGE)
     if log:
-        return _floored_log(1.0 - lower).tolist(), _floored_log(np.array(upper)).tolist()
-    return lower.tolist(), upper.tolist()
+        lower, upper = _floored_log(1.0 - lower), _floored_log(np.array(upper))
+    return keys.tolist() + [np.inf], lower.tolist(), upper.tolist()
 
 
 def merged_interval(p0: np.ndarray, p1: np.ndarray) -> tuple[np.ndarray, np.ndarray]:

@@ -9,7 +9,8 @@ scorer emitting the empirical positive rate.  All training is deterministic
 given the spec and the data; the ridge is the only setting.  Each Newton
 line search starts at the full step, and the logistic fit stops at a
 gradient norm of 1e-8 or after `_MAX_ITER` iterations.  The sigmoid baseline
-in `baselines` fits its two parameters with the same Newton solver.
+in `baselines` fits its two parameters with the same Newton solver.  A cross
+calibrator's row repeats `_linear`'s order of roundings in float arithmetic.
 """
 
 from __future__ import annotations
@@ -27,7 +28,6 @@ __all__ = [
     "ConstantScorer",
     "train_scorer",
     "scorer_from_dict",
-    "row_scorer",
 ]
 
 KINDS = ("logistic", "stump", "constant")
@@ -64,10 +64,10 @@ def _sigmoid(z: np.ndarray) -> np.ndarray:
 class _Scorer:
     n_features: int
 
-    def _check_width(self, X: np.ndarray) -> None:
-        if X.shape[1] != self.n_features:
+    def _check_width(self, width: int) -> None:
+        if width != self.n_features:
             raise ValueError(
-                f"feature dimension mismatch: scorer expects {self.n_features}, got {X.shape[1]}")
+                f"feature dimension mismatch: scorer expects {self.n_features}, got {width}")
 
 
 @dataclass
@@ -83,7 +83,7 @@ class LogisticScorer(_Scorer):
 
     def score_many(self, X) -> np.ndarray:
         X = _as_matrix(X)
-        self._check_width(X)
+        self._check_width(X.shape[1])
         return _linear(X.T, self.weights, self.intercept, len(X))
 
     def probability_many(self, X) -> np.ndarray:
@@ -103,7 +103,7 @@ class StumpScorer(_Scorer):
 
     def score_many(self, X) -> np.ndarray:
         X = _as_matrix(X)
-        self._check_width(X)
+        self._check_width(X.shape[1])
         above = X[:, self.feature] > self.threshold
         return (above == self.high_is_one).astype(float)
 
@@ -121,7 +121,7 @@ class ConstantScorer(_Scorer):
 
     def score_many(self, X) -> np.ndarray:
         X = _as_matrix(X)
-        self._check_width(X)
+        self._check_width(X.shape[1])
         return np.full(len(X), self.value)
 
     probability_many = score_many
@@ -143,33 +143,6 @@ def _linear(columns, coefs, intercept, n: int) -> np.ndarray:
         total += column * coef
     total += intercept
     return total
-
-
-def row_scorer(scorers):
-    """A function of one (1, d) feature row giving its score under each scorer.
-
-    Logistic weights are stacked once as nested lists of Python floats, and a
-    row is scored in float arithmetic: 0.0 + x[0] * w[0] + x[1] * w[1] + ...
-    + b, one IEEE product and sum at a time in `_linear`'s order, so each
-    score has the bits of that scorer's `score_many`.  (The sum is an explicit
-    loop: Python 3.12's `sum` of floats compensates its round-off.)
-    """
-    if not all(isinstance(s, LogisticScorer) for s in scorers):
-        return lambda row: [s.score_many(row)[0] for s in scorers]
-    first = scorers[0]
-    stacked = [(s.weights.tolist(), float(s.intercept)) for s in scorers]
-
-    def scores(row):
-        first._check_width(row)
-        x = row[0].tolist()
-        out = []
-        for weights, intercept in stacked:
-            total = 0.0
-            for xj, wj in zip(x, weights):
-                total += xj * wj
-            out.append(total + intercept)
-        return out
-    return scores
 
 
 def _newton(X: np.ndarray, t: np.ndarray, ridge: float, b0: float, max_iter: int, tol: float):

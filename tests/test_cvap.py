@@ -255,6 +255,39 @@ class TestScalarPredict:
         with pytest.raises(ValueError, match="^test scores must be finite$"):
             model.predict(x)
 
+    @pytest.mark.parametrize("kind", ["logistic", "stump", "constant"])
+    @pytest.mark.parametrize("loss", ["log", "brier"])
+    def test_a_row_fails_the_way_its_batch_fails(self, kind, loss):
+        # a non-finite feature, or the wrong width: the same bits or the same error
+        rng = np.random.default_rng(23)
+        y = rng.integers(0, 2, size=160)
+        ds = Dataset(y[:, None] + rng.standard_normal((160, 2)), y,
+                     (Column("x0", "numeric"), Column("x1", "numeric")))
+        model = CvapCalibrator.fit(ds, 3, ScorerSpec(kind), merge_loss=loss)
+
+        def outcome(call, x):
+            try:
+                return np.asarray(call(x)).tobytes()
+            except Exception as error:
+                return type(error), str(error)
+
+        rows = []
+        for j in (0, 1):
+            for value in (math.nan, math.inf, -math.inf):
+                x = np.array([0.4, -0.3])
+                x[j] = value
+                rows.append(x)
+        for x in rows:
+            got = outcome(model.predict, x)
+            assert got == outcome(model.predict_many, x[None])
+            if kind == "logistic":
+                assert got == (ValueError, "test scores must be finite")
+        for x in (np.array([0.4]), np.array([0.4, -0.3, 1.0]), np.zeros(0)):
+            got = outcome(model.predict, x)
+            assert got == outcome(model.predict_many, x[None])
+            assert got == (ValueError, f"feature dimension mismatch: scorer expects 2, "
+                                       f"got {len(x)}")
+
     def test_single_score_calls_never_take_the_batch_path(self, monkeypatch):
         model = CvapCalibrator.fit(small_dataset(120, seed=2), 3, ScorerSpec("logistic"))
         rule = model.rules[0]
@@ -322,31 +355,40 @@ def test_a_row_has_the_bits_of_its_batch_entry(case):
 
 
 def test_only_a_log_loss_row_query_builds_the_log_tables():
-    # a fold rule under log loss holds three lists, the keys and the two log
-    # tables; a standalone rule's single-score calls never build the log tables
+    # a row builds the cross calibrator's row tables: per fold the scorer's
+    # weights and three lists, the keys and the two log tables under log loss
+    # (the plain padded tables under Brier loss); no fold rule builds its own
+    # lists, and a standalone rule's single-score calls build only its plain ones
     ds = small_dataset(120, seed=2)
     X = np.linspace(-3, 3, 7)[:, None]
     model = CvapCalibrator.fit(ds, 3, ScorerSpec("logistic"))
     model.predict_many(X)
     loaded = CvapCalibrator.from_dict(model.to_dict())
     loaded.predict_intervals_many(X)
-    rules = model.rules + loaded.rules
-    assert not any({"_lists", "_log_lists"} & set(vars(rule)) for rule in rules)
+    loaded.to_dict()
+    models = [model, loaded]
+    assert not any("_row_tables" in vars(m) for m in models)
     standalone = IvapCalibrator.fit(ds.X[:40, 0], ds.y[:40])
     standalone.predict_interval(0.3)
     standalone.predict(0.3, "log")
     standalone.predict(0.3, "brier")
-    assert "_lists" in vars(standalone) and "_log_lists" not in vars(standalone)
+    assert "_lists" in vars(standalone)
     model.predict(X[0])
     loaded.predict(X[0])
-    for rule in rules:
-        assert "_log_lists" in vars(rule) and "_lists" not in vars(rule)
-        assert [len(table) for table in rule._log_lists] == [len(rule), len(rule) + 1,
-                                                              len(rule) + 1]
     brier = CvapCalibrator(model.folds, model.scorers,
                            [IvapCalibrator(rule.points) for rule in model.rules], "brier")
     brier.predict(X[0])
-    assert all("_lists" in vars(rule) and "_log_lists" not in vars(rule) for rule in brier.rules)
+    for m in models + [brier]:
+        assert len(m._row_tables) == 3
+        for (scorer, weights, intercept, keys, lower, upper), rule in zip(m._row_tables, m.rules):
+            assert "_lists" not in vars(rule)
+            assert (weights, intercept) == (scorer.weights.tolist(), scorer.intercept)
+            assert keys == rule.points.scores.tolist() + [math.inf]
+            if m is brier:
+                assert (lower, upper) == (rule._lower.tolist(), rule._upper.tolist())
+            else:
+                assert lower == np.log(np.maximum(1.0 - rule._lower, 1e-300)).tolist()
+                assert upper == np.log(np.maximum(rule._upper, 1e-300)).tolist()
 
 
 def _tables_of(rule, break_them):
@@ -375,14 +417,13 @@ def test_tables_that_break_the_range_check_fail_the_first_row(break_them, loss):
     rule = model.rules[1]
     _tables_of(rule, break_them)
     x = np.array([0.3])
-    lists = "_log_lists" if loss == "log" else "_lists"
     if break_them is None:  # valid tables answer as a batch does
         assert np.array([model.predict(x)]).tobytes() == model.predict_many(x[None]).tobytes()
         return
     for _ in range(2):
         with pytest.raises(ValueError, match=r"^interval endpoints must lie in \[0, 1\]"):
             model.predict(x)
-        assert lists not in vars(rule)
+        assert "_row_tables" not in vars(model) and "_lists" not in vars(rule)
 
 
 class TestSerialization:

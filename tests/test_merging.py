@@ -326,14 +326,17 @@ TABLE_ENTRY = st.sampled_from([0.0, 0.25, 0.5, 1.0, -0.25, 1.5, math.nan])
 def test_row_tables_reject_exactly_the_tables_with_a_bad_readable_pair(tables):
     # a query reads (lower[i], upper[i]), or (lower[i + 1], upper[i]) on a hit of key i
     lower, upper = map(np.array, tables)
+    keys = np.arange(len(lower) - 1, dtype=float)
     reads = [(i, 0) for i in range(len(lower))] + [(i, 1) for i in range(len(lower) - 1)]
     if not all(0.0 <= lower[i + hit] <= upper[i] <= 1.0 for i, hit in reads):
         for log in (False, True):
             with pytest.raises(ValueError, match=r"^interval endpoints must lie in \[0, 1\]"):
-                row_tables(lower, upper, log)
+                row_tables(keys, lower, upper, log)
         return
-    assert row_tables(lower, upper) == (lower.tolist(), upper.tolist())
+    closed = keys.tolist() + [math.inf]
+    assert row_tables(keys, lower, upper) == (closed, lower.tolist(), upper.tolist())
     # the log terms of the batch merge, floored at 1e-300 (a cross calibrator's row
     # has its batch bits: tests/test_cvap.py)
-    assert row_tables(lower, upper, log=True) == (np.log(np.maximum(1.0 - lower, 1e-300)).tolist(),
-                                                  np.log(np.maximum(upper, 1e-300)).tolist())
+    assert row_tables(keys, lower, upper, log=True) == (
+        closed, np.log(np.maximum(1.0 - lower, 1e-300)).tolist(),
+        np.log(np.maximum(upper, 1e-300)).tolist())

@@ -7,17 +7,19 @@ from hypothesis import strategies as st
 from scipy.optimize import minimize
 
 import oracles
+import venncal.cvap
 from venncal import scorers
 from venncal.cli import TUNE_RIDGE_GRID, build_parser
+from venncal.cvap import CvapCalibrator, assign_folds
 from venncal.data import generate_synthetic
 from venncal.exceptions import DegenerateModelError
+from venncal.ivap import IvapCalibrator
 from venncal.scorers import (
     KINDS,
     ConstantScorer,
     LogisticScorer,
     ScorerSpec,
     StumpScorer,
-    row_scorer,
     scorer_from_dict,
     train_scorer,
 )
@@ -160,6 +162,28 @@ class TestStump:
         assert (scorer.threshold.hex(), scorer.high_is_one) == ((-0.0).hex(), high_is_one)
 
 
+def row_scores(scorers, x) -> list[float]:
+    """The score of feature row x under each scorer, as a cross calibrator with those
+    fold scorers checks it, up to the first non-finite one (where the row fails)."""
+    rule = IvapCalibrator.fit([0.0, 1.0], [0, 1])
+    model = CvapCalibrator(assign_folds(len(scorers), len(scorers)), scorers,
+                           [rule] * len(scorers))
+    seen = []
+
+    def spy(score):
+        seen.append(score)
+        return math.isfinite(score)
+
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(venncal.cvap, "isfinite", spy)
+        try:
+            model.predict(x)
+        except ValueError as error:
+            if str(error) != "test scores must be finite":
+                raise
+    return seen
+
+
 class TestLogistic:
     def test_recovers_generating_direction(self):
         ds = generate_synthetic(10_000, seed=123)
@@ -293,13 +317,12 @@ class TestLogistic:
     def test_stacked_row_scores_match_each_scorer(self, d):
         rng = np.random.default_rng(d)
         scorers = [LogisticScorer(rng.normal(size=d), float(rng.normal()), []) for _ in range(5)]
-        score_row = row_scorer(scorers)
         for x in rng.normal(size=(300, d)):
-            got = score_row(x[None])
+            got = row_scores(scorers, x)
             assert np.array(got).tobytes() == np.array([s.score_many(x[None])[0]
                                                         for s in scorers]).tobytes()
         with pytest.raises(ValueError, match="dimension"):
-            score_row(np.zeros((1, d + 1)))
+            row_scores(scorers, np.zeros(d + 1))
 
     @settings(max_examples=200, deadline=None)
     @given(st.data())
@@ -316,9 +339,10 @@ class TestLogistic:
         X = np.array(data.draw(st.lists(vector, min_size=1, max_size=4)))
         with np.errstate(over="ignore", invalid="ignore"):  # products may overflow
             batch = np.array([s.score_many(X) for s in scorers])
-        score_row = row_scorer(scorers)
         for r in range(len(X)):
-            assert np.array(score_row(X[r:r + 1])).tobytes() == batch[:, r].tobytes()
+            got = row_scores(scorers, X[r])
+            assert np.array(got).tobytes() == batch[:len(got), r].tobytes()
+            assert len(got) == k or not math.isfinite(got[-1])  # the row fails at a non-finite
 
     def test_negative_zero_intercept_keeps_matmul_bits(self):
         # the sum starts at +0.0, as X @ w does: -0.0 * 1 + -0.0 is +0.0, not -0.0
@@ -326,7 +350,7 @@ class TestLogistic:
         X = np.array([[-0.0], [0.0], [2.5], [-1e-320]])
         assert scorer.score_many(X).tobytes() == (X @ scorer.weights + -0.0).tobytes()
         assert np.signbit(scorer.score_many(X[:1])[0]) == np.False_
-        assert math.copysign(1.0, row_scorer([scorer, scorer])(X[:1])[0]) == 1.0
+        assert math.copysign(1.0, row_scores([scorer, scorer], X[0])[0]) == 1.0
 
     def test_sigmoid_bit_identical_to_masked_reference(self):
         from oracles import masked_sigmoid

@@ -118,6 +118,7 @@ MERGED_GAP = 0.05
 def test_merged_probability_is_not(name, k, loss):
     sets = level_sets(name, k, merged(loss), exact=True)
     gaps = [abs(positive / total - v) for v, (total, positive) in sets.items()]
+    print(f"\n{name} k = {k}, {loss} loss: largest gap {float(max(gaps)):.3f}")
     assert max(gaps) > MERGED_GAP
 
 
