@@ -6,10 +6,11 @@ the CLI's ridge search shares) trains a scorer on the complement, and an
 interval calibrator is built from the fold's scores under that scorer, so no
 observation ever calibrates a scorer that saw it.
 A prediction computes K intervals and merges them with the minimax rule for
-the configured loss.  A single row is one loop over per-fold row tables built
-on the first row: a fold scores it (logistic: in float arithmetic), bisects
-the keys and reads two entries, log-merge terms summed in fold order under
-log loss or intervals whose merges are averaged, with the bits of any batch.
+the configured loss.  A single row of an all-logistic model under log loss
+is one loop over per-fold row tables built on the first row: a fold scores
+it in float arithmetic, bisects the keys and reads two log-merge terms,
+summed in fold order, with the bits of any batch.  Any other model answers
+a row as its batch of one.
 """
 
 from __future__ import annotations
@@ -24,7 +25,7 @@ import numpy as np
 from venncal.data import Dataset
 from venncal.exceptions import DegenerateModelError
 from venncal.ivap import IvapCalibrator
-from venncal.merging import LOSSES, _single, merge, row_tables
+from venncal.merging import LOSSES, merge, row_tables
 from venncal.scorers import LogisticScorer, ScorerSpec, scorer_from_dict, train_scorer
 
 __all__ = ["FoldAssignment", "assign_folds", "fold_scorers", "fold_intervals", "CvapCalibrator"]
@@ -121,6 +122,9 @@ class CvapCalibrator:
 
     def __init__(self, folds: FoldAssignment, scorers: list, rules: list[IvapCalibrator],
                  merge_loss: str = "log"):
+        widths = [s.n_features for s in scorers]
+        if len(set(widths)) != 1:
+            raise ValueError(f"fold scorers expect {widths} features")
         self.folds = folds
         self.scorers = scorers
         self.rules = rules
@@ -157,45 +161,35 @@ class CvapCalibrator:
         return merge(lo, hi, self.merge_loss)
 
     @cached_property
-    def _row_tables(self) -> list[tuple]:
-        """Per fold (scorer, weights, intercept, keys, lower, upper), lists for single rows: a
-        logistic scorer's weights and intercept (None for other kinds), the rule's keys closed
-        by +inf and its tables, or their log-merge terms, range-checked by `row_tables`."""
-        log = self.merge_loss == "log"
-        tables = []
-        for scorer, rule in zip(self.scorers, self.rules):
-            weights = intercept = None
-            if isinstance(scorer, LogisticScorer):
-                weights, intercept = scorer.weights.tolist(), float(scorer.intercept)
-            tables.append((scorer, weights, intercept,
-                           *row_tables(rule.points.scores, rule._lower, rule._upper, log)))
-        return tables
+    def _row_tables(self) -> list[tuple] | None:
+        """Per fold (weights, intercept, keys, log lower, log upper) as lists from `row_tables`,
+        for single rows of an all-logistic model under log loss; None for any other model."""
+        if self.merge_loss != "log" or not all(isinstance(scorer, LogisticScorer)
+                                               for scorer in self.scorers):
+            return None
+        return [(scorer.weights.tolist(), float(scorer.intercept),
+                 *row_tables(rule.points.scores, rule._lower, rule._upper, log=True))
+                for scorer, rule in zip(self.scorers, self.rules)]
 
     def predict(self, x) -> float:
         """Merged probability of one feature row: the bits of a batch holding it."""
         if (row := np.asarray(x, dtype=float)).ndim != 1:
             raise ValueError(f"predict takes one feature row of shape (d,), got shape {row.shape}")
-        self.scorers[0]._check_width(len(row))
-        tables = self._row_tables
+        self.scorers[0]._check_width(len(row))  # every fold's width: see __init__
+        if (tables := self._row_tables) is None:
+            return float(self.predict_many(row[None, :])[0])
         x = row.tolist()
-        log = self.merge_loss == "log"
         sum_lo = sum_hi = -0.0  # -0.0 + t is t: the sums start at fold 0's terms
-        for scorer, weights, intercept, keys, lower, upper in tables:  # k = 0..K-1, as a batch
-            if weights is None:
-                s = float(scorer.score_many(row[None, :])[0])
-            else:  # 0.0 + x[0] * w[0] + ... + b rounded term by term, as `_linear` does
-                s = 0.0  # (an explicit loop: Python 3.12's `sum` of floats compensates)
-                for xj, wj in zip(x, weights):
-                    s += xj * wj
-                s += intercept
+        for weights, intercept, keys, lower, upper in tables:  # k = 0..K-1, as a batch
+            s = 0.0  # 0.0 + x[0] * w[0] + ... + b rounded term by term, as `_linear` does
+            for xj, wj in zip(x, weights):  # (an explicit loop: Python 3.12's `sum` compensates)
+                s += xj * wj
+            s += intercept
             if not isfinite(s):
                 raise ValueError("test scores must be finite")
             i = bisect_left(keys, s)  # a finite score lands on a key or on the sentinel
-            lo, hi = lower[i + (keys[i] == s)], upper[i]
-            sum_lo += lo if log else _single(lo, hi, "brier")  # Brier: sum_hi goes unread
-            sum_hi += hi
-        if not log:
-            return sum_lo / len(tables)
+            sum_lo += lower[i + (keys[i] == s)]
+            sum_hi += upper[i]
         gm_q0, gm_p1 = np.exp((sum_lo / len(tables), sum_hi / len(tables))).tolist()
         return gm_p1 / (gm_q0 + gm_p1)
 
@@ -236,9 +230,6 @@ class CvapCalibrator:
             raise ValueError(f"fold_seed must be an integer or null, got {seed!r}")
         folds = FoldAssignment(n_folds, fold_of.astype(np.int64), d["fold_mode"], seed)
         scorers = [scorer_from_dict(s) for s in d["scorers"]]
-        widths = [s.n_features for s in scorers]
-        if len(set(widths)) != 1:
-            raise ValueError(f"fold scorers expect {widths} features")
         rules = [IvapCalibrator.from_dict(r) for r in d["rules"]]
         calibrated = [int(rule.points.weights.sum()) for rule in rules]
         if calibrated != folds.sizes().tolist():

@@ -12,9 +12,10 @@ The tables are stored padded, lower = [0] + p0 and upper = p1 + [1]; a batch
 is sorted once, searched once on the keys, and read from the padded tables.
 A single score takes one `bisect` on the keys (closed by +inf) and reads the
 same tables held as Python lists, with the bits of the batch query and no
-numpy call.  The three lists are built and range-checked on the first
-single-score query, never by `fit`, `from_dict`, `to_dict`, a batch query or
-a cross calibrator, which builds its own row tables from each fold rule's.
+numpy call; `predict` merges that pair with `merging._single`, not `merge`.
+The three lists are built and range-checked on the first single-score
+query, never by `fit`, `from_dict`, `to_dict`, a batch query or a cross
+calibrator, which builds its own row tables from each fold rule's.
 """
 
 from __future__ import annotations
@@ -33,7 +34,7 @@ from venncal.isotonic import (
     lower_prob_scan,
     upper_prob_scan,
 )
-from venncal.merging import merge, row_tables
+from venncal.merging import LOSSES, _single, merge, row_tables
 
 __all__ = ["ProbInterval", "IvapCalibrator"]
 
@@ -122,8 +123,11 @@ class IvapCalibrator:
         return ProbInterval(*self._pair(score))
 
     def predict(self, score: float, loss: str = "log") -> float:
-        """Single precise probability for one test score."""
-        return merge(*self._pair(score), loss)
+        """Single precise probability for one test score: the bits of `predict_many`."""
+        p0, p1 = self._pair(score)  # range-checked where the lists are built
+        if loss not in LOSSES:
+            raise ValueError(f"unknown loss {loss!r}")
+        return _single(p0, p1, loss)
 
     def predict_many(self, scores, loss: str = "log") -> np.ndarray:
         lo, hi = self.predict_intervals(scores)

@@ -8,14 +8,16 @@ mean over k of p1_k + p0_k^2/2 - p1_k^2/2; it reduces to the arithmetic mean
 when every interval is degenerate (p0 = p1).
 
 `merge(p0, p1, loss)` is the one function that turns intervals into
-probabilities, for a single interval and for batches alike.  A pair of
-Python floats is merged in float arithmetic, whose + - * / round as numpy's
-do; anything else (lists too) as arrays.  Means over the K intervals are one
-running sum, in order k = 0, 1, ..., K - 1, so a column's result does not
-depend on how many columns are merged with it.  `merged_interval` returns
-the endpoints of the merged interval instead.
+probabilities, for a single interval and for batches alike; every input
+(two floats and lists too) is merged as arrays, two floats as 0-d ones.
+Means over the K intervals are one running sum, in order k = 0, 1, ...,
+K - 1, so a column's result does not depend on how many columns are merged
+with it.  `merged_interval` returns the endpoints of the merged interval
+instead.
 
-The log merge reads an interval only through log(max(1 - p0, eps)) and
+Single answers skip `merge`: one score's interval, already range-checked,
+goes through `_single` in float arithmetic, whose + - * / round as numpy's
+do.  The log merge reads an interval only through log(max(1 - p0, eps)) and
 log(max(p1, eps)).  `row_tables` takes them once over an interval
 calibrator's padded tables, so a cross calibrator's log-loss row is merged
 from K table entries and one `np.exp` call, with the bits of its batch
@@ -41,8 +43,8 @@ def merge(p0, p1, loss: str = "log"):
     """Minimax merge of K stacked intervals under `loss` ('log' or 'brier').
 
     `p0` and `p1` hold the lower and upper endpoints, 0 <= p0 <= p1 <= 1
-    (ValueError otherwise; p0 == p1 is allowed).  A pair of floats or a 0-d
-    pair is one interval, and (K,) inputs or two lists of K floats are K
+    (ValueError otherwise; p0 == p1 is allowed).  Two floats or a 0-d pair
+    are one interval, and (K,) inputs or two lists of K floats are K
     intervals; all give a float.
     With 2-D inputs the K axis is axis 0 and one merged probability is
     returned per column.  Under log loss a single interval reduces to
@@ -51,11 +53,6 @@ def merge(p0, p1, loss: str = "log"):
     """
     if loss not in LOSSES:
         raise ValueError(f"unknown loss {loss!r}")
-    if isinstance(p0, float) and isinstance(p1, float):
-        # a comparison with NaN is false, so NaN endpoints fail here too
-        if not 0.0 <= p0 <= p1 <= 1.0:
-            raise ValueError(_RANGE)
-        return float(_single(p0, p1, loss))
     p0 = np.asarray(p0, dtype=float)
     p1 = np.asarray(p1, dtype=float)
     if p0.shape != p1.shape:
@@ -84,8 +81,8 @@ def _single(p0, p1, loss: str):
 def _mean_over_k(x):
     """Mean over axis 0, its K rows added in order k = 0, 1, ... (x may be overwritten).
 
-    One running sum for a list and a (K,), (K, 1) or (K, n) array, into x[0]
-    in place for an array; numpy's sum adds a (K,) pairwise once K >= 8.
+    One running sum for a (K,), (K, 1) or (K, n) array, into x[0] in place;
+    numpy's sum adds a (K,) pairwise once K >= 8.
     """
     total = x[0]
     for row in x[1:]:

@@ -1,6 +1,9 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from strategies import FINITE
 from venncal import baselines
 from venncal.baselines import DirectIsotonic, PlattCalibrator
 from venncal.exceptions import DegenerateModelError
@@ -219,3 +222,25 @@ class TestDirectIsotonic:
     def test_boolean_labels_accepted(self):
         m = DirectIsotonic.fit([1, 2, 3], np.array([False, True, True]))
         assert m.fitted.tolist() == [0.0, 1.0, 1.0]
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.lists(st.tuples(FINITE, st.integers(0, 1)), min_size=1, max_size=30),
+       st.lists(FINITE, min_size=1, max_size=8), st.booleans(), st.data())
+def test_direct_isotonic_answers_any_finite_input_in_range(pairs, queries, dummy, data):
+    # a RuntimeWarning fails this test (the pytest filterwarnings setting)
+    scores, labels = (list(column) for column in zip(*pairs))
+    if data.draw(st.booleans()):  # one label that may be neither 0 nor 1
+        labels[data.draw(st.integers(0, len(labels) - 1))] = data.draw(FINITE)
+    try:
+        model = DirectIsotonic.fit(scores, labels, dummy_endpoints=dummy)
+    except ValueError as error:
+        assert str(error) == "labels must be 0 or 1"
+        assert not all(t in (0, 1) for t in labels)
+        return
+    p = model.predict_many(queries)
+    assert p.shape == (len(queries),)
+    if dummy:  # the dummy points keep every step strictly inside (0, 1)
+        assert ((0.0 < p) & (p < 1.0)).all()
+    else:
+        assert ((0.0 <= p) & (p <= 1.0)).all()

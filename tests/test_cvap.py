@@ -11,7 +11,7 @@ from venncal.cvap import CvapCalibrator, assign_folds, fold_scorers
 from venncal.data import Column, Dataset, generate_synthetic
 from venncal.exceptions import DegenerateModelError
 from venncal.ivap import IvapCalibrator
-from venncal.scorers import ScorerSpec, train_scorer
+from venncal.scorers import LogisticScorer, ScorerSpec, train_scorer
 
 
 class TestAssignFolds:
@@ -357,8 +357,9 @@ def test_a_row_has_the_bits_of_its_batch_entry(case):
 def test_only_a_log_loss_row_query_builds_the_log_tables():
     # a row builds the cross calibrator's row tables: per fold the scorer's
     # weights and three lists, the keys and the two log tables under log loss
-    # (the plain padded tables under Brier loss); no fold rule builds its own
-    # lists, and a standalone rule's single-score calls build only its plain ones
+    # (none under Brier loss, whose rows are their batch); no fold rule builds
+    # its own lists, and a standalone rule's single-score calls build only its
+    # plain ones
     ds = small_dataset(120, seed=2)
     X = np.linspace(-3, 3, 7)[:, None]
     model = CvapCalibrator.fit(ds, 3, ScorerSpec("logistic"))
@@ -378,17 +379,25 @@ def test_only_a_log_loss_row_query_builds_the_log_tables():
     brier = CvapCalibrator(model.folds, model.scorers,
                            [IvapCalibrator(rule.points) for rule in model.rules], "brier")
     brier.predict(X[0])
-    for m in models + [brier]:
+    assert brier._row_tables is None
+    assert not any("_lists" in vars(rule) for rule in brier.rules)
+    for m in models:
         assert len(m._row_tables) == 3
-        for (scorer, weights, intercept, keys, lower, upper), rule in zip(m._row_tables, m.rules):
+        for (weights, intercept, keys, lower, upper), scorer, rule in zip(
+                m._row_tables, m.scorers, m.rules):
             assert "_lists" not in vars(rule)
             assert (weights, intercept) == (scorer.weights.tolist(), scorer.intercept)
             assert keys == rule.points.scores.tolist() + [math.inf]
-            if m is brier:
-                assert (lower, upper) == (rule._lower.tolist(), rule._upper.tolist())
-            else:
-                assert lower == np.log(np.maximum(1.0 - rule._lower, 1e-300)).tolist()
-                assert upper == np.log(np.maximum(rule._upper, 1e-300)).tolist()
+            assert lower == np.log(np.maximum(1.0 - rule._lower, 1e-300)).tolist()
+            assert upper == np.log(np.maximum(rule._upper, 1e-300)).tolist()
+
+
+def _outcome(call, x):
+    """The answer's bytes, or the exception's type and message."""
+    try:
+        return np.asarray(call(x)).tobytes()
+    except Exception as error:
+        return type(error), str(error)
 
 
 def _tables_of(rule, break_them):
@@ -420,10 +429,22 @@ def test_tables_that_break_the_range_check_fail_the_first_row(break_them, loss):
     if break_them is None:  # valid tables answer as a batch does
         assert np.array([model.predict(x)]).tobytes() == model.predict_many(x[None]).tobytes()
         return
+    if loss == "brier":  # a Brier row is its batch of one, bad tables and all
+        assert _outcome(model.predict, x) == _outcome(model.predict_many, x[None])
+        return
     for _ in range(2):
         with pytest.raises(ValueError, match=r"^interval endpoints must lie in \[0, 1\]"):
             model.predict(x)
         assert "_row_tables" not in vars(model) and "_lists" not in vars(rule)
+
+
+def test_fold_scorers_of_unequal_width_fail_at_construction():
+    # a row checks fold 0's width only, so no model may hold fold scorers of
+    # unequal widths, however it is built
+    rule = IvapCalibrator.fit([0.0, 1.0], [0, 1])
+    scorers = [LogisticScorer(np.ones(d), 0.0, []) for d in (1, 2)]
+    with pytest.raises(ValueError, match=r"^fold scorers expect \[1, 2\] features$"):
+        CvapCalibrator(assign_folds(2, 2), scorers, [rule, rule])
 
 
 class TestSerialization:

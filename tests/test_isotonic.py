@@ -9,6 +9,7 @@ from hypothesis import strategies as st
 from scipy.optimize import isotonic_regression
 
 from oracles import brute_force_lower_hull, mean_labels, stable_dedup
+from strategies import calibration_sets
 from venncal.isotonic import (
     WeightedPoints,
     _csd,
@@ -308,6 +309,23 @@ class TestProbCurves:
                 ref0 = dedup_weighted(np.append(scores, right), np.append(labels, 0.0))
                 fit0 = fit_isotonic(ref0)
                 assert abs(fit0[np.searchsorted(ref0.scores, right)] - lo[i]) <= 1e-9
+
+
+def fractions(scan) -> list[Fraction]:
+    return [Fraction(int(n), int(d)) for n, d in zip(scan.num, scan.den)]
+
+
+@settings(max_examples=200, deadline=None)
+@given(calibration_sets())
+@example(([0.5], [1]))
+@example(([3.0, -1.0, 3.0, 0.0], [1, 0, 0, 1]))
+def test_mirror_identity_exact_on_drawn_sets(case):
+    # the lower curve of (s, y) is one minus the upper curve of (-s, 1 - y) read
+    # backwards, in the sweep's exact slope components
+    s, y = np.array(case[0]), np.array(case[1])
+    lo = lower_prob_scan(dedup_weighted(s, y))
+    up = upper_prob_scan(dedup_weighted(-s, 1 - y))
+    assert fractions(lo) == [1 - f for f in fractions(up)[::-1]]
 
 
 # ---- the run-skipping sweep against the one-step-at-a-time oracle --------

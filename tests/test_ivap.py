@@ -18,6 +18,7 @@ from oracles import (
     tree_size,
     where_query,
 )
+from strategies import calibration_sets
 from venncal.ivap import IvapCalibrator, ProbInterval
 from venncal.merging import merge
 
@@ -331,17 +332,6 @@ def raise_halfway(curve):
     return curve[:i] + [(curve[i] + curve[i + 1]) / 2] + curve[i + 1:]
 
 
-@st.composite
-def calibration_sets(draw):
-    """1-40 calibration points: scores from a small integer range (ties) or
-    any finite float, labels 0 and 1."""
-    score = st.one_of(st.integers(-6, 6).map(float),
-                      st.floats(allow_nan=False, allow_infinity=False))
-    pairs = draw(st.lists(st.tuples(score, st.integers(0, 1)), min_size=1, max_size=40))
-    scores, labels = zip(*pairs)
-    return list(scores), list(labels)
-
-
 @settings(max_examples=150, deadline=None)
 @given(calibration_sets(), st.data())
 def test_intervals_are_the_insert_and_refit_intervals(case, data):
@@ -408,6 +398,20 @@ def test_only_a_single_score_query_builds_the_list_tables():
     loaded.predict(0.3)
     assert "_lists" in vars(rule) and "_lists" in vars(loaded)
     assert loaded.to_dict() == rule.to_dict()
+
+
+@pytest.mark.parametrize("score, loss, message", [
+    (math.nan, "hinge", "test scores must be finite"),
+    (math.inf, "log", "test scores must be finite"),
+    (0.3, "hinge", "unknown loss 'hinge'"),
+])
+def test_a_single_prediction_fails_as_its_batch_does(score, loss, message):
+    # the score is checked before the loss, in `predict` as in `predict_many`
+    rule = IvapCalibrator.fit([0.0, 1.0, 1.0], [0, 1, 0])
+    for call, arg in ((rule.predict, score), (rule.predict_many, [score])):
+        with pytest.raises(ValueError, match=f"^{message}$"):
+            call(arg, loss)
+    assert type(rule.predict(0.3)) is type(rule.predict(0.3, "brier")) is float
 
 
 class TestSerialization:

@@ -8,6 +8,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
+from strategies import FINITE
 from venncal.merging import merge, merged_interval, row_tables
 
 
@@ -100,7 +101,7 @@ class TestMergeLog:
         (np.full((3, 4), 0.2), np.where(np.arange(12).reshape(3, 4) == 6, 1.5, 0.6), "brier"),
     ])
     def test_inverted_or_out_of_range_interval_rejected(self, p0, p1, loss):
-        # a pair of floats takes its own branch, with the batch path's message
+        # a pair of floats is a 0-d pair, with the batch path's message
         with pytest.raises(ValueError, match=r"must lie in \[0, 1\] with p0 <= p1"):
             merge(p0, p1, loss)
 
@@ -166,7 +167,7 @@ class TestMergeDispatch:
             singles = np.array([merge(float(a), float(b), loss) for a, b in zip(p0, p1)])
             assert batch.tobytes() == singles.tobytes()
             for a, b, single in zip(p0, p1, singles.tolist()):
-                # np.float64 is a float; a 0-d array and a (1,) batch take the array path
+                # floats, np.float64, 0-d arrays and (1,) batches: one array path
                 forms = (merge(a, b, loss), merge(np.array(a), np.array(b), loss),
                          merge([a], [b], loss))
                 assert [f.hex() for f in forms] == [single.hex()] * 3
@@ -287,15 +288,6 @@ def test_other_lists_merge_as_their_arrays(p0, p1, loss):
     want = merge(np.asarray(p0, dtype=float), np.asarray(p1, dtype=float), loss)
     assert type(got) is type(want)
     assert np.asarray(got).tobytes() == np.asarray(want).tobytes()
-
-
-# finite values over the whole float range: most lie outside [0, 1]
-FINITE = st.one_of(
-    st.sampled_from([0.0, -0.0, 1.0, 5e-324, -5e-324, 2.2250738585072014e-308,
-                     1.0 - 2.0 ** -53, 1.0 + 2.0 ** -52, 1e308, -1e308]),
-    st.floats(0.0, 1.0),
-    st.floats(allow_nan=False, allow_infinity=False),
-)
 
 
 @settings(max_examples=300, deadline=None)

@@ -6,6 +6,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from oracles import two_branch_losses
+from strategies import FINITE
 from venncal.metrics import evaluate
 
 
@@ -117,6 +118,28 @@ def test_evaluate_matches_two_branch_oracle(rows):
     assert repr(rep.mean_log_loss) == repr(mll)
     assert repr(rep.mean_brier_loss) == repr(mbl)
     assert rep.n_infinite == n_inf
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.lists(st.tuples(st.one_of(st.sampled_from(EDGE_PROBABILITIES), st.floats(0.0, 1.0)),
+                          st.integers(0, 1)), min_size=1, max_size=40), st.data())
+def test_any_finite_input_is_evaluated_in_range_or_rejected(rows, data):
+    # a RuntimeWarning fails this test (the pytest filterwarnings setting)
+    p, y = (list(column) for column in zip(*rows))
+    for column in (p, y):  # one entry that may lie anywhere in the finite range
+        if data.draw(st.booleans()):
+            column[data.draw(st.integers(0, len(column) - 1))] = data.draw(FINITE)
+    valid = all(0.0 <= q <= 1.0 for q in p) and all(t in (0, 1) for t in y)
+    try:
+        rep = evaluate(p, y)
+    except ValueError:
+        assert not valid
+        return
+    assert valid
+    n_inf = sum(q == (1.0 - t) for q, t in zip(p, y))  # all the mass on the wrong label
+    assert (rep.n, rep.n_infinite) == (len(p), n_inf)
+    assert 0.0 <= rep.mean_brier_loss <= 4.0
+    assert 0.0 <= rep.mean_log_loss < math.inf or (n_inf and rep.mean_log_loss == math.inf)
 
 
 def test_both_losses_are_proper():

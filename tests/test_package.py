@@ -35,6 +35,18 @@ BENCHMARK_NAMES = (
     ("venncal.cli", "evaluate"),
 )
 
+# methods the benchmark wraps in the class that defines them (it reads
+# `vars(cls)`): moved to a base class, renamed or deleted, a span reads 0
+BENCHMARK_METHODS = (
+    ("venncal.scorers", "LogisticScorer", ("score_many", "probability_many")),
+    ("venncal.baselines", "PlattCalibrator", ("fit", "predict_many")),
+    ("venncal.baselines", "DirectIsotonic", ("fit", "predict_many")),
+    ("venncal.ivap", "IvapCalibrator", ("fit", "predict_intervals", "predict_interval",
+                                        "predict")),
+    ("venncal.cvap", "CvapCalibrator", ("fit", "predict", "predict_many",
+                                        "predict_intervals_many")),
+)
+
 
 def test_every_exported_name_resolves():
     assert len(set(venncal.__all__)) == len(venncal.__all__)
@@ -45,6 +57,10 @@ def test_every_exported_name_resolves():
 def test_benchmark_names_exist():
     for module, name in BENCHMARK_NAMES:
         assert hasattr(importlib.import_module(module), name), f"{module}.{name}"
+    for module, cls, methods in BENCHMARK_METHODS:
+        owner = vars(importlib.import_module(module))[cls]
+        for method in methods:
+            assert method in vars(owner), f"{module}.{cls}.{method}"
     scan = venncal.ivap.upper_prob_scan(venncal.dedup_weighted([1.0, 2.0], [0, 1]))
     assert isinstance(scan.corner_pushes, int) and isinstance(scan.sweep_pushes, int)
 
