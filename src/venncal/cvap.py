@@ -122,6 +122,9 @@ class CvapCalibrator:
 
     def __init__(self, folds: FoldAssignment, scorers: list, rules: list[IvapCalibrator],
                  merge_loss: str = "log"):
+        if not (folds.n_folds >= 2 and len(scorers) == len(rules) == folds.n_folds):
+            raise ValueError(f"{folds.n_folds!r} folds with {len(scorers)} scorers "
+                             f"and {len(rules)} rules")
         widths = [s.n_features for s in scorers]
         if len(set(widths)) != 1:
             raise ValueError(f"fold scorers expect {widths} features")
@@ -216,10 +219,8 @@ class CvapCalibrator:
             raise ValueError(f"unsupported version {d.get('version')!r}")
         _check_merge_loss(d["merge_loss"])
         n_folds = d["n_folds"]
-        if not (isinstance(n_folds, int) and n_folds >= 2
-                and len(d["scorers"]) == len(d["rules"]) == n_folds):
-            raise ValueError(f"{n_folds!r} folds with {len(d['scorers'])} scorers "
-                             f"and {len(d['rules'])} rules")
+        if not isinstance(n_folds, int):
+            raise ValueError(f"n_folds must be an integer, got {n_folds!r}")
         fold_of = np.asarray(d["fold_of"])
         if (fold_of.ndim != 1 or fold_of.dtype.kind not in "iu"
                 or not ((fold_of >= 0) & (fold_of < n_folds)).all()):
@@ -231,8 +232,9 @@ class CvapCalibrator:
         folds = FoldAssignment(n_folds, fold_of.astype(np.int64), d["fold_mode"], seed)
         scorers = [scorer_from_dict(s) for s in d["scorers"]]
         rules = [IvapCalibrator.from_dict(r) for r in d["rules"]]
+        model = cls(folds, scorers, rules, d["merge_loss"])  # checks counts and widths first
         calibrated = [int(rule.points.weights.sum()) for rule in rules]
         if calibrated != folds.sizes().tolist():
             raise ValueError(f"rules calibrated on {calibrated} rows for folds of "
                              f"{folds.sizes().tolist()} rows")
-        return cls(folds, scorers, rules, d["merge_loss"])
+        return model

@@ -1,9 +1,10 @@
 """Weighted isotonic regression on the real line via convex-minorant geometry.
 
 `calibration_set` is every calibrator's one check of its inputs (finite
-scores, 0/1 labels).  `dedup_weighted` makes the one sort: a default-kind
-argsort, then a `!=` pass for block starts and `np.add.reduceat`; a
-0.0/-0.0 tie keeps its first zero.
+scores, 0/1 labels).  `dedup_weighted` makes the one exact sort: a default-kind
+argsort, then a `!=` pass for block starts and `np.add.reduceat`; a 0.0/-0.0
+tie keeps its first zero.  The left-step lookups search a query batch in
+`_packed_order`, which leaves near ties of very wide batches in input order.
 
 The cumulative sum diagram (CSD) of a sorted, weighted score sequence is the
 polyline whose i-th vertex is (cumulative weight, cumulative label sum).  The
@@ -119,6 +120,26 @@ def dedup_weighted(scores, labels) -> WeightedPoints:
         distinct[distinct == 0.0] = s[np.argmax(s == 0.0)]
     weights = np.diff(np.append(start, len(s))).astype(np.int64)
     return WeightedPoints(distinct, weights, np.add.reduceat(y[order], start))
+
+
+def _packed_order(flat: np.ndarray) -> np.ndarray:
+    """Permutation sorting a NaN-free float64 batch: one `np.sort` of words holding the
+    float's order key, less the batch minimum and shifted right to fit, above the index.
+    Exact while the batch spans under 2^(64 - (n - 1).bit_length()) float steps; beyond
+    that, values within 2^shift steps of each other stay in index order."""
+    n = len(flat)
+    b = max(n - 1, 0).bit_length()
+    key = flat.view(np.int64) >> 63  # -1 for a negative value, else 0
+    key |= np.int64(-2 ** 63)
+    key ^= flat.view(np.int64)
+    key = key.view(np.uint64)
+    key -= key.min(initial=np.uint64(2 ** 64 - 1))
+    key >>= np.uint64(max(0, int(key.max(initial=0)).bit_length() + b - 64))
+    key <<= np.uint64(b)
+    key |= np.arange(n, dtype=np.uint64)
+    key.sort()
+    key &= np.uint64((1 << b) - 1)
+    return key.view(np.intp)
 
 
 def _csd(points: WeightedPoints) -> tuple[np.ndarray, np.ndarray]:

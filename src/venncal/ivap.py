@@ -8,8 +8,8 @@ returns the lower value of its left neighbour and the upper value of its
 right neighbour; outside the score range the missing side falls back to the
 boundary conventions 0 and 1.  This reproduces, for every s, the isotonic
 fit at s of the calibration set with (s, 0) respectively (s, 1) appended.
-The tables are stored padded, lower = [0] + p0 and upper = p1 + [1]; a batch
-is sorted once, searched once on the keys, and read from the padded tables.
+The tables are stored padded, lower = [0] + p0 and upper = p1 + [1]; a batch is
+put in `_packed_order` once, searched once on the keys, and read from the tables.
 A single score takes one `bisect` on the keys (closed by +inf) and reads the
 same tables held as Python lists, with the bits of the batch query and no
 numpy call; `predict` merges that pair with `merging._single`, not `merge`.
@@ -29,6 +29,7 @@ import numpy as np
 
 from venncal.isotonic import (
     WeightedPoints,
+    _packed_order,
     calibration_set,
     dedup_weighted,
     lower_prob_scan,
@@ -89,11 +90,10 @@ class IvapCalibrator:
         above i keys reads upper[i] and lower[i], or lower[i + 1] on a hit of key i."""
         s = np.asarray(scores, dtype=float)
         flat = s.ravel()
-        order = np.argsort(flat)
-        ss = flat[order]
-        # -inf sorts first, +inf and NaN last
-        if not (np.isfinite(ss[:1]).all() and np.isfinite(ss[-1:]).all()):
+        if not np.isfinite(flat).all():
             raise ValueError("test scores must be finite")
+        order = _packed_order(flat)
+        ss = flat[order]
         keys = self.points.scores
         i = keys.searchsorted(ss, side="left")
         hit = keys[np.minimum(i, len(keys) - 1)] == ss

@@ -5,9 +5,10 @@ refit, a stable-sort dedup, a lower hull by its definition, the probability
 sweep one step at a time, grid search, a stump search over every cut, a
 masked two-branch sigmoid, a two-branch log loss, an explicit search tree
 over an interval calibrator's tables, a batch query that answers in input
-order with `np.where`, and CSV readers and writers that go one cell and one
-row at a time through `csv.reader` and f-strings.  None of it shares code
-with the algorithms under test beyond `dedup_weighted` for input
+order with `np.where`, direct isotonic's lookup in input order, the packed
+sort order in Python integers, and CSV readers and writers that go one cell
+and one row at a time through `csv.reader` and f-strings.  None of it shares
+code with the algorithms under test beyond `dedup_weighted` for input
 normalization and the `CurveScan`/`Dataset`/`Column` records the oracles
 return.
 """
@@ -361,6 +362,28 @@ def where_query(rule, scores) -> tuple[np.ndarray, np.ndarray]:
     lo = np.where(exact, rule.p0[clipped], lo)
     hi = np.where(exact, rule.p1[clipped], hi)
     return lo, hi
+
+
+def input_order_isotonic(model, scores) -> np.ndarray:
+    """`DirectIsotonic.predict_many` as one `searchsorted` over the batch in input order."""
+    s = np.asarray(scores, dtype=float)
+    if np.isnan(s).any():
+        raise ValueError("test scores must not be NaN")
+    idx = np.searchsorted(model.scores, s, side="right") - 1
+    return model.fitted[np.maximum(idx, 0)]
+
+
+def packed_order_by_ints(values) -> tuple[list[int], int]:
+    """The order `isotonic._packed_order` promises, in Python integers, and its
+    shift: indices sorted by (the float's order key less the least one,
+    shifted right so that it fits beside a (n - 1).bit_length()-bit index;
+    the index)."""
+    n = len(values)
+    bits = [int(b) for b in np.asarray(values, dtype=float).view(np.uint64)]
+    keys = [b ^ (2 ** 64 - 1) if b >> 63 else b ^ 2 ** 63 for b in bits]
+    low = min(keys, default=0)
+    shift = max(0, (max(keys, default=0) - low).bit_length() + max(n - 1, 0).bit_length() - 64)
+    return sorted(range(n), key=lambda i: ((keys[i] - low) >> shift, i)), shift
 
 
 # ---- per-cell CSV readers and per-row writers ----------------------------

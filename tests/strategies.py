@@ -1,5 +1,7 @@
 """Hypothesis strategies shared by the test modules."""
 
+import math
+
 from hypothesis import strategies as st
 
 # finite values over the whole float range, subnormals, 0 and 1 included:
@@ -21,3 +23,28 @@ def calibration_sets(draw):
     pairs = draw(st.lists(st.tuples(score, st.integers(0, 1)), min_size=1, max_size=40))
     scores, labels = zip(*pairs)
     return list(scores), list(labels)
+
+
+@st.composite
+def packed_batches(draw):
+    """Up to ~60 scores that stress `isotonic._packed_order`, as a list.
+
+    A run of up to 40 `nextafter` neighbours of a centre (alone, the shift
+    is 0), sometimes with a far value of the centre's opposite sign (the
+    shift turns positive and the run ties in the kept bits), plus up to 10
+    `FINITE` values, shuffled; sometimes a NaN or an infinity at any position.
+    """
+    centre = draw(st.one_of(FINITE, st.floats(-4.0, 4.0)))
+    step = draw(st.sampled_from([-math.inf, math.inf]))
+    batch = [centre]
+    for _ in range(draw(st.integers(0, 40))):
+        batch.append(math.nextafter(batch[-1], step))
+    batch += draw(st.lists(FINITE, max_size=10))
+    if draw(st.booleans()):
+        far = draw(st.sampled_from([1e300, 1.7976931348623157e308]))
+        batch.append(-math.copysign(far, centre))
+    batch = draw(st.permutations(batch))
+    bad = draw(st.sampled_from([None, None, None, math.nan, -math.inf, math.inf]))
+    if bad is not None:
+        batch.insert(draw(st.integers(0, len(batch))), bad)
+    return batch

@@ -1,9 +1,12 @@
+import math
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from strategies import FINITE
+from oracles import input_order_isotonic
+from strategies import FINITE, packed_batches
 from venncal import baselines
 from venncal.baselines import DirectIsotonic, PlattCalibrator
 from venncal.exceptions import DegenerateModelError
@@ -222,6 +225,46 @@ class TestDirectIsotonic:
     def test_boolean_labels_accepted(self):
         m = DirectIsotonic.fit([1, 2, 3], np.array([False, True, True]))
         assert m.fitted.tolist() == [0.0, 1.0, 1.0]
+
+
+class TestDirectIsotonicLookupOrder:
+    """The lookup over the sorted batch answers as one search in input order."""
+
+    MODELS = {dummy: DirectIsotonic.fit([1, 2, 2, 3, 5, 5], [0, 1, 0, 1, 1, 0],
+                                        dummy_endpoints=dummy) for dummy in (False, True)}
+
+    @pytest.mark.parametrize("dummy", [False, True])
+    @pytest.mark.parametrize("batch", [
+        2.0,
+        np.float64(4.0),
+        [[9.0, 2.0, 0.5], [3.0, 1.0, 2.5]],
+        np.array([[5.0, 0.0, 3.0, 4.0], [2.0, 6.0, 1.0, -np.inf]]).T,
+        [3.0, np.inf, 2.0, 2.0, -0.0],
+        [],
+        np.empty((0, 3)),
+    ], ids=["0d_float", "0d_numpy", "2d_list", "2d_transposed", "list", "empty", "empty_2d"])
+    def test_shape_type_and_bits_match_oracle(self, batch, dummy):
+        model = self.MODELS[dummy]
+        got, want = model.predict_many(batch), input_order_isotonic(model, batch)
+        assert type(got) is type(want) and got.dtype == np.float64
+        assert np.shape(got) == np.shape(want) == np.shape(batch)
+        assert got.tobytes() == want.tobytes()
+
+
+@settings(max_examples=400, deadline=None)
+@given(packed_batches(), st.booleans(), st.data())
+def test_direct_isotonic_packed_batch_matches_input_order_oracle(batch, dummy, data):
+    finite = [x for x in batch if math.isfinite(x)]
+    score = st.one_of(st.sampled_from(finite), st.integers(-5, 5).map(float))
+    scores = data.draw(st.lists(score, min_size=1, max_size=12))
+    labels = data.draw(st.lists(st.integers(0, 1), min_size=len(scores), max_size=len(scores)))
+    model = DirectIsotonic.fit(scores, labels, dummy_endpoints=dummy)
+    if any(math.isnan(x) for x in batch):
+        for predict in (model.predict_many, lambda b: input_order_isotonic(model, b)):
+            with pytest.raises(ValueError, match="^test scores must not be NaN$"):
+                predict(batch)
+        return
+    assert model.predict_many(batch).tobytes() == input_order_isotonic(model, batch).tobytes()
 
 
 @settings(max_examples=300, deadline=None)

@@ -7,7 +7,7 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 import venncal.cvap
-from venncal.cvap import CvapCalibrator, assign_folds, fold_scorers
+from venncal.cvap import CvapCalibrator, FoldAssignment, assign_folds, fold_scorers
 from venncal.data import Column, Dataset, generate_synthetic
 from venncal.exceptions import DegenerateModelError
 from venncal.ivap import IvapCalibrator
@@ -447,6 +447,18 @@ def test_fold_scorers_of_unequal_width_fail_at_construction():
         CvapCalibrator(assign_folds(2, 2), scorers, [rule, rule])
 
 
+@pytest.mark.parametrize("n_folds, n_scorers, n_rules", [(3, 2, 1), (1, 1, 1), (2, 2, 3)])
+def test_fold_scorer_and_rule_counts_checked_at_construction(n_folds, n_scorers, n_rules):
+    # `zip` over the folds would drop the extra scorers or rules, and one fold
+    # is no cross calibration: no model may be built so, however it is built
+    rule = IvapCalibrator.fit([0.0, 1.0], [0, 1])
+    scorer = LogisticScorer(np.ones(1), 0.0, [])
+    folds = FoldAssignment(n_folds, np.arange(6) % n_folds, "contiguous")
+    with pytest.raises(ValueError, match=f"^{n_folds} folds with {n_scorers} scorers "
+                                         f"and {n_rules} rules$"):
+        CvapCalibrator(folds, [scorer] * n_scorers, [rule] * n_rules)
+
+
 class TestSerialization:
     def test_round_trip_predictions_identical(self):
         ds = small_dataset(160, seed=8)
@@ -458,6 +470,7 @@ class TestSerialization:
 
     @pytest.mark.parametrize("corrupt, message", [
         (lambda d: d.update(n_folds=4), "4 folds with 3 scorers and 3 rules"),
+        (lambda d: d.update(n_folds=3.0), "^n_folds must be an integer, got 3.0$"),
         (lambda d: d.update(scorers=d["scorers"][:2]), "3 folds with 2 scorers and 3 rules"),
         (lambda d: d.update(rules=d["rules"] + d["rules"][:1]), "3 folds with 3 scorers and 4"),
         (lambda d: d["fold_of"].__setitem__(0, 3), "one of 3 folds"),
@@ -483,7 +496,8 @@ class TestSerialization:
         (lambda d: d.update(fold_seed=True), "^fold_seed must be an integer or null, got True$"),
         (lambda d: d["scorers"][1].update(intercept=float("nan")),
          "^logistic weights and intercept must be finite$"),
-    ], ids=["n_folds", "scorers", "rules", "fold_of_range", "fold_sizes", "merge_loss",
+    ], ids=["n_folds", "n_folds_float", "scorers", "rules", "fold_of_range", "fold_sizes",
+            "merge_loss",
             "format", "version", "nested_rule", "stump_feature", "scorer_kind",
             "scorer_widths", "fold_of_fraction", "fold_mode", "fold_seed_list",
             "fold_seed_bool", "scorer_values"])

@@ -8,13 +8,14 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from scipy.optimize import isotonic_regression
 
-from oracles import brute_force_lower_hull, mean_labels, stable_dedup
-from strategies import calibration_sets
+from oracles import brute_force_lower_hull, mean_labels, packed_order_by_ints, stable_dedup
+from strategies import calibration_sets, packed_batches
 from venncal.isotonic import (
     WeightedPoints,
     _csd,
     _graham_scan,
     _lower_hull,
+    _packed_order,
     dedup_weighted,
     fit_isotonic,
     lower_prob_scan,
@@ -159,6 +160,56 @@ def test_dedup_large_ties_match_oracle_under_shuffles():
         assert_same_points(dedup_weighted(scores, labels), stable_dedup(scores, labels))
         for _ in range(3):
             assert_shuffle_invariant(scores, labels, rng.permutation(k))
+
+
+class TestPackedOrder:
+    @pytest.mark.parametrize("batch, order", [
+        ([], []),
+        ([5.0], [0]),
+        ([2.0, 1.0], [1, 0]),
+        ([1.0, 1.0], [0, 1]),
+        ([0.0, -0.0], [1, 0]),
+        ([np.inf, -np.inf], [1, 0]),
+        ([5e-324, -5e-324], [1, 0]),
+        ([1.7976931348623157e308, -1.7976931348623157e308], [1, 0]),
+    ])
+    def test_small_batches_sort_exactly(self, batch, order):
+        got = _packed_order(np.array(batch, dtype=float))
+        assert got.dtype == np.intp and got.tolist() == order
+
+    def test_wide_batch_leaves_near_ties_in_index_order(self):
+        # 40 falling neighbours of 1.0 beside -1e300: the shift is 6 and the
+        # run shares its kept bits in runs of up to 64 steps
+        run = [1.0]
+        for _ in range(40):
+            run.append(math.nextafter(run[-1], -math.inf))
+        batch = np.array(run + [-1e300])
+        order, shift = packed_order_by_ints(batch)
+        assert shift == 6
+        got = _packed_order(batch)
+        assert got.tolist() == order and got[0] == 41
+        assert not (np.diff(batch[got]) >= 0.0).all()
+
+    def test_uniform_batch_matches_the_integer_oracle(self):
+        # ivap_bulk's query shape, smaller: a positive shift with some ties
+        batch = np.random.default_rng(3).uniform(-4.4, 4.4, 70_000)
+        order, shift = packed_order_by_ints(batch)
+        assert shift > 0
+        assert _packed_order(batch).tolist() == order
+
+
+@settings(max_examples=400, deadline=None)
+@given(packed_batches())
+def test_packed_order_is_the_promised_permutation(batch):
+    batch = np.array([x for x in batch if not math.isnan(x)])
+    got = _packed_order(batch)
+    order, shift = packed_order_by_ints(batch)
+    assert sorted(got.tolist()) == list(range(len(batch)))
+    assert got.tolist() == order
+    if shift == 0:  # exact: sorted, and -0.0 before 0.0
+        keyed = batch[got]
+        assert (keyed[1:] >= keyed[:-1]).all()
+        assert not ((keyed[1:] == 0.0) & np.signbit(keyed[1:]) & ~np.signbit(keyed[:-1])).any()
 
 
 class TestFitIsotonic:

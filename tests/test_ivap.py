@@ -18,7 +18,7 @@ from oracles import (
     tree_size,
     where_query,
 )
-from strategies import calibration_sets
+from strategies import calibration_sets, packed_batches
 from venncal.ivap import IvapCalibrator, ProbInterval
 from venncal.merging import merge
 
@@ -242,7 +242,10 @@ def rules_and_batches(draw):
 @settings(max_examples=400, deadline=None)
 @given(rules_and_batches())
 def test_batch_query_matches_where_oracle(case):
-    rule, batch = case
+    assert_batch_matches_where(*case)
+
+
+def assert_batch_matches_where(rule, batch):
     if not np.isfinite(batch).all():
         for query in (where_query, IvapCalibrator.predict_intervals):
             with pytest.raises(ValueError, match="^test scores must be finite$"):
@@ -252,6 +255,24 @@ def test_batch_query_matches_where_oracle(case):
     want_lo, want_hi = where_query(rule, batch)
     assert lo.tobytes() == want_lo.tobytes()
     assert hi.tobytes() == want_hi.tobytes()
+
+
+@st.composite
+def rules_and_packed_batches(draw):
+    """A `packed_batches` batch and a rule on up to 12 of its finite values or
+    small integers, so the batch hits keys and falls between close ones."""
+    batch = draw(packed_batches())
+    finite = [x for x in batch if math.isfinite(x)]
+    score = st.one_of(st.sampled_from(finite), st.integers(-5, 5).map(float))
+    scores = draw(st.lists(score, min_size=1, max_size=12))
+    labels = draw(st.lists(st.integers(0, 1), min_size=len(scores), max_size=len(scores)))
+    return IvapCalibrator.fit(scores, labels), np.array(batch)
+
+
+@settings(max_examples=400, deadline=None)
+@given(rules_and_packed_batches())
+def test_packed_batch_query_matches_where_oracle(case):
+    assert_batch_matches_where(*case)
 
 
 class TestBatchShapes:
@@ -431,6 +452,15 @@ class TestSerialization:
         assert np.array_equal(np.stack(loaded.predict_intervals(qs)),
                               np.stack(rule.predict_intervals(qs)))
 
+    def test_version_1_record_loads(self):
+        record = {"format": "venncal.ivap", "version": 1, "scores": [0.0, 1.0],
+                  "weights": [150, 150], "label_sums": [0.0, 150.0],
+                  "p0": [0.0, 150 / 151], "p1": [1 / 151, 1.0]}
+        rule = IvapCalibrator.from_dict(record)
+        assert rule.to_dict() == record
+        assert rule.to_dict() == IvapCalibrator.fit([0.0] * 150 + [1.0] * 150,
+                                                    [0] * 150 + [1] * 150).to_dict()
+
     def test_one_key_round_trip(self):
         rule = IvapCalibrator.fit([0.5, 0.5], [0, 1])
         loaded = IvapCalibrator.from_dict(rule.to_dict())
@@ -443,8 +473,12 @@ class TestSerialization:
         ("scores", lambda v: [v[1], v[0]] + v[2:], "strictly increasing"),
         # the sweep reads only weights and label sums, so it rebuilds the stored curves
         ("scores", lambda v: [v[0], v[0]] + v[2:], "strictly increasing"),
+        ("scores", lambda v: v[:-2] + [v[-1], v[-2]], "strictly increasing"),
         ("scores", lambda v: v[:-1] + [math.inf], "finite"),
         ("weights", lambda v: [0] + v[1:], "positive integers"),
+        ("weights", lambda v: [2.0 ** 53 + 2] + v[1:], r"positive integers of at most 2\^53$"),
+        # a weight of 2^53 passes the table check, and the sweep's range check rejects it
+        ("weights", lambda v: [2.0 ** 53] + v[1:], r"\(W \+ 1\)\^2 <= 2\^53"),
         ("weights", lambda v: [v[0] + 0.5] + v[1:], "positive integers"),
         ("label_sums", lambda v: [-1.0] + v[1:], "between 0 and the weight"),
         ("label_sums", lambda v: [1e9] + v[1:], "between 0 and the weight"),
@@ -456,8 +490,9 @@ class TestSerialization:
         ("p0", lambda v: v[:-1] + [0.0], "non-decreasing"),
         ("p1", lambda v: raise_halfway(v), "not the curves of the stored points"),
         ("label_sums", lambda v: [0.5] + v[1:], "integer weights and label sums"),
-    ], ids=["lengths", "empty", "score_order", "score_repeated", "score_finite",
-            "weight_zero", "weight_fraction", "label_sum_negative", "label_sum_above_weight",
+    ], ids=["lengths", "empty", "score_order", "score_repeated", "score_order_last",
+            "score_finite", "weight_zero", "weight_above_2_53", "weight_2_53", "weight_fraction",
+            "label_sum_negative", "label_sum_above_weight",
             "p0_negative", "p0_not_below_p1", "p1_above_one", "p1_nan", "p0_equals_p1",
             "monotone", "p1_tampered", "label_sum_fraction"])
     def test_corrupt_record_rejected(self, field, corrupt, message):
