@@ -211,11 +211,12 @@ def load_csv(path, label_column, *, header: bool = True,
             raise DataError(
                 f"{path}: labels must take at most two values, got {distinct[:5]!r}")
         if len(distinct) == 1:
-            # a single-class file is readable only when the polarity is obvious
-            if distinct[0] not in ("0", "1"):
+            # a single-class file is readable only when the polarity is obvious: a 0/1
+            # value, or the positive label beside "" (a missing label: no cell maps to 0)
+            if distinct[0] not in ("0", "1", positive_label):
                 raise DataError(
                     f"{path}: single label value {distinct[0]!r}; cannot infer its class")
-            label_values = ("0", "1")
+            label_values = ("0", "1") if distinct[0] in ("0", "1") else ("", positive_label)
         else:
             label_values = (distinct[0], distinct[1])
         if positive_label is not None:

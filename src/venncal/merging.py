@@ -17,8 +17,8 @@ instead.
 
 Single answers skip `merge`: one score's interval, already range-checked,
 goes through `_single` in float arithmetic, whose + - * / round as numpy's
-do.  The log merge reads an interval only through log(max(1 - p0, eps)) and
-log(max(p1, eps)).  `row_tables` takes them once over an interval
+do.  The log merge reads an interval only through log(1 - p0) and log(p1),
+unclipped (log(0) = -inf), and `row_tables` takes them once over an interval
 calibrator's padded tables, so a cross calibrator's log-loss row is merged
 from K table entries and one `np.exp` call, with the bits of its batch
 column (numpy's log and exp may round unlike the math module's).
@@ -31,10 +31,6 @@ import numpy as np
 __all__ = ["LOSSES", "merge", "merged_interval"]
 
 LOSSES = ("log", "brier")
-
-# floor for quantities entering the log-space geometric mean; interval
-# calibrator outputs can never reach it, but user-supplied batches might
-_EPS = 1e-300
 
 _RANGE = "interval endpoints must lie in [0, 1] with p0 <= p1"
 
@@ -50,6 +46,7 @@ def merge(p0, p1, loss: str = "log"):
     returned per column.  Under log loss a single interval reduces to
     p1 / ((1 - p0) + p1), computed directly to avoid needless exp/log
     round-off; it lies strictly inside (0, 1) unless p0 = p1 = 0 or 1.
+    An interval with p0 = 1 beside one with p1 = 0 is 0/0 (ValueError).
     """
     if loss not in LOSSES:
         raise ValueError(f"unknown loss {loss!r}")
@@ -67,7 +64,9 @@ def merge(p0, p1, loss: str = "log"):
             out = out[0] if len(out) == 1 else _mean_over_k(out)  # one row: no copy
     else:
         gm_q0, gm_p1 = _geometric_means(p0, p1)
-        out = gm_p1 / (gm_q0 + gm_p1)
+        if not (total := gm_q0 + gm_p1).all():  # no factor underflows to a false 0
+            raise ValueError("no log merge: one interval has p0 = 1 and another p1 = 0")
+        out = gm_p1 / total
     return float(out) if np.ndim(out) == 0 else out
 
 
@@ -90,28 +89,28 @@ def _mean_over_k(x):
     return total / len(x)
 
 
-def _floored_log(x: np.ndarray) -> np.ndarray:
-    """log(max(x, _EPS)), in place (x is overwritten)."""
-    np.maximum(x, _EPS, out=x)
-    return np.log(x, out=x)
+def _log(x: np.ndarray) -> np.ndarray:
+    """log(x), in place (x is overwritten); log(0) is -inf, without a warning."""
+    with np.errstate(divide="ignore"):
+        return np.log(x, out=x)
 
 
 def _geometric_means(p0, p1) -> tuple[np.ndarray, np.ndarray]:
     """GM(1 - p0) and GM(p1) over the K axis 0."""
-    return (np.exp(_mean_over_k(_floored_log(1.0 - p0))),
-            np.exp(_mean_over_k(_floored_log(np.array(p1, dtype=float)))))
+    return (np.exp(_mean_over_k(_log(1.0 - p0))),
+            np.exp(_mean_over_k(_log(np.array(p1, dtype=float)))))
 
 
 def row_tables(keys, lower: np.ndarray, upper: np.ndarray, log: bool = False) -> tuple:
     """Lists: keys closed by +inf (no finite score passes it) and the padded tables, or
-    (`log`) log(max(1 - lower, eps)) and log(max(upper, eps)); ValueError unless each
+    (`log`) log(1 - lower) and log(upper), -inf for 0; ValueError unless each
     (lower[i + hit], upper[i]) is an interval."""
     # pairs (lower[i], upper[i]) and, on a hit, (lower[i + 1], upper[i]); NaN compares false
     if not ((lower <= upper).all() and (lower[1:] <= upper[:-1]).all()
             and (0.0 <= lower).all() and (upper <= 1.0).all()):
         raise ValueError(_RANGE)
     if log:
-        lower, upper = _floored_log(1.0 - lower), _floored_log(np.array(upper))
+        lower, upper = _log(1.0 - lower), _log(np.array(upper))
     return keys.tolist() + [np.inf], lower.tolist(), upper.tolist()
 
 

@@ -136,12 +136,14 @@ def _linear(columns, coefs, intercept, n: int) -> np.ndarray:
     Each product and sum is rounded in that order, so an entry does not
     depend on how many others are computed with it; BLAS's `X @ w` blocks
     and fuses differently for different batch sizes once there are two
-    features or more.
+    features or more.  A sum that overflows is left inf or NaN, without a
+    warning, as in float arithmetic; queries reject it as a non-finite score.
     """
     total = np.zeros(n)
-    for column, coef in zip(columns, coefs):
-        total += column * coef
-    total += intercept
+    with np.errstate(over="ignore", invalid="ignore"):
+        for column, coef in zip(columns, coefs):
+            total += column * coef
+        total += intercept
     return total
 
 

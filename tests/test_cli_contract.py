@@ -5,6 +5,7 @@ import json
 
 import pytest
 
+import cli_grid
 from venncal.cli import main
 
 ERROR_PREFIXES = ("usage error: ", "data error: ", "file error: ", "degenerate model: ")
@@ -106,8 +107,9 @@ MISUSE = [
                  "data error: need at least 2 folds, got 0", id="compare-zero-folds"),
     pytest.param(["evaluate", "--pred", "{pred}", "--truth", "{ones}", "--positive-label", "0"],
                  3, "data error: ", id="one-class-file-other-positive-label"),
-    pytest.param(["evaluate", "--pred", "{pred}", "--truth", "{yes}", "--positive-label", "yes"],
-                 3, "data error: ", id="one-class-file-not-0-or-1"),
+    pytest.param(["evaluate", "--pred", "{pred}", "--truth", "{yes}"], 3,
+                 "data error: {yes}: single label value 'yes'; cannot infer its class\n",
+                 id="one-class-file-not-0-or-1"),
     pytest.param(["calibrate", "--method", "ivap", "--train", "{ones}", "--test", "{ones}",
                   "--ratio", "1:1"], 4, "degenerate model: ", id="one-class-training-file"),
     # two contiguous folds of sorted labels: fold 0's complement holds only 1s
@@ -148,6 +150,7 @@ MISUSE = [
 @pytest.mark.parametrize("argv, code, start", MISUSE)
 def test_misuse_exits_with_one_prefixed_line(tmp_path, misuse_files, capsys, argv, code, start):
     argv = [str(a).format(**misuse_files) for a in argv]
+    start = start.format(**misuse_files)
     assert run(*argv, "--out", tmp_path / "out.csv") == code
     captured = capsys.readouterr()
     assert captured.err.startswith(start) and captured.err.startswith(ERROR_PREFIXES)
@@ -156,9 +159,12 @@ def test_misuse_exits_with_one_prefixed_line(tmp_path, misuse_files, capsys, arg
 
 
 def test_one_class_positive_label_file_evaluates(misuse_files, capsys):
-    assert run("evaluate", "--pred", misuse_files["pred"], "--truth", misuse_files["ones"],
-               "--positive-label", "1") == 0
-    assert capsys.readouterr().out.splitlines()[0] == "n          2"
+    # the positive label settles the polarity: every row is labelled 1, in a 0/1 file or not
+    for truth, positive in (("ones", "1"), ("yes", "yes")):
+        assert run("evaluate", "--pred", misuse_files["pred"], "--truth", misuse_files[truth],
+                   "--positive-label", positive) == 0
+        assert capsys.readouterr().out == (
+            "n          2\nMLL        1.0\nMBL        1.0\ninfinite   0\n")
 
 
 def test_underlying_score_file_is_written_unchanged(tmp_path):
@@ -190,3 +196,10 @@ def test_sigmoid_scores_feeds_the_split_methods_only(tmp_path, data):
             predictions[method, bool(sigmoid)] = out.read_bytes()
     assert predictions["cvap", True] == predictions["cvap", False]
     assert predictions["platt", True] != predictions["platt", False]
+
+
+def test_cli_grid_exits_as_declared(tmp_path):
+    # tests/cli_grid.py's lines compare two checkouts; here each exit code is checked
+    results = cli_grid.run_grid(tmp_path / "grid")
+    assert [(argv, code) for argv, code, _ in results] == cli_grid.GRID
+    assert not any(str(tmp_path) in line for *_, line in results)  # relative paths only

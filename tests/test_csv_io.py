@@ -51,6 +51,8 @@ DATASET_TEXTS = {
     "quoted_numbers": 'a,label\n"1",0\n" 2 ",1\n',
     "quoted_header_comma": '"a,b",label\n1,0\n2,1\n',
     "quoted_newline": 'a,label\n"x\ny",0\nz,1\n',
+    # csv.reader keeps a quoted edge newline, which the strip then removes
+    "quoted_edge_newline": 'c,label\n"x\n",0\nz,1\n',
     "crlf": "a,label\r\n1,0\r\n2,1\r\n",
     "lone_cr": "a,label\r1,0\r2,1\r",
     "blank_line_middle": "a,label\n1,0\n\n2,1\n",
@@ -108,8 +110,8 @@ def test_headerless_positional_labels_match_oracle(tmp_path, text, kwargs):
 
 @pytest.mark.parametrize("positive", [None, "yes", "no", "maybe"])
 def test_positive_label_matches_oracle(tmp_path, positive):
-    assert_same(tmp_path, "a,label\n1,yes\n2,no\n", "load_csv", "label",
-                positive_label=positive)
+    for text in ("a,label\n1,yes\n2,no\n", "a,label\n1,yes\n2,yes\n"):  # two classes, one
+        assert_same(tmp_path, text, "load_csv", "label", positive_label=positive)
 
 
 @pytest.mark.parametrize("test_text", [
@@ -268,6 +270,22 @@ def assert_limit_case(tmp_path, reader, field, extra):
 @pytest.mark.parametrize("extra", [0, 1])
 def test_field_at_and_over_the_limit_match_oracle(tmp_path, reader, extra):
     assert_limit_case(tmp_path, reader, "1" * (LIMIT + extra), extra)
+
+
+@pytest.mark.parametrize("extra", [0, 1])
+def test_first_field_of_the_file_at_and_over_the_limit_matches_oracle(tmp_path, extra):
+    # no separator precedes the file's first field, so the byte path measures
+    # it from the start of the file
+    path = tmp_path / "in.csv"
+    path.write_text(f"{'1' * (LIMIT + extra)},0\n2,1\n", encoding="utf-8")
+    want = outcome(oracles.load_csv, path, 1, header=False)
+    if extra:
+        assert want == ("Error", f"field larger than field limit ({LIMIT})")
+        want = ("DataError", f"{path}: line 1: {want[1]}")
+    assert outcome(data.load_csv, path, 1, header=False) == want
+    # the byte path keeps a field at the limit, first or not, and leaves one over it to csv.reader
+    raw = path.read_bytes()
+    assert [data._record_widths(r) is None for r in (raw, b"0," + raw)] == [bool(extra)] * 2
 
 
 @pytest.mark.parametrize("reader", sorted(READER_ARGS))

@@ -1,3 +1,4 @@
+import functools
 import json
 import math
 
@@ -7,6 +8,7 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 import venncal.cvap
+from strategies import FINITE
 from venncal.cvap import CvapCalibrator, FoldAssignment, assign_folds, fold_scorers
 from venncal.data import Column, Dataset, generate_synthetic
 from venncal.exceptions import DegenerateModelError
@@ -57,6 +59,16 @@ class TestAssignFolds:
 
 def small_dataset(n=200, seed=0):
     return generate_synthetic(n, seed)
+
+
+@functools.cache
+def two_feature_models() -> dict:
+    """A fitted 3-fold model on two features (weights above 1 among them), per loss."""
+    ds = small_dataset(120, seed=4)
+    X = np.column_stack((ds.X[:, 0], 0.5 * ds.X[:, 0] + np.linspace(-1.0, 1.0, len(ds))))
+    model = CvapCalibrator.fit(Dataset(X, ds.y, ds.columns * 2), 3, ScorerSpec("logistic"))
+    return {loss: CvapCalibrator(model.folds, model.scorers, model.rules, loss)
+            for loss in ("log", "brier")}
 
 
 def spy_on_train_scorer(monkeypatch) -> list:
@@ -388,8 +400,8 @@ def test_only_a_log_loss_row_query_builds_the_log_tables():
             assert "_lists" not in vars(rule)
             assert (weights, intercept) == (scorer.weights.tolist(), scorer.intercept)
             assert keys == rule.points.scores.tolist() + [math.inf]
-            assert lower == np.log(np.maximum(1.0 - rule._lower, 1e-300)).tolist()
-            assert upper == np.log(np.maximum(rule._upper, 1e-300)).tolist()
+            assert lower == np.log(1.0 - rule._lower).tolist()
+            assert upper == np.log(rule._upper).tolist()
 
 
 def _outcome(call, x):
@@ -512,3 +524,25 @@ class TestSerialization:
     def test_unknown_merge_loss_rejected_at_fit(self):
         with pytest.raises(ValueError, match="unknown merge loss 'hinge'"):
             CvapCalibrator.fit(small_dataset(60, seed=1), 3, merge_loss="hinge")
+
+
+# `fit` (and the Platt baseline's) is not drawn here: both train the Newton
+# solver, which overflows on features of magnitude 1e158 and above and reports
+# a non-converged fit at its optimum; the finite-input check of fitting waits
+# for that solver's convergence verdict (ROADMAP items 3 and 6(b)).
+@settings(max_examples=200, deadline=None)
+@given(st.lists(st.lists(FINITE, min_size=2, max_size=2), min_size=1, max_size=6),
+       st.sampled_from(["log", "brier"]))
+def test_cvap_answers_any_finite_row_in_range_or_rejects_its_score(rows, loss):
+    # a RuntimeWarning fails this test (the pytest filterwarnings setting)
+    model = two_feature_models()[loss]
+    X = np.array(rows)
+    bad = (ValueError, "test scores must be finite")  # a score that overflows
+    singles = [_outcome(model.predict, x) for x in X]
+    answers = [s for s in singles if s != bad]
+    assert all(isinstance(s, bytes) for s in answers)
+    p = np.frombuffer(b"".join(answers))
+    assert ((0.0 <= p) & (p <= 1.0)).all()
+    # the batch fails as one of its rows does, or holds the bits of every row
+    assert _outcome(model.predict_many, X) == (
+        bad if len(answers) < len(singles) else b"".join(singles))

@@ -49,7 +49,8 @@ class TestLoadCsv:
         assert ds.label_values == ("y", "x")
         assert ds.y.tolist() == [1, 0]
 
-    @pytest.mark.parametrize("value, label_values", [("1", ("0", "1")), ("0", ("1", "0"))])
+    @pytest.mark.parametrize("value, label_values", [
+        ("1", ("0", "1")), ("0", ("1", "0")), ("yes", ("", "yes"))])
     def test_positive_label_of_a_one_class_file(self, tmp_path, value, label_values):
         # the file's one value is the positive label: every row is labelled 1
         path = write(tmp_path, f"a,label\n1,{value}\n2,{value}\n")
@@ -57,7 +58,8 @@ class TestLoadCsv:
         assert ds.label_values == label_values
         assert ds.y.tolist() == [1, 1]
         assert oracles.load_csv(path, "label", positive_label=value).y.tolist() == [1, 1]
-        with pytest.raises(DataError, match="not among"):
+        # another positive label: a 0/1 file lacks it, and a "yes" file is no 0/1 file
+        with pytest.raises(DataError, match="cannot infer" if value == "yes" else "not among"):
             load_csv(path, "label", positive_label="1" if value == "0" else "0")
 
     def test_ragged_row_rejected_with_line_number(self, tmp_path):

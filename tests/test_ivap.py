@@ -18,7 +18,7 @@ from oracles import (
     tree_size,
     where_query,
 )
-from strategies import calibration_sets, packed_batches
+from strategies import FINITE, calibration_sets, packed_batches
 from venncal.ivap import IvapCalibrator, ProbInterval
 from venncal.merging import merge
 
@@ -547,3 +547,26 @@ class TestSerialization:
             IvapCalibrator.from_dict({"format": "something-else", "version": 1})
         with pytest.raises(ValueError, match="version"):
             IvapCalibrator.from_dict({"format": "venncal.ivap", "version": 99})
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.lists(st.tuples(FINITE, st.integers(0, 1)), min_size=1, max_size=30),
+       st.lists(FINITE, min_size=1, max_size=8), st.sampled_from(["log", "brier"]), st.data())
+def test_ivap_answers_any_finite_input_in_range(pairs, queries, loss, data):
+    # a RuntimeWarning fails this test (the pytest filterwarnings setting)
+    scores, labels = (list(column) for column in zip(*pairs))
+    if data.draw(st.booleans()):  # one label that may be neither 0 nor 1
+        labels[data.draw(st.integers(0, len(labels) - 1))] = data.draw(FINITE)
+    try:
+        rule = IvapCalibrator.fit(scores, labels)
+    except ValueError as error:
+        assert str(error) == "labels must be 0 or 1"
+        assert not all(t in (0, 1) for t in labels)
+        return
+    lo, hi = rule.predict_intervals(queries)
+    assert ((0.0 <= lo) & (lo < hi) & (hi <= 1.0)).all()
+    p = rule.predict_many(queries, loss)
+    assert ((0.0 <= p) & (p <= 1.0)).all()
+    # single answers: the bits of the batch
+    assert [rule.predict_interval(q) for q in queries] == list(map(ProbInterval, lo, hi))
+    assert [rule.predict(q, loss) for q in queries] == p.tolist()

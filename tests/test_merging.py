@@ -11,6 +11,17 @@ from hypothesis.extra.numpy import arrays
 from strategies import FINITE
 from venncal.merging import merge, merged_interval, row_tables
 
+RANGE = "interval endpoints must lie in [0, 1] with p0 <= p1"
+ZERO_OVER_ZERO = "no log merge: one interval has p0 = 1 and another p1 = 0"
+
+
+def log_rule_is_zero_over_zero(p0, p1, loss):
+    """Whether some column of K >= 2 in-range intervals holds one with p0 = 1 and
+    another with p1 = 0, so that GM(1 - p0) = GM(p1) = 0 under log loss."""
+    p0, p1 = np.asarray(p0, dtype=float), np.asarray(p1, dtype=float)
+    return (loss == "log" and p0.ndim > 0 and len(p0) > 1
+            and ((p0 == 1.0).any(axis=0) & (p1 == 0.0).any(axis=0)).any())
+
 
 class TestMergeLog:
     def test_single_pair(self):
@@ -59,10 +70,34 @@ class TestMergeLog:
         assert out.shape == (2,)
         assert out[0] == pytest.approx(merge(p0[:, 0], p1[:, 0], "log"))
 
-    def test_extreme_endpoints_clamped(self):
-        # p1 = 0 and p0 = 1 cannot come from the calibrators but must not crash
-        assert 0.0 <= merge([0.0, 0.0], [0.0, 1.0], "log") <= 1.0
-        assert 0.0 <= merge([1.0, 0.0], [1.0, 1.0], "log") <= 1.0
+    def test_extreme_endpoints_merge_exactly(self):
+        # p1 = 0 and p0 = 1 cannot come from the calibrators; a geometric mean
+        # with a zero factor is exactly 0
+        assert merge([0.0, 0.0], [0.0, 1.0], "log") == 0.0
+        assert merge([1.0, 0.0], [1.0, 1.0], "log") == 1.0
+
+    @pytest.mark.parametrize("p0, p1, want", [
+        ([0.0, 0.0], [0.0, 0.0], 0.0),          # one copy gives 0.0 too
+        ([0.0, 0.0], [0.0, 0.5], 0.0),          # GM(p1) = 0 exactly
+        ([0.0, 0.0], [1e-310, 1e-310], 1e-310),  # a subnormal p1 is kept, not floored
+        ([1.0, 1.0], [1.0, 1.0], 1.0),
+    ])
+    def test_zeros_stay_exact(self, p0, p1, want):
+        for form in ((p0, p1), (np.array(p0)[:, None], np.array(p1)[:, None])):
+            assert np.asarray(merge(*form, "log")).tolist() in (want, [want])
+
+    @pytest.mark.parametrize("p0, p1", [
+        ([1.0, 0.0], [1.0, 0.0]),
+        ([0.2, 1.0, 0.0], [0.4, 1.0, 0.0]),
+        ([[0.2, 1.0], [0.3, 0.0]], [[0.4, 1.0], [0.5, 0.0]]),  # one bad column fails the batch
+    ])
+    def test_zero_over_zero_rejected(self, p0, p1):
+        with pytest.raises(ValueError, match=f"^{ZERO_OVER_ZERO}$"):
+            merge(p0, p1, "log")
+        # the crossing ends (1, 0) of the column, which `merge` would reject too
+        lo, hi = merged_interval(np.array(p0), np.array(p1))
+        assert (np.atleast_1d(lo)[-1], np.atleast_1d(hi)[-1]) == (1.0, 0.0)
+        assert np.isfinite(merge(p0, p1, "brier")).all()
 
     def test_bad_batch_rejected(self):
         with pytest.raises(ValueError):
@@ -186,10 +221,14 @@ def interval_batches(draw):
 @given(interval_batches(), st.sampled_from(["log", "brier"]))
 def test_merge_within_endpoint_range(batch, loss):
     p0, p1 = batch
-    out = merge(p0, p1, loss)
-    assert out.shape == (p0.shape[1],)
-    assert (out >= p0.min(axis=0) - 1e-12).all()
-    assert (out <= p1.max(axis=0) + 1e-12).all()
+    if log_rule_is_zero_over_zero(p0, p1, loss):
+        with pytest.raises(ValueError, match=f"^{ZERO_OVER_ZERO}$"):
+            merge(p0, p1, loss)
+    else:
+        out = merge(p0, p1, loss)
+        assert out.shape == (p0.shape[1],)
+        assert (out >= p0.min(axis=0) - 1e-12).all()
+        assert (out <= p1.max(axis=0) + 1e-12).all()
     # one interval: the 0-d, (1,) and (1, n) forms agree bit for bit
     row = merge(p0[:1], p1[:1], loss)
     for j in range(p0.shape[1]):
@@ -229,7 +268,7 @@ def test_merged_interval_ends_cross_when_folds_disagree():
         merge(lo, hi, "log")
 
 
-# endpoints at the edges of [0, 1] and of its log floor
+# endpoints at the edges of [0, 1], a subnormal among them
 EDGES = [0.0, 1.0, 5e-324, 1.0 - 2.0 ** -53]
 
 
@@ -253,6 +292,11 @@ def interval_rows(draw):
 @given(interval_rows(), st.sampled_from(["log", "brier"]))
 def test_float_row_has_the_bits_of_its_column(row, loss):
     p0, p1 = row
+    if log_rule_is_zero_over_zero(p0, p1, loss):
+        for form in ((p0, p1), (np.array(p0)[:, None], np.array(p1)[:, None])):
+            with pytest.raises(ValueError, match=f"^{ZERO_OVER_ZERO}$"):
+                merge(*form, loss)
+        return
     got = merge(p0, p1, loss)
     assert type(got) is float
     column = merge(np.array(p0)[:, None], np.array(p1)[:, None], loss)
@@ -303,9 +347,27 @@ def test_any_finite_endpoints_merge_into_unit_range_or_are_rejected(k, n, data, 
         try:
             out = merge(a, b, loss)
         except ValueError as e:
-            assert str(e) == "interval endpoints must lie in [0, 1] with p0 <= p1"
+            # the range check first; in range, the log rule's 0/0 and nothing else
+            assert str(e) == RANGE or (str(e) == ZERO_OVER_ZERO
+                                       and log_rule_is_zero_over_zero(a, b, loss))
         else:
+            assert not log_rule_is_zero_over_zero(a, b, loss)
             assert ((0.0 <= np.asarray(out)) & (np.asarray(out) <= 1.0)).all()
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.integers(2, 10), st.one_of(st.sampled_from(EDGES + [1e-310]), st.floats(0.0, 1.0)),
+       st.one_of(st.sampled_from(EDGES + [1e-310]), st.floats(0.0, 1.0)))
+def test_copies_of_one_interval_merge_to_its_single_merge(k, a, b):
+    p0, p1 = min(a, b), max(a, b)
+    single = merge(p0, p1, "log")
+    for form in (([p0] * k, [p1] * k), (np.full((k, 1), p0), np.full((k, 1), p1))):
+        got = float(np.asarray(merge(*form, "log")).ravel()[0])
+        if p1 == 0.0:
+            assert got == single == 0.0
+        # the mean of k logs rounds by up to k ulps, which exp scales by |log x| <= 745;
+        # a subnormal GM(p1) is absolute, not relative, rounding
+        assert got == pytest.approx(single, rel=k * 745 * 2.0 ** -52, abs=1e-321)
 
 
 # padded tables of k = 1..4 keys, with entries outside [0, 1] and NaN among them
@@ -327,8 +389,8 @@ def test_row_tables_reject_exactly_the_tables_with_a_bad_readable_pair(tables):
         return
     closed = keys.tolist() + [math.inf]
     assert row_tables(keys, lower, upper) == (closed, lower.tolist(), upper.tolist())
-    # the log terms of the batch merge, floored at 1e-300 (a cross calibrator's row
+    # the exact log terms of the batch merge, -inf for a 0 (a cross calibrator's row
     # has its batch bits: tests/test_cvap.py)
-    assert row_tables(keys, lower, upper, log=True) == (
-        closed, np.log(np.maximum(1.0 - lower, 1e-300)).tolist(),
-        np.log(np.maximum(upper, 1e-300)).tolist())
+    with np.errstate(divide="ignore"):
+        logs = np.log(1.0 - lower).tolist(), np.log(upper).tolist()
+    assert row_tables(keys, lower, upper, log=True) == (closed, *logs)
