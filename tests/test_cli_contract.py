@@ -2,6 +2,7 @@
 byte-identically, and every misuse exits 2, 3 or 4 with one prefixed line."""
 
 import json
+from pathlib import Path
 
 import pytest
 
@@ -198,8 +199,27 @@ def test_sigmoid_scores_feeds_the_split_methods_only(tmp_path, data):
     assert predictions["platt", True] != predictions["platt", False]
 
 
-def test_cli_grid_exits_as_declared(tmp_path):
-    # tests/cli_grid.py's lines compare two checkouts; here each exit code is checked
-    results = cli_grid.run_grid(tmp_path / "grid")
+@pytest.fixture(scope="module")
+def grid(tmp_path_factory):
+    """(directory, results) of one run of tests/cli_grid.py's GRID."""
+    root = tmp_path_factory.mktemp("grid")
+    return root, cli_grid.run_grid(root / "grid")
+
+
+def test_cli_grid_exits_as_declared(grid):
+    root, results = grid
     assert [(argv, code) for argv, code, _ in results] == cli_grid.GRID
-    assert not any(str(tmp_path) in line for *_, line in results)  # relative paths only
+    assert not any(str(root) in line for *_, line in results)  # relative paths only
+
+
+def test_cli_grid_matches_expected_lines(grid):
+    # every CLI byte, message and exit code of the grid, as pinned for the
+    # committed code on the platform its header names
+    text = Path(cli_grid.__file__).with_name("cli_grid.expected").read_text(encoding="utf-8")
+    header = dict(line[2:].split(": ", 1) for line in text.splitlines() if line.startswith("# "))
+    differ = [f"{field} is {value!r} here, {header.get(field)!r} in the file"
+              for field, value in cli_grid.platform_fields().items() if header.get(field) != value]
+    if differ:
+        pytest.skip("cli_grid.expected was made on another platform: " + "; ".join(differ))
+    expected = [line for line in text.splitlines() if not line.startswith("# ")]
+    assert [line for *_, line in grid[1]] == expected
