@@ -26,25 +26,17 @@ from venncal.data import Dataset
 from venncal.exceptions import DegenerateModelError
 from venncal.ivap import IvapCalibrator
 from venncal.merging import LOSSES, merge, row_tables
-from venncal.scorers import LogisticScorer, ScorerSpec, scorer_from_dict, train_scorer
+from venncal.scorers import LogisticScorer, ScorerSpec, train_scorer
 
 __all__ = ["FoldAssignment", "assign_folds", "fold_scorers", "fold_intervals", "CvapCalibrator"]
 
 
 @dataclass(frozen=True)
 class FoldAssignment:
-    """Maps each of n observations to one of K folds.
-
-    Contiguous mode gives the first (n mod K) folds ceil(n/K) observations
-    and the rest floor(n/K), so every fold size is within 1 of n/K.
-    Randomized mode shuffles that assignment with a seeded Fisher-Yates
-    permutation (numpy Generator.shuffle), preserving the size multiset.
-    """
+    """Maps each of n observations to one of K folds."""
 
     n_folds: int
     fold_of: np.ndarray
-    mode: str
-    seed: int | None = None
 
     def indices(self, fold: int) -> np.ndarray:
         return np.nonzero(self.fold_of == fold)[0]
@@ -52,23 +44,22 @@ class FoldAssignment:
     def complement(self, fold: int) -> np.ndarray:
         return np.nonzero(self.fold_of != fold)[0]
 
-    def sizes(self) -> np.ndarray:
-        return np.bincount(self.fold_of, minlength=self.n_folds)
-
-
-def _check_fold_mode(mode) -> None:
-    if mode not in ("contiguous", "randomized"):
-        raise ValueError(f"unknown fold mode {mode!r}")
-
 
 def assign_folds(n: int, n_folds: int, mode: str = "contiguous",
                  seed: int | None = None) -> FoldAssignment:
-    """Assign n observations to K folds; 2 <= K <= n required."""
+    """Assign n observations to K folds; 2 <= K <= n required.
+
+    Contiguous mode gives the first (n mod K) folds ceil(n/K) observations
+    and the rest floor(n/K), so every fold size is within 1 of n/K.
+    Randomized mode shuffles that assignment with a seeded Fisher-Yates
+    permutation (numpy Generator.shuffle), preserving the size multiset.
+    """
     if n_folds < 2:
         raise ValueError(f"need at least 2 folds, got {n_folds}")
     if n_folds > n:
         raise ValueError(f"cannot split {n} observations into {n_folds} folds")
-    _check_fold_mode(mode)
+    if mode not in ("contiguous", "randomized"):
+        raise ValueError(f"unknown fold mode {mode!r}")
     base, extra = divmod(n, n_folds)
     sizes = np.full(n_folds, base, dtype=np.int64)
     sizes[:extra] += 1
@@ -76,7 +67,7 @@ def assign_folds(n: int, n_folds: int, mode: str = "contiguous",
     if mode == "randomized":
         rng = np.random.default_rng(seed)
         rng.shuffle(fold_of)
-    return FoldAssignment(n_folds, fold_of, mode, seed)
+    return FoldAssignment(n_folds, fold_of)
 
 
 def fold_scorers(dataset: Dataset, folds: FoldAssignment, spec: ScorerSpec):
@@ -104,11 +95,6 @@ def fold_intervals(pairs) -> tuple[np.ndarray, np.ndarray]:
     return np.stack(lows), np.stack(highs)
 
 
-def _check_merge_loss(loss: str) -> None:
-    if loss not in LOSSES:
-        raise ValueError(f"unknown merge loss {loss!r}")
-
-
 class CvapCalibrator:
     """K fold-wise scorers and interval calibrators plus the merge rule.
 
@@ -116,9 +102,6 @@ class CvapCalibrator:
     are safe to run concurrently and the merge is a pure function of the K
     intervals (racing first rows at worst build equal row tables twice).
     """
-
-    FORMAT = "venncal.cvap"
-    VERSION = 1
 
     def __init__(self, folds: FoldAssignment, scorers: list, rules: list[IvapCalibrator],
                  merge_loss: str = "log"):
@@ -142,7 +125,8 @@ class CvapCalibrator:
         Raises DegenerateModelError when any fold or fold complement contains
         a single class; a silent fallback would corrupt comparisons.
         """
-        _check_merge_loss(merge_loss)
+        if merge_loss not in LOSSES:
+            raise ValueError(f"unknown merge loss {merge_loss!r}")
         folds = assign_folds(len(dataset), n_folds, mode, seed)
         scorers, rules = [], []
         for k, (fold_idx, scorer) in enumerate(fold_scorers(dataset, folds, spec or ScorerSpec())):
@@ -195,46 +179,3 @@ class CvapCalibrator:
             sum_hi += upper[i]
         gm_q0, gm_p1 = np.exp((sum_lo / len(tables), sum_hi / len(tables))).tolist()
         return gm_p1 / (gm_q0 + gm_p1)
-
-    # ---- serialization --------------------------------------------------
-
-    def to_dict(self) -> dict:
-        return {
-            "format": self.FORMAT,
-            "version": self.VERSION,
-            "n_folds": self.folds.n_folds,
-            "fold_of": self.folds.fold_of.tolist(),
-            "fold_mode": self.folds.mode,
-            "fold_seed": self.folds.seed,
-            "merge_loss": self.merge_loss,
-            "scorers": [s.to_dict() for s in self.scorers],
-            "rules": [r.to_dict() for r in self.rules],
-        }
-
-    @classmethod
-    def from_dict(cls, d: dict) -> "CvapCalibrator":
-        if d.get("format") != cls.FORMAT:
-            raise ValueError(f"not a cross-calibrator record: {d.get('format')!r}")
-        if d.get("version") != cls.VERSION:
-            raise ValueError(f"unsupported version {d.get('version')!r}")
-        _check_merge_loss(d["merge_loss"])
-        n_folds = d["n_folds"]
-        if not isinstance(n_folds, int):
-            raise ValueError(f"n_folds must be an integer, got {n_folds!r}")
-        fold_of = np.asarray(d["fold_of"])
-        if (fold_of.ndim != 1 or fold_of.dtype.kind not in "iu"
-                or not ((fold_of >= 0) & (fold_of < n_folds)).all()):
-            raise ValueError(f"fold_of must assign every row to one of {n_folds} folds")
-        _check_fold_mode(d["fold_mode"])
-        seed = d["fold_seed"]
-        if not (seed is None or isinstance(seed, int) and not isinstance(seed, bool)):
-            raise ValueError(f"fold_seed must be an integer or null, got {seed!r}")
-        folds = FoldAssignment(n_folds, fold_of.astype(np.int64), d["fold_mode"], seed)
-        scorers = [scorer_from_dict(s) for s in d["scorers"]]
-        rules = [IvapCalibrator.from_dict(r) for r in d["rules"]]
-        model = cls(folds, scorers, rules, d["merge_loss"])  # checks counts and widths first
-        calibrated = [int(rule.points.weights.sum()) for rule in rules]
-        if calibrated != folds.sizes().tolist():
-            raise ValueError(f"rules calibrated on {calibrated} rows for folds of "
-                             f"{folds.sizes().tolist()} rows")
-        return model

@@ -14,8 +14,8 @@ A single score takes one `bisect` on the keys (closed by +inf) and reads the
 same tables held as Python lists, with the bits of the batch query and no
 numpy call; `predict` merges that pair with `merging._single`, not `merge`.
 The three lists are built and range-checked on the first single-score
-query, never by `fit`, `from_dict`, `to_dict`, a batch query or a cross
-calibrator, which builds its own row tables from each fold rule's.
+query, never by `fit`, a batch query or a cross calibrator, which builds
+its own row tables from each fold rule's.
 """
 
 from __future__ import annotations
@@ -55,9 +55,6 @@ class IvapCalibrator:
     threads racing to the first single-score query at worst build equal
     lists twice).
     """
-
-    FORMAT = "venncal.ivap"
-    VERSION = 1
 
     def __init__(self, points: WeightedPoints):
         self.points = points
@@ -132,54 +129,3 @@ class IvapCalibrator:
     def predict_many(self, scores, loss: str = "log") -> np.ndarray:
         lo, hi = self.predict_intervals(scores)
         return merge(lo[None, :], hi[None, :], loss)
-
-    # ---- serialization --------------------------------------------------
-
-    def to_dict(self) -> dict:
-        return {
-            "format": self.FORMAT,
-            "version": self.VERSION,
-            "scores": self.points.scores.tolist(),
-            "weights": self.points.weights.tolist(),
-            "label_sums": self.points.label_sums.tolist(),
-            "p0": self.p0.tolist(),
-            "p1": self.p1.tolist(),
-        }
-
-    @classmethod
-    def from_dict(cls, d: dict) -> "IvapCalibrator":
-        """The rule of a `to_dict` record, its curves rebuilt by the sweep of `fit`.
-
-        Raises ValueError unless the rebuilt curves equal the stored p0 and p1.
-        """
-        if d.get("format") != cls.FORMAT:
-            raise ValueError(f"not an interval-calibrator record: {d.get('format')!r}")
-        if d.get("version") != cls.VERSION:
-            raise ValueError(f"unsupported version {d.get('version')!r}")
-        scores, weights, label_sums, p0, p1 = (
-            np.asarray(d[key], dtype=float)
-            for key in ("scores", "weights", "label_sums", "p0", "p1"))
-        _check_tables(scores, weights, label_sums, p0, p1)
-        rule = cls(WeightedPoints(scores, weights.astype(np.int64), label_sums))
-        if not (np.array_equal(rule.p0, p0) and np.array_equal(rule.p1, p1)):
-            raise ValueError("p0 and p1 are not the curves of the stored points")
-        return rule
-
-
-def _check_tables(scores, weights, label_sums, p0, p1) -> None:
-    """Raise ValueError unless the arrays can be the tables of a fitted rule."""
-    n = len(scores)
-    if n == 0 or any(a.ndim != 1 or len(a) != n for a in (scores, weights, label_sums, p0, p1)):
-        raise ValueError("scores, weights, label_sums, p0 and p1 need one equal, non-zero length")
-    if not (np.isfinite(scores).all() and (scores[1:] > scores[:-1]).all()):
-        raise ValueError("scores must be finite and strictly increasing")
-    # bounded before `from_dict` casts them to int64, which warns above 2^63
-    if not (((weights >= 1) & (weights <= 2.0 ** 53)).all()
-            and (weights == np.floor(weights)).all()):
-        raise ValueError("weights must be positive integers of at most 2^53")
-    if not ((label_sums >= 0) & (label_sums <= weights)).all():
-        raise ValueError("label sums must lie between 0 and the weight")
-    if not ((p0 >= 0) & (p0 < p1) & (p1 <= 1)).all():
-        raise ValueError("the curves need 0 <= p0 < p1 <= 1 at every score")
-    if not ((np.diff(p0) >= 0).all() and (np.diff(p1) >= 0).all()):
-        raise ValueError("p0 and p1 must be non-decreasing in the score")

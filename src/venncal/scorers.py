@@ -27,7 +27,6 @@ __all__ = [
     "StumpScorer",
     "ConstantScorer",
     "train_scorer",
-    "scorer_from_dict",
 ]
 
 KINDS = ("logistic", "stump", "constant")
@@ -89,10 +88,6 @@ class LogisticScorer(_Scorer):
     def probability_many(self, X) -> np.ndarray:
         return _sigmoid(self.score_many(X))
 
-    def to_dict(self) -> dict:
-        return {"kind": "logistic", "weights": self.weights.tolist(),
-                "intercept": self.intercept}
-
 
 @dataclass
 class StumpScorer(_Scorer):
@@ -109,10 +104,6 @@ class StumpScorer(_Scorer):
 
     probability_many = score_many
 
-    def to_dict(self) -> dict:
-        return {"kind": "stump", "feature": self.feature, "threshold": self.threshold,
-                "high_is_one": self.high_is_one, "n_features": self.n_features}
-
 
 @dataclass
 class ConstantScorer(_Scorer):
@@ -125,9 +116,6 @@ class ConstantScorer(_Scorer):
         return np.full(len(X), self.value)
 
     probability_many = score_many
-
-    def to_dict(self) -> dict:
-        return {"kind": "constant", "value": self.value, "n_features": self.n_features}
 
 
 def _linear(columns, coefs, intercept, n: int) -> np.ndarray:
@@ -242,27 +230,3 @@ def train_scorer(spec: ScorerSpec, X, y):
     if spec.kind == "stump":
         return _train_stump(X, y)
     return ConstantScorer(float(np.mean(y)), X.shape[1])
-
-
-def scorer_from_dict(d: dict):
-    """Rebuild a trained scorer from its serialized form."""
-    kind = d.get("kind")
-    if kind == "logistic":
-        weights, intercept = np.asarray(d["weights"], dtype=float), float(d["intercept"])
-        if not (np.isfinite(weights).all() and np.isfinite(intercept)):
-            raise ValueError("logistic weights and intercept must be finite")
-        return LogisticScorer(weights, intercept, [])
-    if kind == "stump":
-        feature, n_features = int(d["feature"]), int(d["n_features"])
-        if not 0 <= feature < n_features:
-            raise ValueError(f"stump feature {feature} is not one of {n_features} features")
-        threshold = float(d["threshold"])
-        if not np.isfinite(threshold):
-            raise ValueError(f"stump threshold {threshold!r} is not finite")
-        return StumpScorer(feature, threshold, bool(d["high_is_one"]), n_features)
-    if kind == "constant":
-        value = float(d["value"])
-        if not 0.0 <= value <= 1.0:
-            raise ValueError(f"constant scorer value {value!r} is not in [0, 1]")
-        return ConstantScorer(value, int(d["n_features"]))
-    raise ValueError(f"unknown scorer kind {kind!r}")

@@ -194,7 +194,7 @@ def test_criterion_06_count_bounds():
         except DegenerateModelError:
             continue
         built += 1
-        k_max = int(np.max(model.folds.sizes()))
+        k_max = int(np.max(np.bincount(model.folds.fold_of)))
         p = model.predict_many(rng.normal(scale=2, size=(8, 1)))
         assert np.all(p >= 1.0 / (k_max + 2) - 1e-12)
         assert np.all(p <= 1.0 - 1.0 / (k_max + 2) + 1e-12)
