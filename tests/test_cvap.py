@@ -378,10 +378,10 @@ def test_only_a_log_loss_row_query_builds_the_log_tables():
     X = np.linspace(-3, 3, 7)[:, None]
     model = CvapCalibrator.fit(ds, 3, ScorerSpec("logistic"))
     model.predict_many(X)
-    loaded = CvapCalibrator(model.folds, model.scorers,
-                            [IvapCalibrator(rule.points) for rule in model.rules])
-    loaded.predict_intervals_many(X)
-    models = [model, loaded]
+    rebuilt = CvapCalibrator(model.folds, model.scorers,
+                             [IvapCalibrator(rule.points) for rule in model.rules])
+    rebuilt.predict_intervals_many(X)
+    models = [model, rebuilt]
     assert not any("_row_tables" in vars(m) for m in models)
     standalone = IvapCalibrator.fit(ds.X[:40, 0], ds.y[:40])
     standalone.predict_interval(0.3)
@@ -389,7 +389,7 @@ def test_only_a_log_loss_row_query_builds_the_log_tables():
     standalone.predict(0.3, "brier")
     assert "_lists" in vars(standalone)
     model.predict(X[0])
-    loaded.predict(X[0])
+    rebuilt.predict(X[0])
     brier = CvapCalibrator(model.folds, model.scorers,
                            [IvapCalibrator(rule.points) for rule in model.rules], "brier")
     brier.predict(X[0])
