@@ -10,8 +10,8 @@ solver (`scorers._newton`) on z = -(a*s + b) with ridge 0, each line search
 starting at the full Newton step, as in Lin, Lin & Weng (2007).  The direct
 isotonic calibrator fits the plain isotonic regression and answers queries
 with a left-step lookup (the fitted value at the largest calibration score
-not exceeding the query, the first fitted value below all scores), searched
-over the batch in `isotonic._packed_order` and put back in input order.  It has
+not exceeding the query, the first fitted value below all scores): IVAP's
+`isotonic._step_lookup` on the table [fitted[0]] + fitted.  It has
 no regularization, so a test score below every calibration score can be
 assigned probability exactly 0.  Both fits reject non-finite calibration
 scores, isotonic before it adds its dummy endpoints.
@@ -24,7 +24,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from venncal.exceptions import DegenerateModelError
-from venncal.isotonic import _packed_order, calibration_set, dedup_weighted, fit_isotonic
+from venncal.isotonic import _step_lookup, calibration_set, dedup_weighted, fit_isotonic
 from venncal.scorers import _newton, _sigmoid
 
 __all__ = ["PlattCalibrator", "DirectIsotonic"]
@@ -103,8 +103,5 @@ class DirectIsotonic:
         s = np.asarray(scores, dtype=float)
         if np.isnan(s).any():
             raise ValueError("test scores must not be NaN")
-        flat = s.ravel()
-        order = _packed_order(flat)
-        idx = np.empty(flat.shape, dtype=np.intp)
-        idx[order] = np.searchsorted(self.scores, flat[order], side="right")
-        return self.fitted[np.maximum(idx.reshape(s.shape) - 1, 0)]
+        table = np.concatenate((self.fitted[:1], self.fitted))
+        return _step_lookup(self.scores, s.ravel(), table)[0].reshape(s.shape)[()]

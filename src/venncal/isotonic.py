@@ -1,10 +1,13 @@
 """Weighted isotonic regression on the real line via convex-minorant geometry.
 
 `calibration_set` is every calibrator's one check of its inputs (finite
-scores, 0/1 labels).  `dedup_weighted` makes the one exact sort: a default-kind
-argsort, then a `!=` pass for block starts and `np.add.reduceat`; a 0.0/-0.0
-tie keeps its first zero.  The left-step lookups search a query batch in
-`_packed_order`, which leaves near ties of very wide batches in input order.
+scores, 0/1 labels).  `dedup_weighted` sorts with `_sorted_batch`, then a `!=`
+pass finds block starts and `np.add.reduceat` sums labels; a 0.0/-0.0 tie keeps
+its first zero.  `_sorted_batch` is `_packed_order`, exact unless near ties of a
+very wide batch stay in input order, repaired by a stable argsort only then.
+`_step_lookup` answers both batch step lookups: against a batch over four times
+longer than the keys it searches the keys in the sorted batch and repeats the
+tables by the counts; otherwise it searches each query in the keys.
 
 The cumulative sum diagram (CSD) of a sorted, weighted score sequence is the
 polyline whose i-th vertex is (cumulative weight, cumulative label sum).  The
@@ -93,10 +96,10 @@ def calibration_set(scores, labels) -> tuple[np.ndarray, np.ndarray]:
 def dedup_weighted(scores, labels) -> WeightedPoints:
     """Sort scores, merge duplicates, and record multiplicities and label sums.
 
-    One default-kind argsort; a `!=` pass over the sorted scores gives the
+    One `_sorted_batch`; a `!=` pass over the sorted scores gives the
     block starts, hence the distinct scores, `np.diff` weights and
     `np.add.reduceat` label sums.  Label sums are exact for integer labels;
-    fractional labels in a tie are summed in an unspecified order.  A
+    fractional labels in a tie are summed in `_sorted_batch` order.  A
     0.0/-0.0 tie keeps the zero that comes first in the input.  Raises
     ValueError on empty input, length mismatch, or NaN scores.
     """
@@ -110,8 +113,7 @@ def dedup_weighted(scores, labels) -> WeightedPoints:
         raise ValueError("empty calibration set")
     if np.isnan(s).any():
         raise ValueError("scores must not contain NaN")
-    order = np.argsort(s)
-    ss = s[order]
+    order, ss = _sorted_batch(s)
     first = np.ones(len(ss), dtype=bool)  # one bool array, not two: lower peak memory
     np.not_equal(ss[1:], ss[:-1], out=first[1:])
     start = np.flatnonzero(first)
@@ -140,6 +142,47 @@ def _packed_order(flat: np.ndarray) -> np.ndarray:
     key.sort()
     key &= np.uint64((1 << b) - 1)
     return key.view(np.intp)
+
+
+def _sorted_batch(flat: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """`(order, flat[order])` with `flat[order]` exactly nondecreasing: `_packed_order`,
+    then, only if near ties of a wide batch left a descent, a stable argsort of the
+    nearly sorted values.  Values with equal bits stay in index order."""
+    order = _packed_order(flat)
+    ss = flat[order]
+    if (ss[1:] < ss[:-1]).any():
+        fix = np.argsort(ss, kind="stable")
+        order, ss = order[fix], ss[fix]
+    return order, ss
+
+
+def _step_lookup(keys, flat, lower, upper=None):
+    """`lower[#keys <= x]` and `upper[#keys < x]` (or None) for each x of a NaN-free batch,
+    in input order; `keys` strictly increasing, each table one entry longer.  Against a
+    batch over four times the keys' length, the keys are searched in the exactly sorted
+    batch and each entry repeated by its count; else each query is searched in the keys."""
+    n = len(flat)
+
+    def in_input_order(values):
+        out = np.empty_like(flat)
+        out[order] = values
+        return out
+
+    if 4 * len(keys) < n:
+        order, ss = _sorted_batch(flat)
+        counts = [np.diff(ss.searchsorted(keys, side), prepend=0, append=n)
+                  for side in ("left", "right")[:1 + (upper is not None)]]
+        del ss  # fewer live batch-sized buffers: lower peak memory
+        lo = in_input_order(np.repeat(lower, counts[0]))
+        return lo, None if upper is None else in_input_order(np.repeat(upper, counts[1]))
+    order = _packed_order(flat)
+    ss = flat[order]
+    i = keys.searchsorted(ss, side="left")
+    hit = keys[np.minimum(i, len(keys) - 1)] == ss
+    del ss
+    hi = None if upper is None else in_input_order(upper[i])
+    i += hit
+    return in_input_order(lower[i]), hi
 
 
 def _csd(points: WeightedPoints) -> tuple[np.ndarray, np.ndarray]:

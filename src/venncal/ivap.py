@@ -8,8 +8,10 @@ returns the lower value of its left neighbour and the upper value of its
 right neighbour; outside the score range the missing side falls back to the
 boundary conventions 0 and 1.  This reproduces, for every s, the isotonic
 fit at s of the calibration set with (s, 0) respectively (s, 1) appended.
-The tables are stored padded, lower = [0] + p0 and upper = p1 + [1]; a batch is
-put in `_packed_order` once, searched once on the keys, and read from the tables.
+The tables are stored padded, lower = [0] + p0 and upper = p1 + [1], and a batch
+reads them through `isotonic._step_lookup`: over four times longer than the keys,
+it repeats each entry by the count of sorted queries that read it; otherwise each
+query is searched in the keys.
 A single score takes one `bisect` on the keys (closed by +inf) and reads the
 same tables held as Python lists, with the bits of the batch query and no
 numpy call; `predict` merges that pair with `merging._single`, not `merge`.
@@ -29,7 +31,7 @@ import numpy as np
 
 from venncal.isotonic import (
     WeightedPoints,
-    _packed_order,
+    _step_lookup,
     calibration_set,
     dedup_weighted,
     lower_prob_scan,
@@ -89,16 +91,7 @@ class IvapCalibrator:
         flat = s.ravel()
         if not np.isfinite(flat).all():
             raise ValueError("test scores must be finite")
-        order = _packed_order(flat)
-        ss = flat[order]
-        keys = self.points.scores
-        i = keys.searchsorted(ss, side="left")
-        hit = keys[np.minimum(i, len(keys) - 1)] == ss
-        del ss  # fewer live batch-sized buffers: lower peak memory
-        lo, hi = np.empty_like(flat), np.empty_like(flat)
-        hi[order] = self._upper[i]
-        i += hit
-        lo[order] = self._lower[i]
+        lo, hi = _step_lookup(self.points.scores, flat, self._lower, self._upper)
         return lo.reshape(s.shape), hi.reshape(s.shape)
 
     @cached_property

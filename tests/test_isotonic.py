@@ -16,6 +16,7 @@ from venncal.isotonic import (
     _graham_scan,
     _lower_hull,
     _packed_order,
+    _sorted_batch,
     dedup_weighted,
     fit_isotonic,
     lower_prob_scan,
@@ -210,6 +211,28 @@ def test_packed_order_is_the_promised_permutation(batch):
         keyed = batch[got]
         assert (keyed[1:] >= keyed[:-1]).all()
         assert not ((keyed[1:] == 0.0) & np.signbit(keyed[1:]) & ~np.signbit(keyed[:-1])).any()
+
+
+@settings(max_examples=400, deadline=None)
+@given(packed_batches())
+def test_sorted_batch_is_an_exact_order(batch):
+    # also where the packed order leaves near ties of a wide batch reversed
+    batch = np.array([x for x in batch if not math.isnan(x)])
+    order, ss = _sorted_batch(batch)
+    assert sorted(order.tolist()) == list(range(len(batch)))
+    assert ss.tobytes() == batch[order].tobytes()
+    assert (ss[1:] >= ss[:-1]).all()
+    bits = ss.view(np.int64)
+    assert (order[1:] > order[:-1])[bits[1:] == bits[:-1]].all()
+
+
+def test_sorted_batch_repairs_a_wide_batch():
+    run = [1.0]
+    for _ in range(40):
+        run.append(math.nextafter(run[-1], -math.inf))
+    batch = np.array(run + [-1e300])
+    order, ss = _sorted_batch(batch)
+    assert order.tolist() == [41, *range(40, -1, -1)]
 
 
 class TestFitIsotonic:
