@@ -1,13 +1,10 @@
 """Weighted isotonic regression on the real line via convex-minorant geometry.
 
 `calibration_set` is every calibrator's one check of its inputs (finite
-scores, 0/1 labels).  `dedup_weighted` sorts with `_sorted_batch`, then a `!=`
-pass finds block starts and `np.add.reduceat` sums labels; a 0.0/-0.0 tie keeps
-its first zero.  `_sorted_batch` is `_packed_order`, exact unless near ties of a
-very wide batch stay in input order, repaired by a stable argsort only then.
-`_step_lookup` answers both batch step lookups: against a batch over four times
-longer than the keys it searches the keys in the sorted batch and repeats the
-tables by the counts; otherwise it searches each query in the keys.
+scores, 0/1 labels).  `dedup_weighted` sorts with `_sorted_batch` (the packed
+order, repaired where near ties of a very wide batch left it inexact), then a
+`!=` pass finds block starts and `np.add.reduceat` sums labels; a 0.0/-0.0 tie
+keeps its first zero.  `_step_lookup` is both calibrators' batch step lookup.
 
 The cumulative sum diagram (CSD) of a sorted, weighted score sequence is the
 polyline whose i-th vertex is (cumulative weight, cumulative label sum).  The
