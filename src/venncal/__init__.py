@@ -9,7 +9,7 @@ support end-to-end comparisons.
 """
 
 from venncal.baselines import DirectIsotonic, PlattCalibrator
-from venncal.cvap import CvapCalibrator, FoldAssignment, assign_folds
+from venncal.cvap import CvapCalibrator, assign_folds
 from venncal.data import (
     Dataset,
     generate_synthetic,
@@ -32,7 +32,6 @@ __all__ = [
     "DegenerateModelError",
     "DirectIsotonic",
     "EvalReport",
-    "FoldAssignment",
     "IvapCalibrator",
     "PlattCalibrator",
     "ProbInterval",

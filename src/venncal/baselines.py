@@ -73,7 +73,9 @@ class PlattCalibrator:
         s = np.asarray(scores, dtype=float)
         if np.isnan(s).any():
             raise ValueError("test scores must not be NaN")
-        return _sigmoid(-(self.a * s + self.b))
+        with np.errstate(over="ignore"):  # a finite a*s past the float range is an exact +-inf
+            z = self.a * s + self.b if self.a else np.full_like(s, self.b)  # 0*inf is NaN
+        return _sigmoid(-z)
 
 
 @dataclass

@@ -120,11 +120,11 @@ def _n_folds(args) -> int:
 
 def _tuned_ridge(ds: Dataset, n_folds: int, spec: ScorerSpec) -> float:
     """The first grid ridge of least cumulative Brier loss over contiguous folds."""
-    folds = assign_folds(len(ds), n_folds)
+    fold_of = assign_folds(len(ds), n_folds)
 
     def cumulative_brier(ridge: float) -> float:
         return sum(float(np.sum(4.0 * (ds.y[fold] - s.probability_many(ds.X[fold])) ** 2))
-                   for fold, s in fold_scorers(ds, folds, replace(spec, ridge=ridge)))
+                   for fold, s in fold_scorers(ds, fold_of, replace(spec, ridge=ridge)))
     return min(TUNE_RIDGE_GRID, key=cumulative_brier)
 
 
@@ -187,9 +187,9 @@ def _feature_inputs(methods, args, train_ds: Dataset, test_ds: Dataset, spec: Sc
     scored = None
     for method in methods:
         if method == "cvap":
-            mode = "randomized" if args.randomize_folds else "contiguous"
-            model = CvapCalibrator.fit(train_ds, _n_folds(args), spec, mode=mode,
-                                       seed=_sub_seed(args.seed, 1), merge_loss=args.merge)
+            seed = _sub_seed(args.seed, 1) if args.randomize_folds else None
+            model = CvapCalibrator.fit(train_ds, _n_folds(args), spec, shuffle_seed=seed,
+                                       merge_loss=args.merge)
             yield method, model.predict_intervals_many(test_ds.X)
             continue
         if scored is None:
@@ -198,9 +198,9 @@ def _feature_inputs(methods, args, train_ds: Dataset, test_ds: Dataset, spec: Sc
             else:
                 if not args.ratio:
                     raise UsageError(f"method {method!r} needs --ratio (or --all-mode)")
+                seed = _sub_seed(args.seed, 0) if args.randomize_split else None
                 proper, calibration = split_proper_calibration(
-                    train_ds, _parse_ratio(args.ratio),
-                    permute=args.randomize_split, seed=_sub_seed(args.seed, 0))
+                    train_ds, _parse_ratio(args.ratio), shuffle_seed=seed)
             scorer = train_scorer(spec, proper.X, proper.y)
             score = scorer.probability_many if args.sigmoid_scores else scorer.score_many
             scored = score(calibration.X), calibration.y, score(test_ds.X)
@@ -392,6 +392,8 @@ def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
+        if getattr(args, "seed", 0) < 0:  # evaluate has no --seed
+            raise UsageError(f"--seed must be non-negative, got {args.seed}")
         return args.func(args)
     except UsageError as exc:
         print(f"usage error: {exc}", file=sys.stderr)

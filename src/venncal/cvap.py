@@ -1,10 +1,11 @@
 """Cross calibration: K fold-wise interval calibrators merged minimax-optimally.
 
-The training set is split into K folds of near-equal size (contiguous by
-default; a seeded shuffle on request).  For each fold, `fold_scorers` (which
-the CLI's ridge search shares) trains a scorer on the complement, and an
-interval calibrator is built from the fold's scores under that scorer, so no
-observation ever calibrates a scorer that saw it.
+A fitted model is its K (scorer, rule) pairs.  `assign_folds` splits the
+rows into K near-equal folds (contiguous, or shuffled by a given seed), used
+only while fitting.  For each fold, `fold_scorers` (which the CLI's ridge
+search shares) trains a scorer on the complement, and an interval calibrator
+is fitted on the fold's scores under it, so no observation ever calibrates a
+scorer that saw it.
 A prediction computes K intervals and merges them with the minimax rule for
 the configured loss.  A single row of an all-logistic model under log loss
 is one loop over per-fold row tables built on the first row: a fold scores
@@ -16,7 +17,6 @@ a row as its batch of one.
 from __future__ import annotations
 
 from bisect import bisect_left
-from dataclasses import dataclass
 from functools import cached_property
 from math import isfinite
 
@@ -28,57 +28,39 @@ from venncal.ivap import IvapCalibrator
 from venncal.merging import LOSSES, merge, row_tables
 from venncal.scorers import LogisticScorer, ScorerSpec, train_scorer
 
-__all__ = ["FoldAssignment", "assign_folds", "fold_scorers", "fold_intervals", "CvapCalibrator"]
+__all__ = ["assign_folds", "fold_scorers", "fold_intervals", "CvapCalibrator"]
 
 
-@dataclass(frozen=True)
-class FoldAssignment:
-    """Maps each of n observations to one of K folds."""
+def assign_folds(n: int, n_folds: int, shuffle_seed: int | None = None) -> np.ndarray:
+    """The fold (0..K-1) of each of n observations; 2 <= K <= n required.
 
-    n_folds: int
-    fold_of: np.ndarray
-
-    def indices(self, fold: int) -> np.ndarray:
-        return np.nonzero(self.fold_of == fold)[0]
-
-    def complement(self, fold: int) -> np.ndarray:
-        return np.nonzero(self.fold_of != fold)[0]
-
-
-def assign_folds(n: int, n_folds: int, mode: str = "contiguous",
-                 seed: int | None = None) -> FoldAssignment:
-    """Assign n observations to K folds; 2 <= K <= n required.
-
-    Contiguous mode gives the first (n mod K) folds ceil(n/K) observations
-    and the rest floor(n/K), so every fold size is within 1 of n/K.
-    Randomized mode shuffles that assignment with a seeded Fisher-Yates
-    permutation (numpy Generator.shuffle), preserving the size multiset.
+    The first (n mod K) folds get ceil(n/K) observations and the rest
+    floor(n/K), so every fold size is within 1 of n/K.  Contiguous unless
+    `shuffle_seed` is given: then `np.random.default_rng(shuffle_seed).shuffle`
+    reorders that int64 array in place, keeping the size multiset.
     """
     if n_folds < 2:
         raise ValueError(f"need at least 2 folds, got {n_folds}")
     if n_folds > n:
         raise ValueError(f"cannot split {n} observations into {n_folds} folds")
-    if mode not in ("contiguous", "randomized"):
-        raise ValueError(f"unknown fold mode {mode!r}")
     base, extra = divmod(n, n_folds)
     sizes = np.full(n_folds, base, dtype=np.int64)
     sizes[:extra] += 1
     fold_of = np.repeat(np.arange(n_folds, dtype=np.int64), sizes)
-    if mode == "randomized":
-        rng = np.random.default_rng(seed)
-        rng.shuffle(fold_of)
-    return FoldAssignment(n_folds, fold_of)
+    if shuffle_seed is not None:
+        np.random.default_rng(shuffle_seed).shuffle(fold_of)
+    return fold_of
 
 
-def fold_scorers(dataset: Dataset, folds: FoldAssignment, spec: ScorerSpec):
-    """Yield (fold k's rows, a scorer trained on the rest) for k = 0..K-1, one fold at a time."""
-    for k in range(folds.n_folds):
-        rest = folds.complement(k)
+def fold_scorers(dataset: Dataset, fold_of: np.ndarray, spec: ScorerSpec):
+    """Yield (fold k's rows, a scorer trained on the rest) for k = 0..max(fold_of), in turn."""
+    for k in range(int(fold_of.max()) + 1):
+        rest = np.flatnonzero(fold_of != k)
         y_rest = dataset.y[rest]
         if y_rest.min() == y_rest.max():
             raise DegenerateModelError(
                 f"degenerate fold {k}: proper training part has a single class")
-        yield folds.indices(k), train_scorer(spec, dataset.X[rest], y_rest)
+        yield np.flatnonzero(fold_of == k), train_scorer(spec, dataset.X[rest], y_rest)
 
 
 def fold_intervals(pairs) -> tuple[np.ndarray, np.ndarray]:
@@ -103,23 +85,20 @@ class CvapCalibrator:
     intervals (racing first rows at worst build equal row tables twice).
     """
 
-    def __init__(self, folds: FoldAssignment, scorers: list, rules: list[IvapCalibrator],
-                 merge_loss: str = "log"):
-        if not (folds.n_folds >= 2 and len(scorers) == len(rules) == folds.n_folds):
-            raise ValueError(f"{folds.n_folds!r} folds with {len(scorers)} scorers "
-                             f"and {len(rules)} rules")
+    def __init__(self, scorers: list, rules: list[IvapCalibrator], merge_loss: str = "log"):
+        if len(scorers) != len(rules) or len(rules) < 2:
+            raise ValueError(f"{len(scorers)} scorers and {len(rules)} rules: "
+                             f"need one of each per fold, and 2 folds or more")
         widths = [s.n_features for s in scorers]
         if len(set(widths)) != 1:
             raise ValueError(f"fold scorers expect {widths} features")
-        self.folds = folds
         self.scorers = scorers
         self.rules = rules
         self.merge_loss = merge_loss
 
     @classmethod
     def fit(cls, dataset: Dataset, n_folds: int = 5, spec: ScorerSpec | None = None,
-            mode: str = "contiguous", seed: int | None = None,
-            merge_loss: str = "log") -> "CvapCalibrator":
+            *, shuffle_seed: int | None = None, merge_loss: str = "log") -> "CvapCalibrator":
         """Train K scorers on fold complements and calibrate each on its fold.
 
         Raises DegenerateModelError when any fold or fold complement contains
@@ -127,16 +106,16 @@ class CvapCalibrator:
         """
         if merge_loss not in LOSSES:
             raise ValueError(f"unknown merge loss {merge_loss!r}")
-        folds = assign_folds(len(dataset), n_folds, mode, seed)
+        fold_of = assign_folds(len(dataset), n_folds, shuffle_seed)
         scorers, rules = [], []
-        for k, (fold_idx, scorer) in enumerate(fold_scorers(dataset, folds, spec or ScorerSpec())):
-            y_fold = dataset.y[fold_idx]
+        for k, (rows, scorer) in enumerate(fold_scorers(dataset, fold_of, spec or ScorerSpec())):
+            y_fold = dataset.y[rows]
             if y_fold.min() == y_fold.max():
                 raise DegenerateModelError(
                     f"degenerate fold {k}: calibration part has a single class")
             scorers.append(scorer)
-            rules.append(IvapCalibrator.fit(scorer.score_many(dataset.X[fold_idx]), y_fold))
-        return cls(folds, scorers, rules, merge_loss)
+            rules.append(IvapCalibrator.fit(scorer.score_many(dataset.X[rows]), y_fold))
+        return cls(scorers, rules, merge_loss)
 
     def predict_intervals_many(self, X) -> tuple[np.ndarray, np.ndarray]:
         """Per-fold intervals for a feature matrix: two (K, n) arrays."""

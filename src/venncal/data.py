@@ -305,13 +305,14 @@ def subset(dataset: Dataset, rows) -> Dataset:
     return Dataset(dataset.X[rows], dataset.y[rows], dataset.columns, dataset.label_values)
 
 
-def split_proper_calibration(dataset: Dataset, ratio: tuple[int, int], *, permute: bool = False,
-                             seed: int | None = None) -> tuple[Dataset, Dataset]:
+def split_proper_calibration(dataset: Dataset, ratio: tuple[int, int], *,
+                             shuffle_seed: int | None = None) -> tuple[Dataset, Dataset]:
     """Proper-training / calibration split by `ratio`.
 
     With ratio (a, b) the proper part gets ceil(a / (a + b) * n) rows.  The
-    split is contiguous (prefix/suffix) unless `permute` is set, in which
-    case a permutation seeded with `seed` is applied first.
+    split is contiguous (prefix/suffix) unless `shuffle_seed` is given: then
+    the rows are taken in the order `default_rng(shuffle_seed).shuffle` puts
+    `arange(n)` in.
     """
     n = len(dataset)
     a, b = ratio
@@ -322,9 +323,8 @@ def split_proper_calibration(dataset: Dataset, ratio: tuple[int, int], *, permut
     if m < 1 or k < 1:
         raise DataError(f"degenerate split: proper={m}, calibration={k}")
     order = np.arange(n)
-    if permute:
-        rng = np.random.default_rng(seed)
-        rng.shuffle(order)
+    if shuffle_seed is not None:
+        np.random.default_rng(shuffle_seed).shuffle(order)
     return subset(dataset, order[:m]), subset(dataset, order[m:])
 
 

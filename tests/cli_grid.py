@@ -130,6 +130,12 @@ GRID = [
     (f"calibrate --method ivap {MIXED.replace('mixed-test', 'mixed-unseen')} --ratio 2:1 "
      "--out x.csv", 3),
     ("calibrate --method ivap --train ones.csv --test ones.csv --ratio 1:1 --out x.csv", 4),
+    # a negative seed is a usage error, used or not
+    ("synth --n 50 --seed -1 --out synth-neg.csv", 2),
+    (f"calibrate --method ivap {FEATURES} --ratio 2:1 --seed -1 --out x.csv", 2),
+    # Platt's fit on uninformative scores has slope 0: one constant for every score
+    ("calibrate --method platt --calib-scores calib-zero.csv --scores-in scores-inf.csv "
+     "--out s-platt-flat.csv", 0),
 ]
 
 
@@ -167,6 +173,8 @@ def write_inputs(root: Path) -> None:
     files["yes.csv"] = "x,label\n1.0,yes\n2.0,yes\n"
     files["ones.csv"] = "x,label\n1.0,1\n2.0,1\n"
     files["pred2.csv"] = "p\n0.25\n0.75\n"
+    files["calib-zero.csv"] = "score,label\n0.0,0\n0.0,0\n0.0,0\n0.0,1\n"
+    files["scores-inf.csv"] = "score\n0.0\n5.0\ninf\n-inf\n"
 
     def mixed(n):
         # a nominal column, missing cells of both kinds (some padded, as the

@@ -164,6 +164,38 @@ class TestPlatt:
             m.predict_many([np.nan])
         assert m.predict_many([-np.inf, np.inf]).tolist() == [0.0, 1.0]
 
+    def test_zero_slope_answers_its_constant_for_every_score(self):
+        # scores that carry no information fit a = 0; 0 * inf would be NaN
+        m = PlattCalibrator.fit([0.0] * 4, [0, 0, 0, 1])
+        assert m.a == 0.0 and not np.signbit(m.a)
+        constant = _sigmoid(np.array([-m.b]))
+        assert constant[0] == pytest.approx((3 * (1 / 5) + 2 / 3) / 4)  # the mean target
+        scores = [0.0, 5.0, np.inf, -np.inf, 1e308, -1e308, -0.0, 5e-324]
+        for a in (0.0, -0.0):
+            m.a = a
+            assert m.predict_many(scores).tobytes() == np.repeat(constant, 8).tobytes()
+
+    @pytest.mark.parametrize("a, b", [(-2.0, 0.5), (3.0, -1.0), (-1e300, 0.0)])
+    def test_overflowing_product_answers_its_limit_silently(self, a, b):
+        # a * s past the float range is +-inf, whose sigmoid is exact; a
+        # RuntimeWarning fails this test (the pytest filterwarnings setting)
+        m = PlattCalibrator(a=a, b=b, k_pos=1, k_neg=1)
+        high = 1.0 if a < 0 else 0.0
+        assert m.predict_many([1e308, -1e308]).tolist() == [high, 1.0 - high]
+        assert m.predict_many([np.inf, -np.inf]).tolist() == [high, 1.0 - high]
+
+    @settings(max_examples=200, deadline=None)
+    @given(st.floats(-50.0, 50.0), st.floats(-50.0, 50.0),
+           st.lists(st.floats(-1e3, 1e3), max_size=8))
+    def test_non_zero_slope_keeps_the_sigmoid_bits(self, a, b, scores):
+        # every answer that was finite before the zero-slope case: _sigmoid(-(a s + b))
+        m = PlattCalibrator(a=a, b=b, k_pos=1, k_neg=1)
+        s = np.array(scores, dtype=float)
+        if a:
+            assert m.predict_many(s).tobytes() == _sigmoid(-(a * s + b)).tobytes()
+        got = m.predict_many(np.float64(0.25))
+        assert got.shape == () and got.tobytes() == _sigmoid(-(a * 0.25 + b)).tobytes()
+
 
 class TestDirectIsotonic:
     def test_step_lookup_between_scores(self):

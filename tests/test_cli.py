@@ -148,7 +148,7 @@ class TestCalibrate:
             assert run_cli("calibrate", "--method", "cvap", "--train", train, "--test", test,
                            "--folds", 4, "--seed", 2, "--intervals", "--out", out) == 0
             train_ds = load_csv(train, "label")
-            model = CvapCalibrator.fit(train_ds, 4, ScorerSpec("logistic"), seed=_sub_seed(2, 1))
+            model = CvapCalibrator.fit(train_ds, 4, ScorerSpec("logistic"))  # contiguous folds
             lo, hi = model.predict_intervals_many(load_csv(test, "label", like=train_ds).X)
         else:
             rng = np.random.default_rng(10)
@@ -227,8 +227,7 @@ class TestCalibrate:
 
         train_ds = load_csv(train, "label")
         test_ds = load_csv(test, "label", like=train_ds)
-        proper, calib = split_proper_calibration(train_ds, (2, 1), permute=True,
-                                                 seed=_sub_seed(13, 0))
+        proper, calib = split_proper_calibration(train_ds, (2, 1), shuffle_seed=_sub_seed(13, 0))
         scorer = train_scorer(ScorerSpec("logistic"), proper.X, proper.y)
         rule = IvapCalibrator.fit(scorer.score_many(calib.X), calib.y)
         lo, hi = rule.predict_intervals(scorer.score_many(test_ds.X))
@@ -520,12 +519,12 @@ class TestTune:
     @staticmethod
     def brier_totals(ds, n_folds):
         """Each grid ridge's cumulative Brier loss over contiguous folds, as a plain loop."""
-        folds = assign_folds(len(ds), n_folds)
+        fold_of = assign_folds(len(ds), n_folds)
         totals = []
         for ridge in TUNE_RIDGE_GRID:
             total = 0.0
             for k in range(n_folds):
-                rest, fold = folds.complement(k), folds.indices(k)
+                rest, fold = np.flatnonzero(fold_of != k), np.flatnonzero(fold_of == k)
                 scorer = train_scorer(ScorerSpec(ridge=ridge), ds.X[rest], ds.y[rest])
                 p = scorer.probability_many(ds.X[fold])
                 total += float(np.sum(4.0 * (ds.y[fold] - p) ** 2))
@@ -557,10 +556,10 @@ class TestTune:
         assert run_cli("calibrate", "--method", "ivap", "--ratio", "2:1", "--tune",
                        "--randomize-folds", "--train", tmp_path / "train.csv",
                        "--test", tmp_path / "train.csv", "--out", tmp_path / "p.csv") == 0
-        folds = assign_folds(90, 3)
+        fold_of = assign_folds(90, 3)
         assert [ridge for ridge, _ in seen] == [r for r in TUNE_RIDGE_GRID for _ in range(3)]
         for i, (_, X) in enumerate(seen):
-            assert np.array_equal(X, ds.X[folds.complement(i % 3)])
+            assert np.array_equal(X, ds.X[fold_of != i % 3])
 
 
 def test_module_entry_point_runs():

@@ -145,6 +145,17 @@ MISUSE = [
                  "usage error: --sigmoid-scores squashes a scorer's output; "
                  "score files have none\n",
                  id="sigmoid-with-score-files"),
+    # a negative seed, even one no shuffle would use, fails before any file is read
+    pytest.param(["synth", "--n", 5, "--seed", -1], 2,
+                 "usage error: --seed must be non-negative, got -1\n", id="synth-negative-seed"),
+    pytest.param(["calibrate", "--method", "ivap", "--train", "{missing}", "--test", "{test}",
+                  "--ratio", "2:1", "--seed", -1], 2,
+                 "usage error: --seed must be non-negative, got -1\n",
+                 id="unused-negative-seed"),
+    pytest.param(["compare", "--train", "{missing}", "--test", "{test}", "--ratio", "2:1",
+                  "--folds", 3, "--randomize-split", "--randomize-folds", "--seed", -7], 2,
+                 "usage error: --seed must be non-negative, got -7\n",
+                 id="compare-negative-seed"),
 ]
 
 

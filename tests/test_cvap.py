@@ -8,7 +8,7 @@ from hypothesis import strategies as st
 
 import venncal.cvap
 from strategies import FINITE
-from venncal.cvap import CvapCalibrator, FoldAssignment, assign_folds, fold_scorers
+from venncal.cvap import CvapCalibrator, assign_folds, fold_scorers
 from venncal.data import Column, Dataset, generate_synthetic
 from venncal.exceptions import DegenerateModelError
 from venncal.ivap import IvapCalibrator
@@ -17,37 +17,52 @@ from venncal.scorers import LogisticScorer, ScorerSpec, train_scorer
 
 class TestAssignFolds:
     def test_contiguous_sizes_ten_three(self):
-        folds = assign_folds(10, 3)
-        assert np.bincount(folds.fold_of, minlength=3).tolist() == [4, 3, 3]
-        assert folds.fold_of[:4].tolist() == [0, 0, 0, 0]
+        fold_of = assign_folds(10, 3)
+        assert fold_of.dtype == np.int64
+        assert fold_of.tolist() == [0, 0, 0, 0, 1, 1, 1, 2, 2, 2]
 
     def test_divisible_case(self):
-        assert np.bincount(assign_folds(9, 3).fold_of, minlength=3).tolist() == [3, 3, 3]
+        assert np.bincount(assign_folds(9, 3), minlength=3).tolist() == [3, 3, 3]
 
     def test_protocol_sizes_large(self):
-        sizes = np.bincount(assign_folds(32561, 5).fold_of, minlength=5)
+        sizes = np.bincount(assign_folds(32561, 5), minlength=5)
         assert sizes.tolist() == [6513, 6512, 6512, 6512, 6512]
 
     def test_randomized_preserves_size_multiset(self):
-        folds = assign_folds(10, 3, mode="randomized", seed=7)
-        assert sorted(np.bincount(folds.fold_of, minlength=3).tolist()) == [3, 3, 4]
+        fold_of = assign_folds(10, 3, shuffle_seed=7)
+        assert sorted(np.bincount(fold_of, minlength=3).tolist()) == [3, 3, 4]
         # a shuffle of the contiguous assignment, and not that assignment itself
-        contiguous = assign_folds(10, 3).fold_of
-        assert np.array_equal(np.sort(folds.fold_of), contiguous)
-        assert not np.array_equal(folds.fold_of, contiguous)
+        contiguous = assign_folds(10, 3)
+        assert np.array_equal(np.sort(fold_of), contiguous)
+        assert not np.array_equal(fold_of, contiguous)
 
     def test_randomized_deterministic_under_seed(self):
-        a = assign_folds(50, 4, mode="randomized", seed=3)
-        b = assign_folds(50, 4, mode="randomized", seed=3)
-        assert np.array_equal(a.fold_of, b.fold_of)
+        a = assign_folds(50, 4, shuffle_seed=3)
+        b = assign_folds(50, 4, shuffle_seed=3)
+        assert np.array_equal(a, b)
+
+    def test_no_seed_is_contiguous(self):
+        assert assign_folds(10, 3, shuffle_seed=None).tolist() == [0, 0, 0, 0, 1, 1, 1, 2, 2, 2]
+
+    @pytest.mark.parametrize("seed, expected", [
+        (0, [1, 1, 0, 2, 0, 1, 2, 0, 2, 0]),  # seed 0 shuffles too: no truthiness test
+        (7, [2, 0, 2, 0, 0, 1, 0, 1, 1, 2]),
+    ])
+    def test_seed_shuffles_the_contiguous_order(self, seed, expected):
+        # numpy's default_rng(seed).shuffle of the contiguous array: the bits the
+        # earlier mode="randomized" gave for this seed, written out
+        fold_of = assign_folds(10, 3, shuffle_seed=seed)
+        shuffled = assign_folds(10, 3)
+        np.random.default_rng(seed).shuffle(shuffled)
+        assert fold_of.tolist() == shuffled.tolist() == expected
+        assert fold_of.dtype == np.int64
 
     def test_size_bound(self):
         rng = np.random.default_rng(0)
         for _ in range(100):
             n = int(rng.integers(2, 500))
             n_folds = int(rng.integers(2, n + 1))
-            folds = assign_folds(n, n_folds)
-            sizes = np.bincount(folds.fold_of, minlength=n_folds)
+            sizes = np.bincount(assign_folds(n, n_folds), minlength=n_folds)
             assert np.all(np.abs(sizes - n / n_folds) < 1)
             # partition: disjoint and covering
             assert np.sum(sizes) == n
@@ -57,8 +72,6 @@ class TestAssignFolds:
             assign_folds(5, 1)
         with pytest.raises(ValueError, match="^cannot split 3 observations into 4 folds$"):
             assign_folds(3, 4)
-        with pytest.raises(ValueError, match="^unknown fold mode 'shuffled'$"):
-            assign_folds(5, 2, mode="shuffled")
 
 
 def small_dataset(n=200, seed=0):
@@ -71,7 +84,7 @@ def two_feature_models() -> dict:
     ds = small_dataset(120, seed=4)
     X = np.column_stack((ds.X[:, 0], 0.5 * ds.X[:, 0] + np.linspace(-1.0, 1.0, len(ds))))
     model = CvapCalibrator.fit(Dataset(X, ds.y, ds.columns * 2), 3, ScorerSpec("logistic"))
-    return {loss: CvapCalibrator(model.folds, model.scorers, model.rules, loss)
+    return {loss: CvapCalibrator(model.scorers, model.rules, loss)
             for loss in ("log", "brier")}
 
 
@@ -87,11 +100,11 @@ def spy_on_train_scorer(monkeypatch) -> list:
     return seen
 
 
-def assert_trained_on_complements(seen, ds, folds):
+def assert_trained_on_complements(seen, ds, fold_of):
     """Fold k's scorer saw exactly the rows outside fold k, row for row."""
-    assert len(seen) == folds.n_folds
+    assert len(seen) == fold_of.max() + 1
     for k, (X, y) in enumerate(seen):
-        rest = folds.complement(k)
+        rest = np.flatnonzero(fold_of != k)
         assert np.array_equal(X, ds.X[rest])
         assert np.array_equal(y, ds.y[rest])
 
@@ -99,22 +112,26 @@ def assert_trained_on_complements(seen, ds, folds):
 class TestBuild:
     def test_two_folds_structure(self):
         model = CvapCalibrator.fit(small_dataset(200), 2, ScorerSpec("constant"))
-        assert model.folds.n_folds == 2
+        assert len(model.scorers) == len(model.rules) == 2
         sizes = [int(np.sum(r.points.weights)) for r in model.rules]
         assert sizes == [100, 100]
 
-    def test_five_contiguous_folds_by_default(self):
-        model = CvapCalibrator.fit(small_dataset(53), spec=ScorerSpec("constant"))
-        assert np.array_equal(model.folds.fold_of, assign_folds(53, 5).fold_of)
+    def test_five_contiguous_folds_by_default(self, monkeypatch):
+        ds = small_dataset(53)
+        seen = spy_on_train_scorer(monkeypatch)
+        model = CvapCalibrator.fit(ds, spec=ScorerSpec("constant"))
+        assert_trained_on_complements(seen, ds, assign_folds(53, 5))
+        assert [r.points.weights.sum() for r in model.rules] == [11, 11, 11, 10, 10]
 
     def test_scorers_never_see_their_fold(self, monkeypatch):
         ds = small_dataset(90, seed=4)
         seen = spy_on_train_scorer(monkeypatch)
         model = CvapCalibrator.fit(ds, 3, ScorerSpec("constant"))
-        assert_trained_on_complements(seen, ds, model.folds)
+        fold_of = assign_folds(len(ds), 3)
+        assert_trained_on_complements(seen, ds, fold_of)
         for k in range(3):
-            fold = set(model.folds.indices(k).tolist())
-            train = set(model.folds.complement(k).tolist())
+            fold = set(np.flatnonzero(fold_of == k).tolist())
+            train = set(np.flatnonzero(fold_of != k).tolist())
             assert fold.isdisjoint(train)
             assert fold | train == set(range(len(ds)))
             # the constant scorer exposes exactly what it was trained on
@@ -141,16 +158,17 @@ class TestBuild:
 
 
 class TestFoldScorers:
-    @pytest.mark.parametrize("mode", ["contiguous", "randomized"])
-    def test_yields_each_fold_with_its_complements_scorer(self, monkeypatch, mode):
+    @pytest.mark.parametrize("shuffle_seed", [None, 2], ids=["contiguous", "randomized"])
+    def test_yields_each_fold_with_its_complements_scorer(self, monkeypatch, shuffle_seed):
         ds = small_dataset(50, seed=3)
-        folds = assign_folds(len(ds), 4, mode, seed=2)
+        fold_of = assign_folds(len(ds), 4, shuffle_seed)
         seen = spy_on_train_scorer(monkeypatch)
-        pairs = list(fold_scorers(ds, folds, ScorerSpec("constant")))
-        assert_trained_on_complements(seen, ds, folds)
+        pairs = list(fold_scorers(ds, fold_of, ScorerSpec("constant")))
+        assert_trained_on_complements(seen, ds, fold_of)
+        assert len(pairs) == 4
         for k, (rows, scorer) in enumerate(pairs):
-            assert np.array_equal(rows, folds.indices(k))
-            assert scorer.value == float(np.mean(ds.y[folds.complement(k)]))
+            assert np.array_equal(rows, np.nonzero(fold_of == k)[0])
+            assert scorer.value == float(np.mean(ds.y[fold_of != k]))
 
     def test_trains_one_fold_at_a_time(self, monkeypatch):
         # fold 1's complement {0, 1, 4, 5} is all ones: fold 0 is trained and
@@ -181,7 +199,7 @@ class TestPredict:
                 model = CvapCalibrator.fit(ds, 3, ScorerSpec("logistic"))
             except DegenerateModelError:
                 continue
-            k_max = int(np.max(np.bincount(model.folds.fold_of)))
+            k_max = int(max(rule.points.weights.sum() for rule in model.rules))
             p = model.predict_many(rng.normal(size=(25, 1)) * 3)
             assert np.all(p >= 1.0 / (k_max + 2) - 1e-12)
             assert np.all(p <= 1.0 - 1.0 / (k_max + 2) + 1e-12)
@@ -189,8 +207,8 @@ class TestPredict:
     def test_deterministic_under_seed(self):
         ds = small_dataset(120, seed=5)
         X = np.linspace(-3, 3, 40)[:, None]
-        a = CvapCalibrator.fit(ds, 4, ScorerSpec("logistic"), mode="randomized", seed=11)
-        b = CvapCalibrator.fit(ds, 4, ScorerSpec("logistic"), mode="randomized", seed=11)
+        a = CvapCalibrator.fit(ds, 4, ScorerSpec("logistic"), shuffle_seed=11)
+        b = CvapCalibrator.fit(ds, 4, ScorerSpec("logistic"), shuffle_seed=11)
         assert np.array_equal(a.predict_many(X), b.predict_many(X))
 
     def test_brier_merge_selectable(self):
@@ -214,11 +232,12 @@ class TestPredict:
         ds = small_dataset(90, seed=17)
         seen = spy_on_train_scorer(monkeypatch)
         model = CvapCalibrator.fit(ds, 3, ScorerSpec("logistic"))
-        assert_trained_on_complements(seen, ds, model.folds)
+        fold_of = assign_folds(len(ds), 3)
+        assert_trained_on_complements(seen, ds, fold_of)
         for x in (np.array([-1.2]), np.array([0.4]), np.array([2.0])):
             lows, highs = [], []
             for k in range(3):
-                fold = model.folds.indices(k)
+                fold = np.flatnonzero(fold_of == k)
                 scorer = model.scorers[k]
                 cal = scorer.score_many(ds.X[fold])
                 p0, p1 = refit_interval(cal, ds.y[fold], scorer.score_many(x[None])[0])
@@ -339,13 +358,15 @@ def models_and_rows(draw):
     feature = st.one_of(st.integers(-3, 3).map(float), st.floats(-10.0, 10.0))
     X = np.array(draw(st.lists(st.lists(feature, min_size=d, max_size=d), min_size=n, max_size=n)))
     y = np.array(draw(st.lists(st.integers(0, 1), min_size=n, max_size=n)))
-    mode = draw(st.sampled_from(["contiguous", "randomized"]))
+    shuffle_seed = draw(st.one_of(st.none(), st.integers(0, 2**64 - 1)))
+    fold_of = assign_folds(n, n_folds, shuffle_seed)
     for k in range(n_folds):  # both classes in every fold, so in every complement
-        y[assign_folds(n, n_folds, mode, seed=5).indices(k)[:2]] = (0, 1)
+        y[np.flatnonzero(fold_of == k)[:2]] = (0, 1)
     ds = Dataset(X, y, tuple(Column(f"x{j}", "numeric") for j in range(d)))
     loss = draw(st.sampled_from(["log", "brier"]))
     try:
-        model = CvapCalibrator.fit(ds, n_folds, ScorerSpec(kind), mode, 5, loss)
+        model = CvapCalibrator.fit(ds, n_folds, ScorerSpec(kind), shuffle_seed=shuffle_seed,
+                                   merge_loss=loss)
     except DegenerateModelError:  # a stump with no cut left in some complement
         assume(False)
     rows = [X[i] for i in draw(st.lists(st.integers(0, n - 1), min_size=1, max_size=6))]
@@ -378,8 +399,7 @@ def test_only_a_log_loss_row_query_builds_the_log_tables():
     X = np.linspace(-3, 3, 7)[:, None]
     model = CvapCalibrator.fit(ds, 3, ScorerSpec("logistic"))
     model.predict_many(X)
-    rebuilt = CvapCalibrator(model.folds, model.scorers,
-                             [IvapCalibrator(rule.points) for rule in model.rules])
+    rebuilt = CvapCalibrator(model.scorers, [IvapCalibrator(rule.points) for rule in model.rules])
     rebuilt.predict_intervals_many(X)
     models = [model, rebuilt]
     assert not any("_row_tables" in vars(m) for m in models)
@@ -390,8 +410,8 @@ def test_only_a_log_loss_row_query_builds_the_log_tables():
     assert "_lists" in vars(standalone)
     model.predict(X[0])
     rebuilt.predict(X[0])
-    brier = CvapCalibrator(model.folds, model.scorers,
-                           [IvapCalibrator(rule.points) for rule in model.rules], "brier")
+    brier = CvapCalibrator(model.scorers, [IvapCalibrator(rule.points) for rule in model.rules],
+                           "brier")
     brier.predict(X[0])
     assert brier._row_tables is None
     assert not any("_lists" in vars(rule) for rule in brier.rules)
@@ -458,19 +478,18 @@ def test_fold_scorers_of_unequal_width_fail_at_construction():
     rule = IvapCalibrator.fit([0.0, 1.0], [0, 1])
     scorers = [LogisticScorer(np.ones(d), 0.0, []) for d in (1, 2)]
     with pytest.raises(ValueError, match=r"^fold scorers expect \[1, 2\] features$"):
-        CvapCalibrator(assign_folds(2, 2), scorers, [rule, rule])
+        CvapCalibrator(scorers, [rule, rule])
 
 
-@pytest.mark.parametrize("n_folds, n_scorers, n_rules", [(3, 2, 1), (1, 1, 1), (2, 2, 3)])
-def test_fold_scorer_and_rule_counts_checked_at_construction(n_folds, n_scorers, n_rules):
+@pytest.mark.parametrize("n_scorers, n_rules", [(2, 1), (1, 1), (2, 3), (0, 0)])
+def test_fold_scorer_and_rule_counts_checked_at_construction(n_scorers, n_rules):
     # `zip` over the folds would drop the extra scorers or rules, and one fold
     # is no cross calibration: no model may be built so, however it is built
     rule = IvapCalibrator.fit([0.0, 1.0], [0, 1])
     scorer = LogisticScorer(np.ones(1), 0.0, [])
-    folds = FoldAssignment(n_folds, np.arange(6) % n_folds)
-    with pytest.raises(ValueError, match=f"^{n_folds} folds with {n_scorers} scorers "
-                                         f"and {n_rules} rules$"):
-        CvapCalibrator(folds, [scorer] * n_scorers, [rule] * n_rules)
+    with pytest.raises(ValueError, match=f"^{n_scorers} scorers and {n_rules} rules: need one "
+                                         f"of each per fold, and 2 folds or more$"):
+        CvapCalibrator([scorer] * n_scorers, [rule] * n_rules)
 
 
 def test_unknown_merge_loss_rejected_at_fit():

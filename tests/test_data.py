@@ -5,6 +5,7 @@ import pytest
 
 import oracles
 from venncal.data import (
+    Dataset,
     apply_imputation,
     compute_imputation,
     generate_synthetic,
@@ -167,15 +168,40 @@ class TestSplit:
 
     def test_partition_exact_under_permutation(self):
         ds = generate_synthetic(37, seed=2)
-        proper, calib = split_proper_calibration(ds, (2, 1), permute=True, seed=5)
+        proper, calib = split_proper_calibration(ds, (2, 1), shuffle_seed=5)
         merged = np.sort(np.concatenate([proper.X[:, 0], calib.X[:, 0]]))
         assert np.array_equal(merged, np.sort(ds.X[:, 0]))
 
     def test_same_seed_same_split(self):
         ds = generate_synthetic(50, seed=3)
-        a, _ = split_proper_calibration(ds, (2, 1), permute=True, seed=9)
-        b, _ = split_proper_calibration(ds, (2, 1), permute=True, seed=9)
+        a, _ = split_proper_calibration(ds, (2, 1), shuffle_seed=9)
+        b, _ = split_proper_calibration(ds, (2, 1), shuffle_seed=9)
         assert np.array_equal(a.X, b.X)
+
+    @staticmethod
+    def nine_rows():
+        """Rows whose one feature is the row number, and whose label is its parity."""
+        return Dataset(np.arange(9.0)[:, None], np.arange(9) % 2, ())
+
+    def test_no_seed_is_contiguous(self):
+        proper, calib = split_proper_calibration(self.nine_rows(), (2, 1), shuffle_seed=None)
+        assert (proper.X[:, 0].tolist(), calib.X[:, 0].tolist()) == ([0, 1, 2, 3, 4, 5], [6, 7, 8])
+
+    @pytest.mark.parametrize("seed", [0, 9])  # 0 shuffles too: no truthiness test
+    def test_seed_shuffles_the_contiguous_order(self, seed):
+        # the rows in the order numpy's default_rng(seed).shuffle puts arange(n) in
+        order = np.arange(9)
+        np.random.default_rng(seed).shuffle(order)
+        assert order.tolist() != list(range(9))
+        proper, calib = split_proper_calibration(self.nine_rows(), (2, 1), shuffle_seed=seed)
+        assert proper.X[:, 0].tolist() == order[:6].tolist()
+        assert calib.X[:, 0].tolist() == order[6:].tolist()
+        assert np.array_equal(proper.y, order[:6] % 2) and np.array_equal(calib.y, order[6:] % 2)
+
+    def test_seed_zero_keeps_the_earlier_permuted_rows(self):
+        # the rows that the earlier `permute=True, seed=0` gave, written out
+        proper, calib = split_proper_calibration(self.nine_rows(), (2, 1), shuffle_seed=0)
+        assert (proper.X[:, 0].tolist(), calib.X[:, 0].tolist()) == ([4, 5, 2, 6, 3, 8], [7, 0, 1])
 
     def test_degenerate_rejected(self):
         # 1:1 of one row gives the proper part the row and calibration none

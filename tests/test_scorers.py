@@ -10,7 +10,7 @@ import oracles
 import venncal.cvap
 from venncal import scorers
 from venncal.cli import TUNE_RIDGE_GRID, build_parser
-from venncal.cvap import CvapCalibrator, assign_folds
+from venncal.cvap import CvapCalibrator
 from venncal.data import generate_synthetic
 from venncal.exceptions import DegenerateModelError
 from venncal.ivap import IvapCalibrator
@@ -169,8 +169,7 @@ def row_scores(scorers, x) -> list[float]:
     """The score of feature row x under each scorer, as a cross calibrator with those
     fold scorers checks it, up to the first non-finite one (where the row fails)."""
     rule = IvapCalibrator.fit([0.0, 1.0], [0, 1])
-    model = CvapCalibrator(assign_folds(len(scorers), len(scorers)), scorers,
-                           [rule] * len(scorers))
+    model = CvapCalibrator(scorers, [rule] * len(scorers))
     seen = []
 
     def spy(score):
