@@ -56,8 +56,6 @@ class PlattCalibrator:
         when no step decreased the objective.
         """
         s, y = calibration_set(scores, labels)
-        if len(s) != len(y) or len(s) == 0:
-            raise ValueError("scores and labels must be nonempty and equal length")
         k_pos = int(np.sum(y == 1.0))
         k_neg = len(y) - k_pos
         if k_pos == 0 or k_neg == 0:

@@ -43,6 +43,23 @@ from venncal.scorers import KINDS, ScorerSpec, train_scorer
 
 METHODS = ("underlying", "platt", "isotonic", "ivap", "cvap")
 TUNE_RIDGE_GRID = (1e-6, 1e-4, 1e-2, 1.0)
+# The runs that read each flag but --seed, --out and --scores-in (README has the table)
+_READS = {
+    "train test label_column no_header positive_label scorer": lambda m, files, a: not files,
+    "ridge": lambda m, files, a: not files and a.scorer == "logistic" and not a.tune,
+    "tune": lambda m, files, a: not files and a.scorer == "logistic",
+    "ratio": lambda m, files, a: not files and (m != "cvap" and not a.all_mode
+                                              or (m == "cvap" or a.tune) and a.folds is None),
+    "all_mode": lambda m, files, a: not files and m != "cvap",
+    "randomize_split": lambda m, files, a: not files and m != "cvap" and not a.all_mode,
+    "folds": lambda m, files, a: m == "cvap" or a.tune,
+    "randomize_folds": lambda m, files, a: not files and m == "cvap",
+    "sigmoid_scores": lambda m, files, a: (not files and a.scorer == "logistic"
+                                          and m in ("platt", "isotonic", "ivap")),
+    "dummy_endpoints": lambda m, files, a: m == "isotonic",
+    "merge intervals": lambda m, files, a: m in ("ivap", "cvap"),
+    "calib_scores": lambda m, files, a: m != "underlying",
+}
 
 
 class UsageError(Exception):
@@ -128,14 +145,14 @@ def _tuned_ridge(ds: Dataset, n_folds: int, spec: ScorerSpec) -> float:
     return min(TUNE_RIDGE_GRID, key=cumulative_brier)
 
 
-def _check_scorer_flags(args) -> None:
-    """Reject scorer flags that the chosen scorer would silently ignore."""
-    if args.tune and args.scorer != "logistic":
-        raise UsageError(f"--tune searches the logistic scorer's ridge; "
-                         f"--scorer {args.scorer} has none")
-    if args.sigmoid_scores and args.scorer != "logistic":
-        raise UsageError(f"--sigmoid-scores squashes the logistic scorer's scores; "
-                         f"--scorer {args.scorer} scores in [0, 1] already")
+def _check_flags(args, methods, files: bool) -> None:
+    """Reject each flag off its default (calibrate's flags hold compare's) that no run reads."""
+    defaults = vars(build_parser().parse_args(["calibrate", "--method", "ivap", "--out", ""]))
+    unread = [f"--{flag}".replace("_", "-") for flags, reads in _READS.items()
+              for flag in flags.split() if getattr(args, flag, defaults[flag]) != defaults[flag]
+              and not any(reads(m, files, args) for m in methods)]
+    if unread:
+        raise UsageError(f"{args.command}{' on score files' * files} would ignore {', '.join(unread)}")
 
 
 def _tuned_spec(args, train_ds: Dataset) -> ScorerSpec:
@@ -244,16 +261,9 @@ def _score_file_inputs(method: str, args):
 
 
 def cmd_calibrate(args) -> int:
-    if args.intervals and args.method not in ("ivap", "cvap"):
-        raise UsageError("--intervals is only available for ivap and cvap")
-    _check_scorer_flags(args)
-    if args.calib_scores is not None or args.scores_in is not None:
-        if args.train or args.test:
-            raise UsageError("calibrate takes --train/--test or score files, not both")
-        if args.tune:
-            raise UsageError("--tune trains a scorer; score files bring their own scores")
-        if args.sigmoid_scores:
-            raise UsageError("--sigmoid-scores squashes a scorer's output; score files have none")
+    files = args.calib_scores is not None or args.scores_in is not None
+    _check_flags(args, [args.method], files)
+    if files:
         inputs = _score_file_inputs(args.method, args)
     else:
         if not args.train or not args.test:
@@ -292,11 +302,11 @@ def cmd_evaluate(args) -> int:
 
 
 def cmd_compare(args) -> int:
+    _check_flags(args, METHODS, False)
     if not args.ratio and not args.all_mode:
         raise UsageError("compare needs --ratio (or --all-mode with --folds)")
     if args.all_mode and args.folds is None:
         raise UsageError("compare with --all-mode needs --folds for the cross method")
-    _check_scorer_flags(args)
     train_ds, test_ds = _load_feature_data(args)
     spec = _tuned_spec(args, train_ds)
     rows = [(method, evaluate(_calibrate(method, args, inputs)[0], test_ds.y))
@@ -339,7 +349,7 @@ def _add_common_model_flags(sub) -> None:
     sub.add_argument("--randomize-folds", action="store_true")
     sub.add_argument("--sigmoid-scores", action="store_true",
                      help="platt, isotonic and ivap calibrate the logistic scorer's sigmoid "
-                          "outputs instead of its raw linear scores; cvap ignores it")
+                          "outputs instead of its raw linear scores")
     sub.add_argument("--dummy-endpoints", action="store_true",
                      help="regularize direct isotonic with two synthetic extreme points")
     sub.add_argument("--tune", action="store_true",
@@ -394,6 +404,8 @@ def main(argv=None) -> int:
     try:
         if getattr(args, "seed", 0) < 0:  # evaluate has no --seed
             raise UsageError(f"--seed must be non-negative, got {args.seed}")
+        if not 0 < getattr(args, "ridge", 1.0) < float("inf"):  # synth and evaluate have none
+            raise UsageError(f"--ridge must be positive and finite, got {args.ridge}")
         return args.func(args)
     except UsageError as exc:
         print(f"usage error: {exc}", file=sys.stderr)

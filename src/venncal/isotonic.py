@@ -1,10 +1,11 @@
 """Weighted isotonic regression on the real line via convex-minorant geometry.
 
-`calibration_set` is every calibrator's one check of its inputs (finite
-scores, 0/1 labels).  `dedup_weighted` sorts with `_sorted_batch` (the packed
-order, repaired where near ties of a very wide batch left it inexact), then a
-`!=` pass finds block starts and `np.add.reduceat` sums labels; a 0.0/-0.0 tie
-keeps its first zero.  `_step_lookup` is both calibrators' batch step lookup.
+`calibration_set` is every calibrator's one check of its inputs (non-empty
+1-D arrays of equal length, finite scores, 0/1 labels).  `dedup_weighted`
+sorts with `_sorted_batch` (the packed order, repaired where near ties of a
+very wide batch left it inexact), then a `!=` pass finds block starts and
+`np.add.reduceat` sums labels; a 0.0/-0.0 tie keeps its first zero.
+`_step_lookup` is both calibrators' batch step lookup.
 
 The cumulative sum diagram (CSD) of a sorted, weighted score sequence is the
 polyline whose i-th vertex is (cumulative weight, cumulative label sum).  The
@@ -80,9 +81,16 @@ class CurveScan:
 
 
 def calibration_set(scores, labels) -> tuple[np.ndarray, np.ndarray]:
-    """Float arrays of the calibration set; ValueError unless scores are finite, labels 0/1."""
+    """Float arrays of the calibration set; ValueError unless the scores and labels are
+    non-empty, 1-D and of equal length, the scores finite and the labels 0 or 1."""
     s = np.asarray(scores, dtype=float)
     y = np.asarray(labels, dtype=float)
+    if s.ndim != 1 or y.ndim != 1:
+        raise ValueError("scores and labels must be one-dimensional")
+    if len(s) != len(y):
+        raise ValueError(f"length mismatch: {len(s)} scores vs {len(y)} labels")
+    if len(s) == 0:
+        raise ValueError("empty calibration set")
     if not np.isfinite(s).all():
         raise ValueError("calibration scores must be finite")
     if not np.isin(y, (0.0, 1.0)).all():

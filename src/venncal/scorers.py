@@ -43,8 +43,8 @@ class ScorerSpec:
     def __post_init__(self):
         if self.kind not in KINDS:
             raise ValueError(f"unknown scorer kind {self.kind!r}")
-        if self.ridge <= 0:
-            raise ValueError("ridge must be positive")
+        if not 0 < self.ridge < np.inf:  # NaN fails too
+            raise ValueError("ridge must be positive and finite")
 
 
 def _as_matrix(X) -> np.ndarray:
@@ -216,13 +216,15 @@ def _train_stump(X: np.ndarray, y: np.ndarray) -> StumpScorer:
 
 
 def train_scorer(spec: ScorerSpec, X, y):
-    """Train the scorer described by `spec` on features X and binary labels y."""
+    """Train the scorer described by `spec` on finite features X and 0/1 labels y."""
     X = _as_matrix(X)
     y = np.asarray(y, dtype=float)
     if len(X) == 0:
         raise ValueError("empty training set")
     if len(X) != len(y):
         raise ValueError("X and y must have the same number of rows")
+    if not np.isin(y, (0.0, 1.0)).all():
+        raise ValueError("labels must be 0 or 1")
     if not np.isfinite(X).all():
         raise ValueError("training features must be finite")
     if spec.kind == "logistic":

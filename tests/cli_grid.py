@@ -73,8 +73,7 @@ GRID = [
      "--intervals --out f-cvap-brier.csv", 0),
     (f"calibrate --method cvap {FEATURES} --folds 3 --scorer constant --out f-cvap-const.csv", 0),
     (f"calibrate --method cvap {FEATURES} --folds 3 --scorer stump --out f-cvap-stump.csv", 0),
-    (f"calibrate --method cvap {FEATURES} --folds 3 --sigmoid-scores --tune --out f-cvap-tune.csv",
-     0),
+    (f"calibrate --method cvap {FEATURES} --folds 3 --tune --out f-cvap-tune.csv", 0),
     # nominal columns and "" or "?" cells, imputed from the training file; yes/no labels
     (f"calibrate --method underlying {MIXED} --ratio 2:1 --out m-underlying.csv", 0),
     (f"calibrate --method platt {MIXED} --ratio 2:1 --out m-platt.csv", 0),
@@ -136,6 +135,37 @@ GRID = [
     # Platt's fit on uninformative scores has slope 0: one constant for every score
     ("calibrate --method platt --calib-scores calib-zero.csv --scores-in scores-inf.csv "
      "--out s-platt-flat.csv", 0),
+    # a flag that no run of the command reads is a usage error, one kind of run and flag each
+    (f"calibrate --method underlying {FEATURES} --ratio 2:1 --sigmoid-scores --out x.csv", 2),
+    (f"calibrate --method cvap {FEATURES} --folds 3 --sigmoid-scores --out x.csv", 2),
+    (f"calibrate --method platt {FEATURES} --ratio 2:1 --merge brier --out x.csv", 2),
+    (f"calibrate --method platt {FEATURES} --ratio 2:1 --dummy-endpoints --out x.csv", 2),
+    (f"calibrate --method platt {FEATURES} --ratio 2:1 --folds 3 --out x.csv", 2),
+    (f"calibrate --method platt {FEATURES} --ratio 2:1 --randomize-folds --out x.csv", 2),
+    (f"calibrate --method ivap {FEATURES} --ratio 2:1 --tune --randomize-folds --out x.csv", 2),
+    (f"calibrate --method cvap {FEATURES} --folds 3 --all-mode --out x.csv", 2),
+    (f"calibrate --method cvap {FEATURES} --folds 3 --randomize-split --out x.csv", 2),
+    (f"calibrate --method cvap {FEATURES} --folds 3 --ratio 2:1 --out x.csv", 2),
+    (f"calibrate --method ivap {FEATURES} --all-mode --ratio 2:1 --out x.csv", 2),
+    (f"calibrate --method ivap {FEATURES} --all-mode --randomize-split --out x.csv", 2),
+    (f"calibrate --method ivap {FEATURES} --ratio 2:1 --scorer stump --ridge 0.01 --out x.csv", 2),
+    (f"calibrate --method ivap {FEATURES} --ratio 2:1 --tune --ridge 0.01 --out x.csv", 2),
+    ("calibrate --method underlying --scores-in probs.csv --calib-scores calib.csv --out x.csv", 2),
+    (f"calibrate --method platt {SCORES} --folds 3 --ratio 2:1 --label-column zzz --out x.csv", 2),
+    (f"calibrate --method ivap {SCORES} --scorer stump --out x.csv", 2),
+    (f"calibrate --method ivap {SCORES} --ridge 0.01 --out x.csv", 2),
+    (f"calibrate --method ivap {SCORES} --no-header --positive-label yes --out x.csv", 2),
+    (f"calibrate --method ivap {SCORES} --all-mode --randomize-split --out x.csv", 2),
+    (f"calibrate --method cvap {FOLD_SCORES} --randomize-folds --out x.csv", 2),
+    (f"calibrate --method ivap {SCORES} --dummy-endpoints --out x.csv", 2),
+    (f"calibrate --method isotonic {SCORES} --merge brier --out x.csv", 2),
+    (f"compare {FEATURES} --all-mode --folds 3 --ratio 5:1 --out x.csv", 2),
+    (f"compare {FEATURES} --all-mode --folds 3 --randomize-split --out x.csv", 2),
+    (f"compare {FEATURES} --ratio 2:1 --scorer stump --ridge 0.01 --out x.csv", 2),
+    (f"compare {FEATURES} --ratio 2:1 --tune --ridge 0.01 --out x.csv", 2),
+    # a ridge that is not positive and finite, before any file is read
+    (f"calibrate --method ivap {FEATURES} --ratio 2:1 --ridge nan --out x.csv", 2),
+    (f"calibrate --method ivap {FEATURES} --ratio 2:1 --ridge 0 --out x.csv", 2),
 ]
 
 

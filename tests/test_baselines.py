@@ -145,8 +145,16 @@ class TestPlatt:
 
     @pytest.mark.parametrize("scores, labels", [([], []), ([0.1, 0.9], [0]), ([0.5], [0, 1])])
     def test_empty_or_mismatched_input_rejected(self, scores, labels):
-        with pytest.raises(ValueError,
-                           match="^scores and labels must be nonempty and equal length$"):
+        message = (f"^length mismatch: {len(scores)} scores vs {len(labels)} labels$" if scores
+                   else "^empty calibration set$")
+        with pytest.raises(ValueError, match=message):
+            PlattCalibrator.fit(scores, labels)
+
+    @pytest.mark.parametrize("scores, labels", [([[0.1, 0.9]], [[0, 1]]), (5.0, 1)])
+    def test_input_that_is_not_one_dimensional_rejected(self, scores, labels):
+        # a 2-D set used to count its rows as one class (DegenerateModelError),
+        # and a scalar raised TypeError
+        with pytest.raises(ValueError, match="^scores and labels must be one-dimensional$"):
             PlattCalibrator.fit(scores, labels)
 
     @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
@@ -241,6 +249,16 @@ class TestDirectIsotonic:
         m = DirectIsotonic.fit([1, 2, 3, 4], [0, 0, 1, 1], dummy_endpoints=True)
         p = m.predict_many([-100.0, 0.0, 100.0])
         assert np.all(p > 0.0) and np.all(p < 1.0)
+
+    def test_empty_set_rejected_before_the_dummy_endpoints_are_added(self):
+        # the two dummy points alone used to fit, answering 0.5 for every score
+        with pytest.raises(ValueError, match="^empty calibration set$"):
+            DirectIsotonic.fit([], [], dummy_endpoints=True)
+
+    def test_length_mismatch_counts_the_callers_rows(self):
+        # not "5 scores vs 4 labels", the counts with the dummy endpoints added
+        with pytest.raises(ValueError, match="^length mismatch: 3 scores vs 2 labels$"):
+            DirectIsotonic.fit([1.0, 2.0, 3.0], [0, 1], dummy_endpoints=True)
 
     @pytest.mark.parametrize("labels", [[0, 0.5, 1], [0, 2, 1], [-1, 0, 1], [0, np.nan, 1]])
     @pytest.mark.parametrize("dummy", [False, True])

@@ -192,8 +192,9 @@ class TestCalibrate:
         out = tmp_path / "p.csv"
         assert run_cli("calibrate", "--method", "ivap", "--ratio", "2:1", *argv,
                        "--out", out) == 2
+        ignored = [a for a in features if a.startswith("--")] + ["--ratio"]
         assert capsys.readouterr().err == (
-            "usage error: calibrate takes --train/--test or score files, not both\n")
+            f"usage error: calibrate on score files would ignore {', '.join(ignored)}\n")
         assert list(tmp_path.glob("p.csv*")) == []
 
     def test_isotonic_can_report_infinite_loss(self, tmp_path, capsys):
@@ -464,20 +465,25 @@ class TestCompare:
         assert fits == ["venncal.cli"] + ["venncal.cvap"] * 3
 
     @pytest.mark.parametrize("flags", [
-        ["--ratio", "2:1", "--seed", "4"],
-        ["--ratio", "2:1", "--seed", "4", "--sigmoid-scores"],
-        ["--all-mode", "--folds", "3", "--seed", "4"],
+        [["--ratio", "2:1"], ["--seed", "4"]],
+        [["--ratio", "2:1"], ["--seed", "4"], ["--sigmoid-scores"]],
+        [["--all-mode"], ["--folds", "3"], ["--seed", "4"]],
     ])
     def test_each_row_matches_calibrate_then_evaluate(self, tmp_path, flags):
+        # each calibrate run takes the compare flags that its method reads
+        unread = {"underlying": ("--sigmoid-scores", "--folds"),
+                  "cvap": ("--sigmoid-scores", "--all-mode")}
         train, test = self.make_files(tmp_path, 300, 120)
-        data = ["--train", train, "--test", test, *flags]
+        data = ["--train", train, "--test", test]
         table = tmp_path / "table.csv"
-        assert run_cli("compare", *data, "--out", table) == 0
+        assert run_cli("compare", *data, *sum(flags, []), "--out", table) == 0
         rows = [line.split(",") for line in table.read_text().splitlines()[1:]]
         for method, mll, mbl, n, n_inf in rows:
             pred = tmp_path / f"{method}.csv"
             report = tmp_path / f"{method}.json"
-            assert run_cli("calibrate", "--method", method, *data, "--out", pred) == 0
+            own = [arg for flag, *value in flags
+                   if flag not in unread.get(method, ("--folds",)) for arg in (flag, *value)]
+            assert run_cli("calibrate", "--method", method, *data, *own, "--out", pred) == 0
             assert run_cli("evaluate", "--pred", pred, "--truth", test, "--out", report) == 0
             got = json.loads(report.read_text())
             assert (float(mll), float(mbl), int(n), int(n_inf)) == (
@@ -554,7 +560,7 @@ class TestTune:
         ds = generate_synthetic(90, 6)
         write_dataset_csv(tmp_path / "train.csv", ds)
         assert run_cli("calibrate", "--method", "ivap", "--ratio", "2:1", "--tune",
-                       "--randomize-folds", "--train", tmp_path / "train.csv",
+                       "--train", tmp_path / "train.csv",
                        "--test", tmp_path / "train.csv", "--out", tmp_path / "p.csv") == 0
         fold_of = assign_folds(90, 3)
         assert [ridge for ridge, _ in seen] == [r for r in TUNE_RIDGE_GRID for _ in range(3)]

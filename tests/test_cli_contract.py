@@ -121,29 +121,26 @@ MISUSE = [
     # raised before the (missing) training file is opened
     pytest.param(["calibrate", "--method", "ivap", "--train", "{missing}", "--test", "{test}",
                   "--ratio", "2:1", "--scorer", "stump", "--tune"], 2,
-                 "usage error: --tune searches the logistic scorer's ridge; "
-                 "--scorer stump has none\n", id="tune-with-stump-scorer"),
+                 "usage error: calibrate would ignore --tune\n", id="tune-with-stump-scorer"),
     pytest.param(["compare", "--train", "{missing}", "--test", "{test}", "--all-mode",
                   "--folds", 3, "--scorer", "constant", "--tune"], 2,
-                 "usage error: --tune searches the logistic scorer's ridge; "
-                 "--scorer constant has none\n", id="tune-with-constant-scorer"),
+                 "usage error: compare would ignore --tune\n", id="tune-with-constant-scorer"),
     pytest.param(["calibrate", "--method", "platt", "--train", "{missing}", "--test", "{test}",
                   "--ratio", "2:1", "--scorer", "stump", "--sigmoid-scores"], 2,
-                 "usage error: --sigmoid-scores squashes the logistic scorer's scores; "
-                 "--scorer stump scores in [0, 1] already\n", id="sigmoid-with-stump-scorer"),
+                 "usage error: calibrate would ignore --sigmoid-scores\n",
+                 id="sigmoid-with-stump-scorer"),
     pytest.param(["compare", "--train", "{missing}", "--test", "{test}", "--ratio", "2:1",
                   "--scorer", "constant", "--sigmoid-scores"], 2,
-                 "usage error: --sigmoid-scores squashes the logistic scorer's scores; "
-                 "--scorer constant scores in [0, 1] already\n", id="sigmoid-with-constant-scorer"),
+                 "usage error: compare would ignore --sigmoid-scores\n",
+                 id="sigmoid-with-constant-scorer"),
     # the score files are never opened either
     pytest.param(["calibrate", "--method", "ivap", "--calib-scores", "{missing}",
                   "--scores-in", "{missing}", "--tune"], 2,
-                 "usage error: --tune trains a scorer; score files bring their own scores\n",
+                 "usage error: calibrate on score files would ignore --tune\n",
                  id="tune-with-score-files"),
     pytest.param(["calibrate", "--method", "ivap", "--calib-scores", "{missing}",
                   "--scores-in", "{missing}", "--sigmoid-scores"], 2,
-                 "usage error: --sigmoid-scores squashes a scorer's output; "
-                 "score files have none\n",
+                 "usage error: calibrate on score files would ignore --sigmoid-scores\n",
                  id="sigmoid-with-score-files"),
     # a negative seed, even one no shuffle would use, fails before any file is read
     pytest.param(["synth", "--n", 5, "--seed", -1], 2,
@@ -159,6 +156,80 @@ MISUSE = [
 ]
 
 
+# Flags the run would ignore, one case per kind of run and flag that exited 0 before
+# the table of the flags each run reads.  The training file or the score files are
+# missing: each run fails before any file is read.
+F = "--train {missing} --test {test}"
+S = "--calib-scores {missing} --scores-in {missing}"
+IGNORED = [
+    ("underlying-sigmoid", f"calibrate --method underlying {F} --ratio 2:1 --sigmoid-scores",
+     "calibrate would ignore --sigmoid-scores"),
+    ("cvap-sigmoid", f"calibrate --method cvap {F} --folds 3 --sigmoid-scores",
+     "calibrate would ignore --sigmoid-scores"),
+    ("platt-merge", f"calibrate --method platt {F} --ratio 2:1 --merge brier",
+     "calibrate would ignore --merge"),
+    ("platt-dummy", f"calibrate --method platt {F} --ratio 2:1 --dummy-endpoints",
+     "calibrate would ignore --dummy-endpoints"),
+    ("platt-folds", f"calibrate --method platt {F} --ratio 2:1 --folds 3",
+     "calibrate would ignore --folds"),
+    ("platt-randomize-folds", f"calibrate --method platt {F} --ratio 2:1 --randomize-folds",
+     "calibrate would ignore --randomize-folds"),
+    ("tune-randomize-folds", f"calibrate --method ivap {F} --ratio 2:1 --tune --randomize-folds",
+     "calibrate would ignore --randomize-folds"),
+    ("cvap-all-mode", f"calibrate --method cvap {F} --folds 3 --all-mode",
+     "calibrate would ignore --all-mode"),
+    ("cvap-randomize-split", f"calibrate --method cvap {F} --folds 3 --randomize-split",
+     "calibrate would ignore --randomize-split"),
+    ("cvap-folds-ratio", f"calibrate --method cvap {F} --folds 3 --ratio 2:1",
+     "calibrate would ignore --ratio"),
+    ("all-mode-ratio", f"calibrate --method ivap {F} --all-mode --ratio 2:1",
+     "calibrate would ignore --ratio"),
+    ("all-mode-randomize-split", f"calibrate --method ivap {F} --all-mode --randomize-split",
+     "calibrate would ignore --randomize-split"),
+    ("stump-ridge", f"calibrate --method ivap {F} --ratio 2:1 --scorer stump --ridge 0.01",
+     "calibrate would ignore --ridge"),
+    ("tune-ridge", f"calibrate --method ivap {F} --ratio 2:1 --tune --ridge 0.01",
+     "calibrate would ignore --ridge"),
+    ("score-files-underlying-calib", "calibrate --method underlying --scores-in {missing} "
+     "--calib-scores {missing}", "calibrate on score files would ignore --calib-scores"),
+    ("score-files-split-flags",
+     f"calibrate --method platt {S} --folds 3 --ratio 2:1 --label-column zzz",
+     "calibrate on score files would ignore --label-column, --ratio, --folds"),
+    ("score-files-scorer", f"calibrate --method ivap {S} --scorer stump",
+     "calibrate on score files would ignore --scorer"),
+    ("score-files-ridge", f"calibrate --method ivap {S} --ridge 0.01",
+     "calibrate on score files would ignore --ridge"),
+    ("score-files-csv-flags", f"calibrate --method ivap {S} --no-header --positive-label yes",
+     "calibrate on score files would ignore --no-header, --positive-label"),
+    ("score-files-split", f"calibrate --method ivap {S} --all-mode --randomize-split",
+     "calibrate on score files would ignore --all-mode, --randomize-split"),
+    ("score-files-randomize-folds", "calibrate --method cvap --calib-scores {missing} {missing} "
+     "--scores-in {missing} {missing} --randomize-folds",
+     "calibrate on score files would ignore --randomize-folds"),
+    ("score-files-ivap-dummy", f"calibrate --method ivap {S} --dummy-endpoints",
+     "calibrate on score files would ignore --dummy-endpoints"),
+    ("score-files-isotonic-merge", f"calibrate --method isotonic {S} --merge brier",
+     "calibrate on score files would ignore --merge"),
+    ("compare-all-mode-ratio", f"compare {F} --all-mode --folds 3 --ratio 5:1",
+     "compare would ignore --ratio"),
+    ("compare-all-mode-randomize-split", f"compare {F} --all-mode --folds 3 --randomize-split",
+     "compare would ignore --randomize-split"),
+    ("compare-stump-ridge", f"compare {F} --ratio 2:1 --scorer stump --ridge 0.01",
+     "compare would ignore --ridge"),
+    ("compare-tune-ridge", f"compare {F} --ratio 2:1 --tune --ridge 0.01",
+     "compare would ignore --ridge"),
+]
+MISUSE += [pytest.param(argv.split(), 2, f"usage error: {message}\n", id=name)
+           for name, argv, message in IGNORED]
+# a ridge that is not positive and finite, used or not, fails before any file is read
+MISUSE += [pytest.param(f"calibrate --method ivap {F} --ratio 2:1 --ridge {ridge}".split(), 2,
+                        f"usage error: --ridge must be positive and finite, got {float(ridge)}\n",
+                        id=f"ridge-{ridge}") for ridge in ("nan", "inf", "0", "-1")]
+MISUSE.append(pytest.param(f"compare {F} --ratio 2:1 --scorer stump --ridge nan".split(), 2,
+                           "usage error: --ridge must be positive and finite, got nan\n",
+                           id="compare-ridge-nan"))
+
+
 @pytest.mark.parametrize("argv, code, start", MISUSE)
 def test_misuse_exits_with_one_prefixed_line(tmp_path, misuse_files, capsys, argv, code, start):
     argv = [str(a).format(**misuse_files) for a in argv]
@@ -168,6 +239,71 @@ def test_misuse_exits_with_one_prefixed_line(tmp_path, misuse_files, capsys, arg
     assert captured.err.startswith(start) and captured.err.startswith(ERROR_PREFIXES)
     assert captured.err.count("\n") == 1 and captured.err.endswith("\n")
     assert not (tmp_path / "out.csv").exists()
+
+
+METHODS = ("underlying", "platt", "isotonic", "ivap", "cvap")
+SPLIT = METHODS[:4]
+# README's table, at the other flags' defaults (the logistic scorer; no --all-mode,
+# --tune or --folds).  flag: (a value off its default, the methods that read it on
+# --train/--test, the methods that read it on score files)
+TABLE = {
+    "--train": (["{missing}"], METHODS, ()),
+    "--test": (["{missing}"], METHODS, ()),
+    "--label-column": (["zzz"], METHODS, ()),
+    "--no-header": ([], METHODS, ()),
+    "--positive-label": (["1"], METHODS, ()),
+    "--scorer": (["stump"], METHODS, ()),
+    "--ridge": (["0.5"], METHODS, ()),
+    "--tune": ([], METHODS, ()),
+    "--ratio": (["2:1"], METHODS, ()),
+    "--all-mode": ([], SPLIT, ()),
+    "--randomize-split": ([], SPLIT, ()),
+    "--folds": (["2"], ("cvap",), ("cvap",)),
+    "--randomize-folds": ([], ("cvap",), ()),
+    "--sigmoid-scores": ([], ("platt", "isotonic", "ivap"), ()),
+    "--dummy-endpoints": ([], ("isotonic",), ("isotonic",)),
+    "--merge": (["brier"], ("ivap", "cvap"), ("ivap", "cvap")),
+    "--intervals": ([], ("ivap", "cvap"), ("ivap", "cvap")),
+    "--calib-scores": (["{missing}"], (), METHODS[1:]),
+}
+
+
+def test_each_run_rejects_exactly_the_flags_it_does_not_read(tmp_path, capsys):
+    # every input path is missing: an unread flag must fail before any file is read,
+    # and a read flag gets as far as reading one
+    features = ["--train", "{missing}", "--test", "{missing}"]
+    runs = [("compare", [*features, "--ratio", "2:1"], METHODS, False)]
+    for method in METHODS:
+        files = 2 if method == "cvap" else 1
+        scores = ["--scores-in", *["{missing}"] * files]
+        if method != "underlying":
+            scores += ["--calib-scores", *["{missing}"] * files]
+        runs += [("calibrate", ["--method", method, *features], [method], False),
+                 ("calibrate", ["--method", method, *scores], [method], True)]
+    wrong = []
+    for command, base, methods, on_files in runs:
+        for flag, (value, on_features, on_score_files) in TABLE.items():
+            # --calib-scores picks the score-file route, and compare has no --intervals
+            if flag in base or flag == "--calib-scores" and not on_files or (
+                    command == "compare" and flag == "--intervals"):
+                continue
+            argv = [command, *base, flag, *value, "--out", "{out}"]
+            code = run(*[a.format(missing=tmp_path / "missing.csv", out=tmp_path / "out.csv")
+                         for a in argv])
+            err = capsys.readouterr().err
+            readers = on_score_files if on_files else on_features
+            if not any(method in readers for method in methods):
+                route = " on score files" if on_files else ""
+                want = (2, f"usage error: {command}{route} would ignore {flag}\n")
+            elif command == "compare" and flag == "--all-mode":
+                want = (2, "usage error: compare with --all-mode needs --folds for the cross "
+                           "method\n")
+            else:
+                want = (3, "file error: ")
+            if code != want[0] or not err.startswith(want[1]):
+                wrong.append(f"{' '.join(argv)}: exit {code}, {err!r}")
+    assert wrong == []
+    assert list(tmp_path.iterdir()) == []
 
 
 def test_one_class_positive_label_file_evaluates(misuse_files, capsys):
@@ -198,16 +334,19 @@ def test_underlying_score_file_is_written_unchanged(tmp_path):
     assert manifest["settings"]["calib_scores"] is None
 
 
-def test_sigmoid_scores_feeds_the_split_methods_only(tmp_path, data):
-    predictions = {}
-    for method, flags in (("cvap", ["--folds", 3]), ("platt", ["--ratio", "2:1"])):
-        for sigmoid in ([], ["--sigmoid-scores"]):
-            out = tmp_path / f"{method}{len(sigmoid)}.csv"
-            assert run("calibrate", "--method", method, *flags, *sigmoid, "--train", data["train"],
-                       "--test", data["test"], "--out", out) == 0
-            predictions[method, bool(sigmoid)] = out.read_bytes()
-    assert predictions["cvap", True] == predictions["cvap", False]
-    assert predictions["platt", True] != predictions["platt", False]
+def test_sigmoid_scores_feeds_the_split_methods_only(tmp_path, data, capsys):
+    files = ["--train", data["train"], "--test", data["test"]]
+    assert run("calibrate", "--method", "cvap", "--folds", 3, "--sigmoid-scores", *files,
+               "--out", tmp_path / "cvap.csv") == 2
+    assert capsys.readouterr().err == "usage error: calibrate would ignore --sigmoid-scores\n"
+    assert list(tmp_path.iterdir()) == []
+    predictions = []
+    for sigmoid in ([], ["--sigmoid-scores"]):
+        out = tmp_path / f"platt{len(sigmoid)}.csv"
+        assert run("calibrate", "--method", "platt", "--ratio", "2:1", *sigmoid, *files,
+                   "--out", out) == 0
+        predictions.append(out.read_bytes())
+    assert predictions[0] != predictions[1]
 
 
 @pytest.fixture(scope="module")
@@ -221,6 +360,8 @@ def test_cli_grid_exits_as_declared(grid):
     root, results = grid
     assert [(argv, code) for argv, code, _ in results] == cli_grid.GRID
     assert not any(str(root) in line for *_, line in results)  # relative paths only
+    # a failing command writes no file: its line is the code, the argv and two digests
+    assert all(len(line.split()) == len(argv.split()) + 3 for argv, code, line in results if code)
 
 
 def test_cli_grid_matches_expected_lines(grid):

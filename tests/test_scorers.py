@@ -38,8 +38,9 @@ class TestSpec:
     def test_bad_values_rejected(self):
         with pytest.raises(ValueError):
             ScorerSpec(kind="forest")
-        with pytest.raises(ValueError):
-            ScorerSpec(ridge=0)
+        for ridge in (0.0, -1.0, float("nan"), float("inf")):
+            with pytest.raises(ValueError, match="^ridge must be positive and finite$"):
+                ScorerSpec(ridge=ridge)
 
     def test_defaults_are_stated_once(self):
         assert ScorerSpec() == ScorerSpec("logistic", 1e-4)
@@ -57,6 +58,14 @@ class TestSpec:
 def test_empty_or_mismatched_rows_rejected(kind, X, y, message):
     with pytest.raises(ValueError, match=message):
         train_scorer(ScorerSpec(kind), X, y)
+
+
+@pytest.mark.parametrize("kind", KINDS)
+@pytest.mark.parametrize("labels", [[0, 1, 5, 1], [0, 1, -1, 1], [0, 0.5, 1, 1], [0, np.nan, 1, 1]])
+def test_labels_other_than_zero_or_one_rejected(kind, labels):
+    # a logistic fit on label 5 used to return weight 20000, not converged
+    with pytest.raises(ValueError, match="^labels must be 0 or 1$"):
+        train_scorer(ScorerSpec(kind), [[0.0], [1.0], [2.0], [3.0]], labels)
 
 
 @pytest.mark.parametrize("kind", KINDS)
