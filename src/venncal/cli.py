@@ -3,10 +3,10 @@
 Subcommands: `synth` writes a synthetic dataset, `calibrate` trains one
 calibration method and writes per-row probabilities, `evaluate` scores a
 prediction file against labels, and `compare` runs every method on the same
-split and emits a methods-by-losses table.  Every run that writes
-predictions also writes a `<out>.manifest.json` recording the settings and
-package version, and all output is deterministic: identical flags produce
-byte-identical files.  `--tune` trains its folds with cvap's `fold_scorers`.
+split and emits a methods-by-losses table.  A run that writes predictions also
+writes a `<out>.manifest.json` of its flags and versions, and identical flags
+give byte-identical files.  Every usage error is raised before any file is
+read.  cvap and `--tune` take `_n_folds` folds, trained by `fold_scorers`.
 
 Exit codes: 0 success, 2 usage error, 3 data error, 4 degenerate model.
 """
@@ -145,14 +145,33 @@ def _tuned_ridge(ds: Dataset, n_folds: int, spec: ScorerSpec) -> float:
     return min(TUNE_RIDGE_GRID, key=cumulative_brier)
 
 
-def _check_flags(args, methods, files: bool) -> None:
-    """Reject each flag off its default (calibrate's flags hold compare's) that no run reads."""
+def _preflight(args, methods, files: bool) -> None:
+    """Refuse the run before any file is read: for a flag off its default that no run reads
+    (calibrate's flags hold compare's), a malformed --ratio or a missing input."""
     defaults = vars(build_parser().parse_args(["calibrate", "--method", "ivap", "--out", ""]))
     unread = [f"--{flag}".replace("_", "-") for flags, reads in _READS.items()
               for flag in flags.split() if getattr(args, flag, defaults[flag]) != defaults[flag]
               and not any(reads(m, files, args) for m in methods)]
     if unread:
         raise UsageError(f"{args.command}{' on score files' * files} would ignore {', '.join(unread)}")
+    if args.ratio:
+        _parse_ratio(args.ratio)
+    if files and methods == ["cvap"]:
+        if (n_calib := len(args.calib_scores or ())) < 2:
+            raise UsageError("cvap on score files needs one --calib-scores file per fold")
+        if len(args.scores_in or ()) != n_calib:
+            raise UsageError("cvap needs one --scores-in file per fold, aligned by row")
+        if args.folds not in (None, n_calib):
+            raise UsageError("--folds disagrees with the number of score files")
+    elif files and len(args.scores_in or ()) != 1:
+        raise UsageError("expected exactly one --scores-in file")
+    elif files and methods != ["underlying"] and len(args.calib_scores or ()) != 1:
+        raise UsageError(f"method {methods[0]!r} expects exactly one --calib-scores file")
+    elif not files and not (args.train and args.test):
+        raise UsageError(f"{args.command} needs --train and --test"
+                         + " (or score files)" * (args.command == "calibrate"))
+    elif not files and methods != ["cvap"] and not (args.ratio or args.all_mode):
+        raise UsageError(f"method {methods[0]!r} needs --ratio (or --all-mode)")
 
 
 def _tuned_spec(args, train_ds: Dataset) -> ScorerSpec:
@@ -213,8 +232,6 @@ def _feature_inputs(methods, args, train_ds: Dataset, test_ds: Dataset, spec: Sc
             if args.all_mode:
                 proper, calibration = train_ds, train_ds
             else:
-                if not args.ratio:
-                    raise UsageError(f"method {method!r} needs --ratio (or --all-mode)")
                 seed = _sub_seed(args.seed, 0) if args.randomize_split else None
                 proper, calibration = split_proper_calibration(
                     train_ds, _parse_ratio(args.ratio), shuffle_seed=seed)
@@ -240,34 +257,21 @@ def _score_file_folds(calib_paths, test_paths):
 def _score_file_inputs(method: str, args):
     """The inputs for `_calibrate` read from --calib-scores and --scores-in."""
     if method == "cvap":
-        if not args.calib_scores or len(args.calib_scores) < 2:
-            raise UsageError("cvap on score files needs one --calib-scores file per fold")
-        if not args.scores_in or len(args.scores_in) != len(args.calib_scores):
-            raise UsageError("cvap needs one --scores-in file per fold, aligned by row")
-        if args.folds is not None and args.folds != len(args.calib_scores):
-            raise UsageError("--folds disagrees with the number of score files")
         return fold_intervals(_score_file_folds(args.calib_scores, args.scores_in))
-
-    if not args.scores_in or len(args.scores_in) != 1:
-        raise UsageError("expected exactly one --scores-in file")
     test_scores = read_test_scores(args.scores_in[0])
     if method == "underlying":
         if not ((test_scores >= 0.0) & (test_scores <= 1.0)).all():
             raise DataError("underlying scores must already be probabilities in [0, 1]")
         return test_scores
-    if not args.calib_scores or len(args.calib_scores) != 1:
-        raise UsageError(f"method {method!r} expects exactly one --calib-scores file")
     return *read_calibration_scores(args.calib_scores[0]), test_scores
 
 
 def cmd_calibrate(args) -> int:
     files = args.calib_scores is not None or args.scores_in is not None
-    _check_flags(args, [args.method], files)
+    _preflight(args, [args.method], files)
     if files:
         inputs = _score_file_inputs(args.method, args)
     else:
-        if not args.train or not args.test:
-            raise UsageError("calibrate needs --train and --test (or score files)")
         train_ds, test_ds = _load_feature_data(args)
         _, inputs = next(_feature_inputs([args.method], args, train_ds, test_ds,
                                          _tuned_spec(args, train_ds)))
@@ -302,11 +306,7 @@ def cmd_evaluate(args) -> int:
 
 
 def cmd_compare(args) -> int:
-    _check_flags(args, METHODS, False)
-    if not args.ratio and not args.all_mode:
-        raise UsageError("compare needs --ratio (or --all-mode with --folds)")
-    if args.all_mode and args.folds is None:
-        raise UsageError("compare with --all-mode needs --folds for the cross method")
+    _preflight(args, METHODS, False)
     train_ds, test_ds = _load_feature_data(args)
     spec = _tuned_spec(args, train_ds)
     rows = [(method, evaluate(_calibrate(method, args, inputs)[0], test_ds.y))

@@ -121,4 +121,4 @@ class IvapCalibrator:
 
     def predict_many(self, scores, loss: str = "log") -> np.ndarray:
         lo, hi = self.predict_intervals(scores)
-        return merge(lo[None, :], hi[None, :], loss)
+        return merge(lo[None], hi[None], loss)

@@ -116,7 +116,7 @@ GRID = [
     (f"calibrate --method ivap {FEATURES} --ratio a:b --out x.csv", 2),
     (f"calibrate --method ivap {FEATURES} --ratio 0:1 --out x.csv", 2),
     (f"compare {FEATURES} --out x.csv", 2),
-    (f"compare {FEATURES} --all-mode --out x.csv", 2),
+    (f"compare {FEATURES} --all-mode --out x.csv", 0),
     ("calibrate --method ivap --calib-scores calib.csv --scores-in nan.csv --out x.csv", 3),
     ("calibrate --method ivap --calib-scores calib.csv --scores-in inf.csv --out x.csv", 3),
     ("calibrate --method cvap --calib-scores calib0.csv calib1.csv calib-neginf.csv "
@@ -166,6 +166,23 @@ GRID = [
     # a ridge that is not positive and finite, before any file is read
     (f"calibrate --method ivap {FEATURES} --ratio 2:1 --ridge nan --out x.csv", 2),
     (f"calibrate --method ivap {FEATURES} --ratio 2:1 --ridge 0 --out x.csv", 2),
+    # each refusal of cli.py that no line above reaches
+    ("synth --n 0 --out x.csv", 2),
+    ("calibrate --method cvap --calib-scores calib0.csv --scores-in s0.csv --out x.csv", 2),
+    ("calibrate --method cvap --calib-scores calib0.csv calib1.csv --scores-in s0.csv "
+     "--out x.csv", 2),
+    (f"calibrate --method cvap {FOLD_SCORES} --folds 2 --out x.csv", 2),
+    ("calibrate --method cvap --calib-scores calib0.csv calib1.csv --scores-in s0.csv probs.csv "
+     "--out x.csv", 3),
+    ("calibrate --method ivap --calib-scores calib.csv --scores-in s0.csv s1.csv --out x.csv", 2),
+    ("calibrate --method platt --scores-in scores.csv --out x.csv", 2),
+    ("calibrate --method underlying --scores-in scores.csv --out x.csv", 3),
+    ("calibrate --method ivap --test test.csv --ratio 2:1 --out x.csv", 2),
+    ("evaluate --pred pred2.csv --truth test.csv", 3),
+    # usage errors raised before a missing input file is opened
+    ("compare --ratio 2:1 --test missing.csv --out x.csv", 2),
+    ("calibrate --method platt --scores-in missing.csv --out x.csv", 2),
+    ("calibrate --method platt --tune --train missing.csv --test missing.csv --out x.csv", 2),
 ]
 
 
@@ -247,6 +264,19 @@ def _files(root: Path) -> dict:
             for p in sorted(root.iterdir()) if p.is_file()}
 
 
+def run_command(argv: str) -> tuple[int, str]:
+    """Run one argv in the working directory: (exit code, digest line)."""
+    before = _files(Path("."))
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        code = main(argv.split())
+    written = {name: stamp[1] for name, stamp in _files(Path(".")).items()
+               if before.get(name) != stamp}
+    return code, " ".join([str(code), argv, f"stdout={_sha(out.getvalue().encode())}",
+                           f"stderr={_sha(err.getvalue().encode())}",
+                           *(f"{name}={sha}" for name, sha in written.items())])
+
+
 def run_grid(root) -> list[tuple[str, int, str]]:
     """Run GRID in `root`, a missing or empty directory: per command, (argv,
     exit code, digest line)."""
@@ -255,24 +285,12 @@ def run_grid(root) -> list[tuple[str, int, str]]:
     if any(root.iterdir()):
         raise ValueError(f"{root} is not empty")
     write_inputs(root)
-    results = []
     here = os.getcwd()
     os.chdir(root)
     try:
-        for argv, _ in GRID:
-            before = _files(Path("."))
-            out, err = io.StringIO(), io.StringIO()
-            with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
-                code = main(argv.split())
-            written = {name: stamp[1] for name, stamp in _files(Path(".")).items()
-                       if before.get(name) != stamp}
-            line = " ".join([str(code), argv, f"stdout={_sha(out.getvalue().encode())}",
-                             f"stderr={_sha(err.getvalue().encode())}",
-                             *(f"{name}={sha}" for name, sha in written.items())])
-            results.append((argv, code, line))
+        return [(argv, *run_command(argv)) for argv, _ in GRID]
     finally:
         os.chdir(here)
-    return results
 
 
 if __name__ == "__main__":

@@ -7,7 +7,7 @@ from pathlib import Path
 import pytest
 
 import cli_grid
-from venncal.cli import main
+from venncal.cli import _READS, build_parser, main
 
 ERROR_PREFIXES = ("usage error: ", "data error: ", "file error: ", "degenerate model: ")
 
@@ -42,6 +42,8 @@ GRID = [
     ["calibrate", "--method", "cvap", "--folds", 3, "--scorer", "constant"],
     ["calibrate", "--method", "underlying", "--ratio", "2:1", "--ridge", 0.01],
     ["compare", "--all-mode", "--folds", 3, "--merge", "brier", "--tune"],
+    # without --folds, compare's cvap takes calibrate's default of 5 folds
+    ["compare", "--all-mode", "--scorer", "stump"],
 ]
 
 
@@ -95,11 +97,8 @@ MISUSE = [
     pytest.param(["calibrate", "--method", "ivap", *FEATURES, "--ratio", "0:1"], 2,
                  "usage error: --ratio parts must be positive, got '0:1'", id="ratio-zero-part"),
     pytest.param(["compare", *FEATURES], 2,
-                 "usage error: compare needs --ratio (or --all-mode with --folds)",
+                 "usage error: method 'underlying' needs --ratio (or --all-mode)\n",
                  id="compare-without-ratio"),
-    pytest.param(["compare", *FEATURES, "--all-mode"], 2,
-                 "usage error: compare with --all-mode needs --folds for the cross method",
-                 id="all-mode-without-folds"),
     pytest.param(["calibrate", "--method", "ivap", "--train", "{missing}", "--test", "{test}",
                   "--ratio", "2:1"], 3, "file error: ", id="missing-input-file"),
     pytest.param(["calibrate", "--method", "cvap", *FEATURES, "--folds", 0], 3,
@@ -153,6 +152,16 @@ MISUSE = [
                   "--folds", 3, "--randomize-split", "--randomize-folds", "--seed", -7], 2,
                  "usage error: --seed must be non-negative, got -7\n",
                  id="compare-negative-seed"),
+    # a missing input is named before any file is read or any scorer trained
+    pytest.param(["compare", "--ratio", "2:1", "--test", "{missing}"], 2,
+                 "usage error: compare needs --train and --test\n", id="compare-without-train"),
+    pytest.param(["calibrate", "--method", "platt", "--scores-in", "{missing}"], 2,
+                 "usage error: method 'platt' expects exactly one --calib-scores file\n",
+                 id="score-file-without-calib-scores"),
+    pytest.param(["calibrate", "--method", "platt", "--tune", "--train", "{missing}",
+                  "--test", "{missing}"], 2,
+                 "usage error: method 'platt' needs --ratio (or --all-mode)\n",
+                 id="tune-without-ratio"),
 ]
 
 
@@ -269,8 +278,9 @@ TABLE = {
 
 
 def test_each_run_rejects_exactly_the_flags_it_does_not_read(tmp_path, capsys):
-    # every input path is missing: an unread flag must fail before any file is read,
-    # and a read flag gets as far as reading one
+    # every input path is missing: an unread flag must fail before any file is read, and
+    # a read flag gets as far as reading one, or, for a split method with neither
+    # --ratio nor --all-mode, as far as that usage error
     features = ["--train", "{missing}", "--test", "{missing}"]
     runs = [("compare", [*features, "--ratio", "2:1"], METHODS, False)]
     for method in METHODS:
@@ -295,15 +305,28 @@ def test_each_run_rejects_exactly_the_flags_it_does_not_read(tmp_path, capsys):
             if not any(method in readers for method in methods):
                 route = " on score files" if on_files else ""
                 want = (2, f"usage error: {command}{route} would ignore {flag}\n")
-            elif command == "compare" and flag == "--all-mode":
-                want = (2, "usage error: compare with --all-mode needs --folds for the cross "
-                           "method\n")
+            elif not (on_files or methods == ["cvap"]
+                      or {"--ratio", "--all-mode"} & {*base, flag}):
+                want = (2, f"usage error: method {methods[0]!r} needs --ratio (or --all-mode)\n")
             else:
                 want = (3, "file error: ")
             if code != want[0] or not err.startswith(want[1]):
                 wrong.append(f"{' '.join(argv)}: exit {code}, {err!r}")
     assert wrong == []
     assert list(tmp_path.iterdir()) == []
+
+
+def test_each_calibrate_and_compare_flag_has_one_row_of_the_reads_table():
+    # a flag that no row names would skip the unread-flag check; --seed, --out and
+    # --scores-in are read by every run that is given them
+    named = [flag for flags in _READS for flag in flags.split()]
+    unlisted = {"command", "func", "method", "out", "seed", "scores_in"}
+    parser = build_parser()
+    calibrate = set(vars(parser.parse_args(["calibrate", "--method", "ivap", "--out", ""])))
+    compare = set(vars(parser.parse_args(["compare", "--out", ""])))
+    for dests in (calibrate - unlisted, compare - unlisted):
+        assert {dest: named.count(dest) for dest in dests} == dict.fromkeys(dests, 1)
+    assert set(named) == calibrate - unlisted
 
 
 def test_one_class_positive_label_file_evaluates(misuse_files, capsys):
@@ -362,6 +385,17 @@ def test_cli_grid_exits_as_declared(grid):
     assert not any(str(root) in line for *_, line in results)  # relative paths only
     # a failing command writes no file: its line is the code, the argv and two digests
     assert all(len(line.split()) == len(argv.split()) + 3 for argv, code, line in results if code)
+
+
+def test_each_usage_refusal_of_the_grid_reads_no_file(grid, tmp_path, monkeypatch):
+    # rerun where no input file exists, every exit-2 command of the grid prints its
+    # same line: each usage error is raised before any file is opened
+    monkeypatch.chdir(tmp_path)
+    refusals = [(argv, line) for argv, code, line in grid[1] if code == 2]
+    assert len(refusals) == 49
+    assert [cli_grid.run_command(argv)[1] for argv, _ in refusals] == [
+        line for _, line in refusals]
+    assert list(tmp_path.iterdir()) == []
 
 
 def test_cli_grid_matches_expected_lines(grid):

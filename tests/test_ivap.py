@@ -451,3 +451,13 @@ def test_ivap_answers_any_finite_input_in_range(pairs, queries, loss, data):
     # single answers: the bits of the batch
     assert [rule.predict_interval(q) for q in queries] == list(map(ProbInterval, lo, hi))
     assert [rule.predict(q, loss) for q in queries] == p.tolist()
+
+
+@pytest.mark.parametrize("loss", ["log", "brier"])
+def test_a_0d_score_predicts_the_bits_of_its_single_prediction(loss):
+    # a 0-d score is one query, as it is for `predict_intervals` and direct isotonic
+    rule = IvapCalibrator.fit([0.0, 1.0, 1.0, 2.0], [0, 1, 0, 1])
+    for score in (-1.0, 0.5, 1.0, 3.0):
+        p = rule.predict_many(np.float64(score), loss)
+        assert np.shape(p) == ()
+        assert np.float64(p).tobytes() == np.float64(rule.predict(score, loss)).tobytes()
