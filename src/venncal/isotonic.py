@@ -23,8 +23,9 @@ would refit once per score; here a single sweep moves the test interval
 through the diagram, reflecting one CSD vertex per step and repairing the
 corner stack, so each curve costs O(k') after sorting; numpy skips the
 steps between stack pushes.  There is one CSD construction, `_csd`, one hull,
-`_lower_hull`, and one sweep: the lower curve is the upper sweep run on the
-mirrored points (scores negated, labels flipped), read backwards.
+`_lower_hull`, and one sweep, `_sweep`, which reads only weights and label sums:
+the lower curve is the sweep of the mirrored points (order reversed, labels
+flipped), read backwards.  No batch-sized buffer is held past its last read.
 """
 
 from __future__ import annotations
@@ -80,9 +81,8 @@ class CurveScan:
     sweep_pushes: int
 
 
-def calibration_set(scores, labels) -> tuple[np.ndarray, np.ndarray]:
-    """Float arrays of the calibration set; ValueError unless the scores and labels are
-    non-empty, 1-D and of equal length, the scores finite and the labels 0 or 1."""
+def _paired_arrays(scores, labels) -> tuple[np.ndarray, np.ndarray]:
+    """Float arrays of scores and labels; ValueError unless non-empty, 1-D and of equal length."""
     s = np.asarray(scores, dtype=float)
     y = np.asarray(labels, dtype=float)
     if s.ndim != 1 or y.ndim != 1:
@@ -91,6 +91,13 @@ def calibration_set(scores, labels) -> tuple[np.ndarray, np.ndarray]:
         raise ValueError(f"length mismatch: {len(s)} scores vs {len(y)} labels")
     if len(s) == 0:
         raise ValueError("empty calibration set")
+    return s, y
+
+
+def calibration_set(scores, labels) -> tuple[np.ndarray, np.ndarray]:
+    """Float arrays of the calibration set; ValueError unless the scores and labels are
+    non-empty, 1-D and of equal length, the scores finite and the labels 0 or 1."""
+    s, y = _paired_arrays(scores, labels)
     if not np.isfinite(s).all():
         raise ValueError("calibration scores must be finite")
     if not np.isin(y, (0.0, 1.0)).all():
@@ -108,25 +115,19 @@ def dedup_weighted(scores, labels) -> WeightedPoints:
     0.0/-0.0 tie keeps the zero that comes first in the input.  Raises
     ValueError on empty input, length mismatch, or NaN scores.
     """
-    s = np.asarray(scores, dtype=float)
-    y = np.asarray(labels, dtype=float)
-    if s.ndim != 1 or y.ndim != 1:
-        raise ValueError("scores and labels must be one-dimensional")
-    if len(s) != len(y):
-        raise ValueError(f"length mismatch: {len(s)} scores vs {len(y)} labels")
-    if len(s) == 0:
-        raise ValueError("empty calibration set")
+    s, y = _paired_arrays(scores, labels)
     if np.isnan(s).any():
         raise ValueError("scores must not contain NaN")
+    # each batch-sized buffer is dropped after its last read: lower peak memory
     order, ss = _sorted_batch(s)
-    first = np.ones(len(ss), dtype=bool)  # one bool array, not two: lower peak memory
-    np.not_equal(ss[1:], ss[:-1], out=first[1:])
-    start = np.flatnonzero(first)
+    start = np.flatnonzero(np.append(True, ss[1:] != ss[:-1]))
     distinct = ss[start]
+    del ss
     if 0.0 in distinct:
         distinct[distinct == 0.0] = s[np.argmax(s == 0.0)]
-    weights = np.diff(np.append(start, len(s))).astype(np.int64)
-    return WeightedPoints(distinct, weights, np.add.reduceat(y[order], start))
+    label_sums = np.add.reduceat(y[order], start)
+    del order
+    return WeightedPoints(distinct, np.diff(start, append=len(s)), label_sums)
 
 
 def _packed_order(flat: np.ndarray) -> np.ndarray:
@@ -190,11 +191,13 @@ def _step_lookup(keys, flat, lower, upper=None):
     return in_input_order(lower[i]), hi
 
 
-def _csd(points: WeightedPoints) -> tuple[np.ndarray, np.ndarray]:
-    """Cumulative sum diagram: k'+1 vertices (cumulative weight, cumulative label
-    sum), from the origin; x strictly increasing."""
-    return (np.concatenate([[0.0], np.cumsum(points.weights)]),
-            np.concatenate([[0.0], np.cumsum(points.label_sums)]))
+def _csd(weights, label_sums) -> tuple[np.ndarray, np.ndarray]:
+    """Extended CSD, one buffer per coordinate: (-1, -1), then the k'+1 vertices (cumulative
+    weight, cumulative label sum) from the origin; the weights are summed exactly, in int64."""
+    x = np.empty(len(weights) + 2)
+    x[:2], x[2:] = (-1.0, 0.0), np.cumsum(weights)
+    y = np.concatenate(([-1.0, 1.0], label_sums))  # after the int64 sums are freed
+    return x, np.cumsum(y, out=y)  # in place: -1, 0, then the label sums' running total
 
 
 def _graham_scan(xs: list, ys: list) -> tuple[list, list]:
@@ -215,21 +218,27 @@ def _graham_scan(xs: list, ys: list) -> tuple[list, list]:
     return sx, sy
 
 
+_BLOCK = 1 << 14  # vertices per turn test in a numpy round of `_lower_hull`
+_STREAK = 32  # sweep steps taken one at a time before searching ahead with numpy
+
+
 def _lower_hull(x: np.ndarray, y: np.ndarray) -> tuple[list, list]:
     """`_graham_scan` of the polyline (x, y), x strictly increasing.
 
     Each numpy round drops every interior vertex whose turn between its
     surviving neighbours is not strictly left; such a vertex is never a
-    corner.  Once a round keeps more than half of the vertices, the Graham
+    corner.  A round tests `_BLOCK` vertices at a time, so its temporaries
+    stay small.  Once a round keeps more than half of the vertices, the Graham
     scan finishes on the survivors: at worst one scan plus O(n) numpy work.
     """
     while len(x) > 2:
-        dx, dy = np.diff(x), np.diff(y)
         keep = np.ones(len(x), dtype=bool)
-        keep[1:-1] = dx[:-1] * dy[1:] - dx[1:] * dy[:-1] > 0.0
-        n = len(x)
+        inner = keep[1:-1]
+        for a in range(0, len(inner), _BLOCK):
+            dx, dy = np.diff(x[a:a + _BLOCK + 2]), np.diff(y[a:a + _BLOCK + 2])
+            inner[a:a + _BLOCK] = dx[:-1] * dy[1:] - dx[1:] * dy[:-1] > 0.0
         x, y = x[keep], y[keep]
-        if 2 * len(x) > n:
+        if 2 * len(x) > len(keep):
             break
     return _graham_scan(x.tolist(), y.tolist())
 
@@ -241,16 +250,16 @@ def fit_isotonic(points: WeightedPoints) -> np.ndarray:
     the CSD; the result is nondecreasing and minimizes
     sum_j w_j (g_j - y'_j)^2 over nondecreasing g.  Within every pooled block
     the fitted value equals the weighted mean of the block's mean labels.
+    Raises ValueError unless the cumulative weights are strictly increasing
+    and below 2^53, where positive integer weights sum exactly.
     """
-    x, y = _csd(points)
+    x, y = (c[1:] for c in _csd(points.weights, points.label_sums))
+    if not (x[-1] < 2 ** 53 and (x[1:] > x[:-1]).all()):
+        raise ValueError("the fit needs positive integer weights with total weight W < 2^53")
     cx, cy = (np.array(c) for c in _lower_hull(x, y))
-    slopes = np.diff(cy) / np.diff(cx)
-    # the interval (X_{i-1}, X_i] lies inside exactly one corner segment
-    seg = np.searchsorted(cx, x[1:], side="left") - 1
-    return slopes[seg]
-
-
-_STREAK = 32  # sweep steps taken one at a time before searching ahead with numpy
+    del y  # before the batch-sized readout: lower peak memory
+    # corner segment j covers the weight intervals between corners j and j + 1
+    return np.repeat(np.diff(cy) / np.diff(cx), np.diff(x.searchsorted(cx)))
 
 
 def upper_prob_scan(points: WeightedPoints) -> CurveScan:
@@ -271,27 +280,32 @@ def upper_prob_scan(points: WeightedPoints) -> CurveScan:
     weights and label sums are integers and (W + 1)^2 <= 2^53 for the total
     weight W; in that range every coordinate and cross product is exact.
     """
-    k = len(points)
-    w, sums = points.weights, points.label_sums
+    return _sweep(points.weights, points.label_sums)
+
+
+def _sweep(w: np.ndarray, sums: np.ndarray) -> CurveScan:
+    """`upper_prob_scan` of the points with these weights and label sums, in score order."""
+    k = len(w)
     if not (np.array_equal(w, np.floor(w)) and np.array_equal(sums, np.floor(sums))
             and (np.sum(w, dtype=float) + 1) ** 2 <= 2 ** 53):
         raise ValueError("the sweep needs integer weights and label sums, "
                          "with (W + 1)^2 <= 2^53 for the total weight W")
     # extended CSD: vertex j-1 at index j, the test extension at index 0
-    x, y = (np.concatenate([[-1.0], c]) for c in _csd(points))
+    qx, qy = _csd(w, sums)
 
     # sweep stack holds the GCM corners reversed: leftmost (active) corner on
     # top; a push always follows a pop, so the stack never outgrows them
-    tx, ty = _lower_hull(x, y)
+    tx, ty = _lower_hull(qx, qy)
     tx.reverse()
     ty.reverse()
     t = len(tx) - 1
     sweep_pushes = len(tx)
 
-    # vertex reflected at step i, at index i; index k + 1 holds a sentinel
-    # strictly below every segment, so every search ends by k + 1
-    qx = np.append(x[1:] - 1.0, 0.0)
-    qy = np.append(y[1:] - 1.0, -np.inf)
+    # in place, the vertex reflected at step i at index i: CSD vertex i less (1, 1); index
+    # k + 1 holds a sentinel strictly below every segment, so every search ends by k + 1
+    np.subtract(qx[1:], 1.0, out=qx[:-1])  # each element read before its write: no copy
+    np.subtract(qy[1:], 1.0, out=qy[:-1])
+    qx[-1], qy[-1] = 0.0, -np.inf
     lqx, lqy = memoryview(qx), memoryview(qy)  # scalar reads without float lists
     dys, dxs, ends = [], [], []
     j = 0
@@ -327,6 +341,7 @@ def upper_prob_scan(points: WeightedPoints) -> CurveScan:
         t += 1
         tx[t], ty[t] = qxj, qyj
         sweep_pushes += 1
+    del qx, qy, lqx, lqy  # before the batch-sized outputs: lower peak memory
     runs = np.diff(np.minimum([0, *ends], k))
     num = np.repeat(dys, runs)
     den = np.repeat(dxs, runs)
@@ -343,8 +358,7 @@ def lower_prob_scan(points: WeightedPoints) -> CurveScan:
     exact: num = den' - num' and den = den', reversed.
     """
     w = points.weights
-    up = upper_prob_scan(WeightedPoints(-points.scores[::-1], w[::-1],
-                                        (w - points.label_sums)[::-1]))
+    up = _sweep(w[::-1], (w - points.label_sums)[::-1])
     num = (up.den - up.num)[::-1]
     den = up.den[::-1]
     return CurveScan(num / den, num, den, up.corner_pushes, up.sweep_pushes)

@@ -61,14 +61,16 @@ class IvapCalibrator:
     def __init__(self, points: WeightedPoints):
         self.points = points
         lo = lower_prob_scan(points)
-        up = upper_prob_scan(points)
         # padded tables; p0 and p1 are views into them, not copies
         self._lower = np.concatenate(([0.0], lo.values))
+        # (lower corner, lower sweep, upper corner, upper sweep) stack pushes
+        self.push_counts = (lo.corner_pushes, lo.sweep_pushes)
+        del lo  # its batch-sized slope components are not held through the upper scan
+        up = upper_prob_scan(points)
         self._upper = np.concatenate((up.values, [1.0]))
+        self.push_counts += (up.corner_pushes, up.sweep_pushes)
         self.p0 = self._lower[1:]
         self.p1 = self._upper[:-1]
-        # (lower corner, lower sweep, upper corner, upper sweep) stack pushes
-        self.push_counts = (lo.corner_pushes, lo.sweep_pushes, up.corner_pushes, up.sweep_pushes)
 
     @classmethod
     def fit(cls, scores, labels) -> "IvapCalibrator":
@@ -77,9 +79,7 @@ class IvapCalibrator:
         Scores must be finite; labels must be 0 or 1.  Construction is
         O(k log k) for the sort and O(k) afterwards.
         """
-        # s and y outlive the scans: freed first, they left ivap_bulk's peak RSS 8 MB higher
-        s, y = calibration_set(scores, labels)
-        return cls(dedup_weighted(s, y))
+        return cls(dedup_weighted(*calibration_set(scores, labels)))
 
     def __len__(self) -> int:
         return len(self.points)

@@ -1,8 +1,9 @@
 """Independent reference implementations used to check the fast paths.
 
 Everything here is deliberately naive: exhaustive enumeration, insert-and-
-refit, a stable-sort dedup, a lower hull by its definition, the probability
-sweep one step at a time, grid search, a stump search over every cut, a
+refit, a stable-sort dedup, a lower hull by its definition, the hull's numpy
+rounds over a whole polyline at once, an isotonic readout by a gather, the
+probability sweep one step at a time, grid search, a stump search over every cut, a
 masked two-branch sigmoid, a two-branch log loss, an explicit search tree
 over an interval calibrator's tables, a batch query that answers in input
 order with `np.where`, direct isotonic's lookup in input order, the packed
@@ -94,6 +95,32 @@ def brute_force_lower_hull(xs, ys) -> tuple[list, list]:
         y[j] * (x[b] - x[a]) >= y[a] * (x[b] - x[j]) + y[b] * (x[j] - x[a])
         for a in range(j) for b in range(j + 1, n))]
     return [xs[j] for j in corners], [ys[j] for j in corners]
+
+
+def unblocked_hull_rounds(x, y) -> tuple[list, list]:
+    """The vertices `isotonic._lower_hull` hands to its Graham scan, with each numpy round
+    taken over the whole polyline at once: a round drops every interior vertex whose turn
+    between its neighbours is not strictly left, until one keeps more than half."""
+    while len(x) > 2:
+        dx, dy = np.diff(x), np.diff(y)
+        keep = np.ones(len(x), dtype=bool)
+        keep[1:-1] = dx[:-1] * dy[1:] - dx[1:] * dy[:-1] > 0.0
+        n = len(x)
+        x, y = x[keep], y[keep]
+        if 2 * len(x) > n:
+            break
+    return x.tolist(), y.tolist()
+
+
+def gathered_isotonic_fit(points: WeightedPoints) -> np.ndarray:
+    """Isotonic fit of points with integer label sums, read out by a gather: the CSD
+    from `np.concatenate` and `np.cumsum`, its corners by `brute_force_lower_hull`, and
+    each weight interval's corner segment found by `np.searchsorted`."""
+    x = np.concatenate([[0.0], np.cumsum(points.weights)])
+    y = np.concatenate([[0.0], np.cumsum(points.label_sums)])
+    cx, cy = (np.array(c) for c in brute_force_lower_hull(x.tolist(), y.tolist()))
+    slopes = np.diff(cy) / np.diff(cx)
+    return slopes[np.searchsorted(cx, x[1:], side="left") - 1]
 
 
 def pooled_fit_at(scores, labels, s: float) -> float:

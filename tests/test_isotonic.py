@@ -1,6 +1,7 @@
 import itertools
 import math
 from fractions import Fraction
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -8,7 +9,15 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from scipy.optimize import isotonic_regression
 
-from oracles import brute_force_lower_hull, mean_labels, packed_order_by_ints, stable_dedup
+import venncal.isotonic
+from oracles import (
+    brute_force_lower_hull,
+    gathered_isotonic_fit,
+    mean_labels,
+    packed_order_by_ints,
+    stable_dedup,
+    unblocked_hull_rounds,
+)
 from strategies import calibration_sets, packed_batches
 from venncal.isotonic import (
     WeightedPoints,
@@ -150,6 +159,18 @@ def assert_shuffle_invariant(scores, labels, perm):
         assert moved.scores[zero].tobytes() == np.array([first]).tobytes()
 
 
+@settings(max_examples=200, deadline=None)
+@given(dedup_inputs())
+@example((np.array([0.5]), np.array([1.0])))
+@example((np.array([2.0] * 5), np.array([0.0, 1.0, 1.0, 0.0, 1.0])))
+def test_fit_matches_the_gathered_readout(case):
+    # ties, single distinct scores and the dummy-endpoint shape: the fit reads each
+    # corner slope out once per weight interval, with a gather's bits
+    pts = dedup_weighted(*case)
+    got, want = fit_isotonic(pts), gathered_isotonic_fit(pts)
+    assert got.dtype == want.dtype and got.tobytes() == want.tobytes()
+
+
 def test_dedup_large_ties_match_oracle_under_shuffles():
     # large enough for numpy's vectorized unstable sort, not its small-array path
     rng = np.random.default_rng(7)
@@ -281,11 +302,44 @@ class TestFitIsotonic:
                     pts.weights[mask])
                 assert abs(mean - v) <= 1e-12
 
+    def test_fractional_label_sums_fit(self):
+        pts = WeightedPoints(np.arange(4.0), np.array([1, 2, 1, 3]),
+                             np.array([0.5, 0.25, 1.0, 0.75]))
+        want = isotonic_regression(mean_labels(pts), weights=pts.weights).x
+        assert np.max(np.abs(fit_isotonic(pts) - want)) <= 1e-12
+
+    def test_inexact_cumulative_weights_rejected(self):
+        # in floats the CSD repeats x = 2^53 + 2: a gather read [0, 0, 1, 1] out of it,
+        # while the weighted isotonic fit is [0, 0.8, 0.8, 0.8]
+        pts = WeightedPoints(np.arange(4.0), [2 ** 53, 1, 1, 3], [0.0, 1.0, 1.0, 2.0])
+        with pytest.raises(ValueError, match=r"total weight W < 2\^53"):
+            fit_isotonic(pts)
+
+    @pytest.mark.parametrize("weights", [[2 ** 53 - 1, 1], [1, 0, 2], [2, -1, 2]])
+    def test_total_weight_2_53_and_nonpositive_weights_rejected(self, weights):
+        pts = WeightedPoints(np.arange(len(weights), dtype=float), np.array(weights),
+                             np.zeros(len(weights)))
+        with pytest.raises(ValueError, match=r"positive integer weights"):
+            fit_isotonic(pts)
+
+    def test_largest_exact_total_weight_fits(self):
+        pts = WeightedPoints(np.arange(2.0), np.array([2 ** 53 - 2, 1]), np.array([0.0, 1.0]))
+        assert fit_isotonic(pts).tolist() == [0.0, 1.0]
+
+    def test_direct_isotonic_reaches_the_check(self, monkeypatch):
+        from venncal import baselines
+
+        big = WeightedPoints(np.arange(4.0), np.array([2 ** 53, 1, 1, 3]),
+                             np.array([0.0, 1.0, 1.0, 2.0]))
+        monkeypatch.setattr(baselines, "dedup_weighted", lambda s, y: big)
+        with pytest.raises(ValueError, match=r"total weight W < 2\^53"):
+            baselines.DirectIsotonic.fit([0.0, 1.0], [0, 1])
+
     def test_corner_slopes_increase(self):
         rng = np.random.default_rng(11)
         for _ in range(100):
             pts = random_points(rng, max_k=12)
-            cx, cy = _lower_hull(*_csd(pts))
+            cx, cy = _lower_hull(*(c[1:] for c in _csd(pts.weights, pts.label_sums)))
             slopes = np.diff(cy) / np.diff(cx)
             assert np.all(np.diff(slopes) > 0)
 
@@ -524,6 +578,71 @@ class TestLowerHull:
             if name == "low_end":
                 y[-1] = -1e9  # the hull is the two endpoints
         assert _lower_hull(x, y) == _graham_scan(x.tolist(), y.tolist())
+
+
+def corners_and_survivors(x, y, block):
+    """`_lower_hull` of (x, y) with `_BLOCK` set to `block`, and what its numpy rounds
+    handed to the Graham scan."""
+    seen = []
+
+    def scan(xs, ys):
+        seen.append((list(xs), list(ys)))
+        return _graham_scan(xs, ys)
+
+    with mock.patch.object(venncal.isotonic, "_BLOCK", block), \
+            mock.patch.object(venncal.isotonic, "_graham_scan", scan):
+        corners = _lower_hull(np.array(x, dtype=float), np.array(y, dtype=float))
+    return corners, seen[0]
+
+
+def assert_blocked_hull_exact(xs, ys, block):
+    corners, survivors = corners_and_survivors(xs, ys, block)
+    assert corners == brute_force_lower_hull(xs, ys)
+    assert survivors == unblocked_hull_rounds(np.array(xs, dtype=float), np.array(ys, dtype=float))
+
+
+def run_polyline(steps) -> tuple[list, list]:
+    """Vertices at x = 0, 1, ... whose y increments are `steps`."""
+    ys = np.concatenate([[0], np.cumsum(steps)]).astype(float)
+    return np.arange(len(ys), dtype=float).tolist(), ys.tolist()
+
+
+# the rounds test the n - 2 interior vertices `_BLOCK` at a time; with 4, these
+# interior counts sit at 1, 2 and 3 block multiples, -1, 0, +1 and +2
+HULL_BLOCK = 4
+INTERIOR_COUNTS = [m * HULL_BLOCK + d for m in (1, 2, 3) for d in (-1, 0, 1, 2)]
+
+
+class TestBlockedHull:
+    @pytest.mark.parametrize("interior", INTERIOR_COUNTS)
+    def test_random_walks(self, interior):
+        rng = np.random.default_rng(interior)
+        for _ in range(20):
+            assert_blocked_hull_exact(*run_polyline(rng.integers(-2, 3, size=interior + 1)),
+                                      HULL_BLOCK)
+
+    @pytest.mark.parametrize("interior", INTERIOR_COUNTS)
+    def test_strictly_convex_keeps_every_vertex(self, interior):
+        xs, ys = run_polyline(np.arange(interior + 1))
+        corners, survivors = corners_and_survivors(xs, ys, HULL_BLOCK)
+        assert corners == survivors == (xs, ys)
+
+    @pytest.mark.parametrize("edge", [1, 2, 3])
+    def test_collinear_run_across_a_block_edge(self, edge):
+        # increments 0, 1, 2, ... except equal ones from two before to two after the
+        # interior vertex that opens block `edge`: four collinear vertices across the edge
+        first = edge * HULL_BLOCK + 1
+        steps = np.arange(4 * HULL_BLOCK + 2)
+        steps[first - 3:first + 2] = first - 1
+        xs, ys = run_polyline(steps)
+        corners, _ = corners_and_survivors(xs, ys, HULL_BLOCK)
+        assert not set(range(first - 2, first + 2)) & set(corners[0])
+        assert_blocked_hull_exact(xs, ys, HULL_BLOCK)
+
+    @settings(max_examples=300, deadline=None)
+    @given(integer_polylines(), st.integers(1, 5))
+    def test_drawn_polylines_any_block(self, line, block):
+        assert_blocked_hull_exact(*line, block)
 
 
 class TestExactRange:
