@@ -255,7 +255,8 @@ def fit_isotonic(points: WeightedPoints) -> np.ndarray:
     """
     x, y = (c[1:] for c in _csd(points.weights, points.label_sums))
     if not (x[-1] < 2 ** 53 and (x[1:] > x[:-1]).all()):
-        raise ValueError("the fit needs positive integer weights with total weight W < 2^53")
+        raise ValueError("the fit needs strictly increasing cumulative weights "
+                         "(every weight positive) with total weight W < 2^53")
     cx, cy = (np.array(c) for c in _lower_hull(x, y))
     del y  # before the batch-sized readout: lower peak memory
     # corner segment j covers the weight intervals between corners j and j + 1

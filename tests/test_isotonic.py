@@ -319,8 +319,15 @@ class TestFitIsotonic:
     def test_total_weight_2_53_and_nonpositive_weights_rejected(self, weights):
         pts = WeightedPoints(np.arange(len(weights), dtype=float), np.array(weights),
                              np.zeros(len(weights)))
-        with pytest.raises(ValueError, match=r"positive integer weights"):
+        with pytest.raises(ValueError, match=r"strictly increasing cumulative weights"):
             fit_isotonic(pts)
+
+    def test_fractional_weights_fit(self):
+        # the check reads only the cumulative weights' order and total, not integrality
+        pts = WeightedPoints(np.arange(3.0), np.array([0.5, 1.5, 1.0]),
+                             np.array([0.5, 0.0, 1.0]))
+        want = isotonic_regression(mean_labels(pts), weights=pts.weights).x
+        assert np.max(np.abs(fit_isotonic(pts) - want)) <= 1e-12
 
     def test_largest_exact_total_weight_fits(self):
         pts = WeightedPoints(np.arange(2.0), np.array([2 ** 53 - 2, 1]), np.array([0.0, 1.0]))

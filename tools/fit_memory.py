@@ -4,8 +4,8 @@ Each k runs in a fresh Python process, which builds k distinct scores (uniform o
 [-4, 4), in random order), labels drawn as Bernoulli(sigmoid(1.5 s)) and 1e6 uniform
 queries over [-4.4, 4.4], as `perfbench`'s `ivap_bulk` does, and reports:
 
-- fit ns/point: the best of `--repeats` `IvapCalibrator.fit` calls, over k;
-- query ns: the best of `--repeats` `predict_intervals` calls on the 1e6 queries,
+- fit ns/point: the best of `REPEATS` (3) `IvapCalibrator.fit` calls, over k;
+- query ns: the best of `REPEATS` `predict_intervals` calls on the 1e6 queries,
   over 1e6;
 - traced B/point: the tracemalloc peak of one more fit, above what was traced
   before it (its result included), over k;
@@ -16,7 +16,7 @@ Times follow the host: on a shared machine they drift between runs, so compare
 rows of one run.  The memory columns repeat exactly.
 
     python tools/fit_memory.py                 # k = 1e3, 1e4, 1e5, 1e6
-    python tools/fit_memory.py --k 1e6 1e7     # 1e7 takes 3-4 s a fit and about 1.5 GB
+    python tools/fit_memory.py --k 1e6 1e7     # 1e7 takes 3-4 s a fit and about 0.8 GB
 
 Needs numpy and the standard library only; the package is imported from ../src.
 """
@@ -33,23 +33,25 @@ import tracemalloc
 from pathlib import Path
 
 QUERIES = 1_000_000
+REPEATS = 3  # timed calls per figure
+SEED = 1
 
 
-def measure(k: int, repeats: int, seed: int) -> dict:
+def measure(k: int) -> dict:
     """One row, measured in this process."""
     sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "src"))
     import numpy as np
 
     from venncal.ivap import IvapCalibrator
 
-    rng = np.random.default_rng(seed)
+    rng = np.random.default_rng(SEED)
     scores = rng.permutation((np.arange(k) + rng.random(k)) * (8.0 / k) - 4.0)
     labels = (rng.random(k) < 1.0 / (1.0 + np.exp(-1.5 * scores))).astype(np.int64)
     queries = rng.uniform(-4.4, 4.4, size=QUERIES)
 
     def best(call) -> float:
         times = []
-        for _ in range(repeats):
+        for _ in range(REPEATS):
             t0 = time.perf_counter()
             call()
             times.append(time.perf_counter() - t0)
@@ -73,18 +75,15 @@ def main(argv=None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
     parser.add_argument("--k", nargs="+", default=["1e3", "1e4", "1e5", "1e6"],
                         help="calibration sizes; 1e7 only when named")
-    parser.add_argument("--repeats", type=int, default=5, help="timed calls per figure")
-    parser.add_argument("--seed", type=int, default=1)
     parser.add_argument("--one", action="store_true", help=argparse.SUPPRESS)
     args = parser.parse_args(argv)
     if args.one:  # the fresh process of one row
-        print(json.dumps(measure(int(float(args.k[0])), args.repeats, args.seed)))
+        print(json.dumps(measure(int(float(args.k[0])))))
         return 0
     print("| k | fit ns/point | query ns | traced B/point | maxrss MB |")
     print("|---|---|---|---|---|")
     for k in args.k:
-        out = subprocess.run([sys.executable, __file__, "--one", "--k", k,
-                              "--repeats", str(args.repeats), "--seed", str(args.seed)],
+        out = subprocess.run([sys.executable, __file__, "--one", "--k", k],
                              stdout=subprocess.PIPE, text=True, check=True)
         row = json.loads(out.stdout)
         print(f"| {k} | {row['fit_ns_per_point']:,.0f} | {row['query_ns']:.0f} "
